@@ -1,32 +1,20 @@
-"""Order-preserving worker pool honoring the QPA_THREADS environment variable."""
+"""Serial stand-ins for the worker pool that qpa no longer has.
+
+Every qpa computation runs serially: with the interpreter lock and many
+tiny numpy calls, threads made the checks slower, not faster. Nothing in
+the package imports this module. It stays because the benchmark harness
+(``perfbench/run.py`` and ``perfbench/tracing.py``) imports ``worker_count``
+and ``map_ordered``; it can go once the harness no longer does.
+"""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 
 def worker_count() -> int:
-    """Worker cap from QPA_THREADS (0 or unset means auto)."""
-    raw = os.environ.get("QPA_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(4, os.cpu_count() or 1)
-    return n
+    """Always 1: qpa runs on the calling thread."""
+    return 1
 
 
 def map_ordered(fn, items):
-    """Map ``fn`` over ``items``, preserving input order in the result.
-
-    Results are independent of the worker count: items are pure-function
-    arguments and the output list is assembled in submission order.
-    """
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(x) for x in items]``."""
+    return [fn(x) for x in items]

@@ -5,8 +5,7 @@ bound suites), ``exponents`` (decay exponents at given rates), ``sweep``
 (exponent curve as CSV), ``rates`` (equivocation and leak rates), and
 ``selftest`` (embedded closed-form checks). Data files always carry nats;
 ``--log-base bits`` rescales the text display only. Identical invocations
-produce byte-identical output; worker count (QPA_THREADS) never changes
-reported values.
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,7 +30,16 @@ from .cqstate import (
     preset,
 )
 from .hashing import collision_stats, make_family, parse_family
-from .hermitian import HermitianMatrix, identity, matrix_log, matrix_power, pinch, tensor
+from .hermitian import (
+    EigenConvergenceError,
+    HermitianMatrix,
+    SizeCapError,
+    identity,
+    matrix_log,
+    matrix_power,
+    pinch,
+    tensor,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -39,6 +47,8 @@ EXIT_PARSE = 2
 EXIT_INVALID_STATE = 3
 EXIT_MISMATCH = 4
 EXIT_IO = 5
+EXIT_CAP = 6
+EXIT_NUMERIC = 7
 
 LOG2 = math.log(2.0)
 
@@ -141,9 +151,11 @@ def cmd_verify(args) -> int:
         state = _lift_to_domain(state, family.domain_size)
         s_grid = tuple(_parse_floats(args.s)) if args.s else vmod.DEFAULT_S_GRID
         stamp = args.preset or args.state
+        dec = qmod.StateDecomposition(state)
+        members = vmod.member_mutual_info(state, family)
         reports = [
-            vmod.verify_avg_leak_bound(state, family, s_grid, name=stamp),
-            vmod.verify_exp_leak_bound(state, family, s_grid, name=stamp),
+            verify(state, family, s_grid, name=stamp, _dec=dec, _members=members)
+            for verify in (vmod.verify_avg_leak_bound, vmod.verify_exp_leak_bound)
         ]
         coll = collision_stats(family)
         if not coll.is_universal2:
@@ -374,6 +386,12 @@ def main(argv=None) -> int:
     except StateValidationError as exc:
         print(f"error: invalid state ({exc.invariant}): {exc}", file=sys.stderr)
         return EXIT_INVALID_STATE
+    except SizeCapError as exc:
+        print(f"error: resource cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except (EigenConvergenceError, expmod.ExponentComparisonError) as exc:
+        print(f"error: internal numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except AlphabetMismatchError as exc:
         print(f"error: family/alphabet mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -19,6 +19,7 @@ from .hermitian import (
     HermitianError,
     HermitianMatrix,
     SizeCapError,
+    eigh_batch,
 )
 
 PROB_ATOL = 1e-10
@@ -70,10 +71,12 @@ class CQState:
     """Validated classical-quantum state.
 
     ``probs`` must be a distribution up to 1e-10 and every ``eve_state`` a
-    unit-trace PSD matrix of one shared dimension. Instances are immutable.
+    unit-trace PSD matrix of one shared dimension. The PSD check is one
+    stacked eigenproblem whose eigensystems are kept (``eve_eigh``) for the
+    quantities built on the state. Instances are immutable.
     """
 
-    __slots__ = ("_probs", "_eve_states")
+    __slots__ = ("_probs", "_eve_states", "_eve_eigh")
 
     def __init__(self, probs, eve_states):
         p = np.asarray(probs, dtype=float).reshape(-1)
@@ -108,15 +111,21 @@ class CQState:
                 raise StateValidationError(
                     "unit trace", f"eve state {a} has trace {s.trace()!r}"
                 )
-            if s.min_eigenvalue() < -PROB_ATOL:
+        lam, vecs = eigh_batch(np.stack([s.mat for s in states]))
+        for a in range(len(states)):
+            low = float(lam[a, 0])
+            if low < -PROB_ATOL:
                 raise StateValidationError(
                     "positive semidefinite",
-                    f"eve state {a} has eigenvalue {s.min_eigenvalue():.3e}",
+                    f"eve state {a} has eigenvalue {low:.3e}",
                 )
         p = np.maximum(p, 0.0)
         p.setflags(write=False)
+        lam.setflags(write=False)
+        vecs.setflags(write=False)
         self._probs = p
         self._eve_states = states
+        self._eve_eigh = (lam, vecs)
 
     @property
     def probs(self) -> np.ndarray:
@@ -125,6 +134,11 @@ class CQState:
     @property
     def eve_states(self) -> tuple[HermitianMatrix, ...]:
         return self._eve_states
+
+    @property
+    def eve_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues ``(|A|, d)`` and eigenvectors ``(|A|, d, d)`` of the eve states."""
+        return self._eve_eigh
 
     @property
     def alphabet_size(self) -> int:

@@ -15,12 +15,21 @@ import dataclasses
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .cqstate import CQState
 from .optimize import golden_max
 from .quantities import StateDecomposition
 
 LEMMA_TOL = 1e-9
+
+# search grids of the smoothing-method exponents: s in [0, 1] and t in [0, 1/2]
+S_GRID = np.linspace(0.0, 1.0, 1001)
+T_GRID = np.linspace(0.0, 0.5, 1001)
+S_GRID.setflags(write=False)
+T_GRID.setflags(write=False)
+
+
+class ExponentComparisonError(RuntimeError):
+    """Computed exponents violate the comparison inequalities they must satisfy."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,17 +74,25 @@ def _grid_refine(objective, xs: np.ndarray, values: np.ndarray) -> tuple[float, 
     return float(xs[i]), float(values[i])
 
 
-def exponent_e_H_q(state: CQState, rate: float, *, _dec: StateDecomposition | None = None) -> ExponentPoint:
+def exponent_e_H_q(
+    state: CQState,
+    rate: float,
+    *,
+    _dec: StateDecomposition | None = None,
+    _h_grid: np.ndarray | None = None,
+) -> ExponentPoint:
     """Smoothing-method exponent ``max_{0<=s<=1} s/(2-s) (H_{1+s}(A|E) - R)``.
 
     The objective is not certified concave, so a 1001-point grid locates
-    the basin before the local golden refinement.
+    the basin before the local golden refinement. ``_h_grid`` is
+    ``H_{1+s}`` on ``S_GRID``, which does not depend on the rate.
     """
     if rate < 0.0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
     dec = _dec if _dec is not None else StateDecomposition(state)
-    xs = np.linspace(0.0, 1.0, 1001)
-    values = xs / (2.0 - xs) * (dec.renyi_cond_grid(xs) - rate)
+    xs = S_GRID
+    h_grid = _h_grid if _h_grid is not None else dec.renyi_cond_grid(xs)
+    values = xs / (2.0 - xs) * (h_grid - rate)
 
     def objective(s: float) -> float:
         return s / (2.0 - s) * (dec.renyi_cond(s) - rate)
@@ -83,13 +100,23 @@ def exponent_e_H_q(state: CQState, rate: float, *, _dec: StateDecomposition | No
     return _clamped(_grid_refine(objective, xs, values))
 
 
-def exponent_e_phi_q(state: CQState, rate: float, *, _dec: StateDecomposition | None = None) -> ExponentPoint:
-    """Smoothing-method exponent ``max_{0<=t<=1/2} -(phi(t) + t R) / (2(1-t))``."""
+def exponent_e_phi_q(
+    state: CQState,
+    rate: float,
+    *,
+    _dec: StateDecomposition | None = None,
+    _phi_grid: np.ndarray | None = None,
+) -> ExponentPoint:
+    """Smoothing-method exponent ``max_{0<=t<=1/2} -(phi(t) + t R) / (2(1-t))``.
+
+    ``_phi_grid`` is ``phi`` on ``T_GRID``, which does not depend on the rate.
+    """
     if rate < 0.0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
     dec = _dec if _dec is not None else StateDecomposition(state)
-    xs = np.linspace(0.0, 0.5, 1001)
-    values = -(dec.phi_grid(xs) + xs * rate) / (2.0 * (1.0 - xs))
+    xs = T_GRID
+    phi_grid = _phi_grid if _phi_grid is not None else dec.phi_grid(xs)
+    values = -(phi_grid + xs * rate) / (2.0 * (1.0 - xs))
 
     def objective(t: float) -> float:
         return -(dec.phi(t) + t * rate) / (2.0 * (1.0 - t))
@@ -132,12 +159,19 @@ class ExponentCurve:
         return "\n".join(lines) + "\n"
 
 
-def exponent_row(state: CQState, rate: float, *, _dec: StateDecomposition | None = None) -> CurveRow:
+def exponent_row(
+    state: CQState,
+    rate: float,
+    *,
+    _dec: StateDecomposition | None = None,
+    _h_grid: np.ndarray | None = None,
+    _phi_grid: np.ndarray | None = None,
+) -> CurveRow:
     """All exponents at one key rate, with the comparison inequalities enforced."""
     dec = _dec if _dec is not None else StateDecomposition(state)
     e_h = exponent_e_H(state, rate, _dec=dec)
-    e_hq = exponent_e_H_q(state, rate, _dec=dec)
-    e_pq = exponent_e_phi_q(state, rate, _dec=dec)
+    e_hq = exponent_e_H_q(state, rate, _dec=dec, _h_grid=_h_grid)
+    e_pq = exponent_e_phi_q(state, rate, _dec=dec, _phi_grid=_phi_grid)
     row = CurveRow(
         R=rate,
         e_H=e_h.value,
@@ -153,7 +187,7 @@ def exponent_row(state: CQState, rate: float, *, _dec: StateDecomposition | None
         and row.e_H >= row.e_phi_q - LEMMA_TOL
         and row.e_phi_q >= row.e_H / 2.0 - LEMMA_TOL
     ):
-        raise RuntimeError(f"exponent comparison inequalities violated at R={rate}: {row}")
+        raise ExponentComparisonError(f"exponent comparison inequalities violated at R={rate}: {row}")
     return row
 
 
@@ -165,7 +199,9 @@ def exponent_curve(state: CQState, r_min: float, r_max: float, steps: int) -> Ex
         raise ValueError("need at least 2 steps")
     dec = StateDecomposition(state)
     rates_list = [r_min + (r_max - r_min) * i / (steps - 1) for i in range(steps)]
-    rows = map_ordered(lambda r: exponent_row(state, r, _dec=dec), rates_list)
+    h_grid = dec.renyi_cond_grid(S_GRID)
+    phi_grid = dec.phi_grid(T_GRID)
+    rows = [exponent_row(state, r, _dec=dec, _h_grid=h_grid, _phi_grid=phi_grid) for r in rates_list]
     return ExponentCurve(tuple(rows))
 
 

@@ -1,9 +1,10 @@
 """Information quantities of a classical-quantum state, in nats.
 
 Every quantity decomposes over the block structure of the joint operator
-(one small eigenproblem per symbol plus one for the E marginal), which is
-the default evaluation path. The ``*_joint`` variants evaluate the same
-formulas on the full joint matrix and are kept as cross-check oracles.
+(one stacked eigenproblem over the symbol blocks plus one for the E
+marginal), which is the default evaluation path. The ``*_joint`` variants
+evaluate the same formulas on the full joint matrix and are kept as
+cross-check oracles.
 
 Conventions: natural logarithms throughout; functions of rank-deficient
 operators act on the support only (pseudo-inverse / pseudo-log); the Renyi
@@ -22,6 +23,7 @@ from .cqstate import CQState, eve_marginal, joint_density
 from .hermitian import (
     SUPPORT_RTOL,
     HermitianMatrix,
+    eigh_batch,
     identity,
     matrix_log,
     matrix_power,
@@ -91,29 +93,22 @@ class StateDecomposition:
         vmat = espec.eigenvectors
         b = (vmat * inv_sqrt) @ vmat.conj().T  # (rho^E)^{-1/2} on the support
 
-        self.lam: list[np.ndarray] = []  # eigenvalues of rho_a
-        self.overlap: list[np.ndarray] = []  # |<u_i^a | v_j>|^2
-        self.xi: list[np.ndarray] = []  # eigenvalues of the sandwiched block
-        self.xi_weight: list[np.ndarray] = []  # <w_j| rho_a |w_j>
-        self.xi_support: list[np.ndarray] = []
-        self._basis: list[np.ndarray] = []  # eigenvectors of rho_a, columnwise
-        for a in range(state.alphabet_size):
-            rho = state.eve_states[a].mat
-            lam, u = np.linalg.eigh(rho)
-            lam = np.maximum(lam, 0.0)
-            self.lam.append(lam)
-            self._basis.append(u)
-            self.overlap.append(np.abs(u.conj().T @ vmat) ** 2)
-            x = b @ rho @ b
-            x = (x + x.conj().T) / 2
-            xi, w = np.linalg.eigh(x)
-            xi = np.maximum(xi, 0.0)
-            self.xi.append(xi)
-            self.xi_weight.append(np.maximum(np.real(np.einsum("ji,jk,ki->i", w.conj(), rho, w)), 0.0))
-            xmax = float(xi[-1]) if xi.size else 0.0
-            self.xi_support.append(xi > support_tol * xmax)
+        lam, u = state.eve_eigh  # from the state's validation
+        rhos = np.stack([rho.mat for rho in state.eve_states])
+        x = b @ rhos @ b
+        xi, w = eigh_batch((x + np.conj(np.swapaxes(x, 1, 2))) / 2)
+        xi = np.maximum(xi, 0.0)
+        # per symbol a, row a of each array:
+        self.lam = np.maximum(lam, 0.0)  # eigenvalues of rho_a
+        self._basis = u  # eigenvectors of rho_a, columnwise
+        self.overlap = np.abs(np.conj(np.swapaxes(u, 1, 2)) @ vmat) ** 2  # |<u_i^a | v_j>|^2
+        self.xi = xi  # eigenvalues of the sandwiched block
+        # <w_j| rho_a |w_j>
+        self.xi_weight = np.maximum(np.real(np.einsum("aji,ajk,aki->ai", w.conj(), rhos, w)), 0.0)
+        self.xi_support = xi > support_tol * xi[:, -1:]
         self._grid_terms = None
         self._bar_grid_terms = None
+        self._phi_grid_terms = None
 
     # flattened positive terms of the two Renyi traces, for grid evaluation:
     # the traces are sums of w * exp(s * g + c0) over fixed (weight, slope) pairs
@@ -151,6 +146,17 @@ class StateDecomposition:
                     slopes.append(math.log(p) + math.log(float(xi[j])))
             self._bar_grid_terms = (np.array(offs), np.array(slopes))
         return self._bar_grid_terms
+
+    # log of P(a) lam_i^a, shifted by its maximum, for the phi functional
+    def _phi_terms(self):
+        if self._phi_grid_terms is None:
+            mask = (self.lam > 0.0) & (self.probs[:, None] > 0.0)
+            logp = np.log(np.where(self.probs > 0.0, self.probs, 1.0))
+            loglam = np.log(np.where(self.lam > 0.0, self.lam, 1.0))
+            base = np.where(mask, logp[:, None] + loglam, -np.inf)
+            top = float(np.max(base))
+            self._phi_grid_terms = (top, np.where(mask, base - top, -1e30), self._basis.conj())
+        return self._phi_grid_terms
 
     # -- von Neumann layer ------------------------------------------------
 
@@ -309,16 +315,9 @@ class StateDecomposition:
         if np.any((t < 0.0) | (t > PHI_T_MAX)):
             raise ValueError(f"phi is computable for t in [0, {PHI_T_MAX}], got {t_values}")
         alpha = 1.0 / (1.0 - t)
-        u = np.stack(self._basis)  # (n, d, d)
-        lam = np.stack(self.lam)  # (n, d)
-        mask = (lam > 0.0) & (self.probs[:, None] > 0.0)
-        logp = np.log(np.where(self.probs > 0.0, self.probs, 1.0))
-        loglam = np.log(np.where(lam > 0.0, lam, 1.0))
-        base = np.where(mask, logp[:, None] + loglam, -np.inf)
-        top = float(np.max(base))
-        shifted = np.where(mask, base - top, -1e30)
+        top, shifted, u_conj = self._phi_terms()
         weights = np.exp(alpha[:, None, None] * shifted[None, :, :])  # (T, n, d)
-        inner = np.einsum("aij,taj,akj->tik", u, weights, u.conj())
+        inner = np.einsum("aij,taj,akj->tik", self._basis, weights, u_conj)
         inner = (inner + np.conj(np.swapaxes(inner, 1, 2))) / 2
         eta = np.maximum(np.linalg.eigvalsh(inner), 0.0)  # (T, d)
         return top + np.log(np.sum(eta ** (1.0 - t)[:, None], axis=1))

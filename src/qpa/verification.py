@@ -14,10 +14,9 @@ import math
 
 import numpy as np
 
-from ._parallel import map_ordered
-from .cqstate import AlphabetMismatchError, CQState, apply_function, eve_marginal, preset, random_cq, tensor_power
+from .cqstate import AlphabetMismatchError, CQState, apply_function, preset, random_cq, tensor_power
 from .hashing import HashFamily, enumerate_members, make_family
-from .hermitian import HermitianMatrix, identity, matrix_log, matrix_power, pinch, spectral_utilities
+from .hermitian import HermitianMatrix, eigh_batch, identity, matrix_log, matrix_power, pinch
 from .optimize import golden_max
 from .quantities import StateDecomposition
 
@@ -66,15 +65,18 @@ def _check_s_grid(s_grid) -> tuple[float, ...]:
     return grid
 
 
-def _member_values(state: CQState, family: HashFamily, extractor):
-    members = list(enumerate_members(family))
-    return map_ordered(lambda mem: extractor(apply_function(state, mem.function)), members)
+def member_mutual_info(state: CQState, family: HashFamily) -> list[dict[str, float]]:
+    """``mutual_info_variants`` of the hashed state, per member in index order."""
+    _require_matching_domain(state, family)
+    return [
+        StateDecomposition(apply_function(state, mem.function)).mutual_info_variants()
+        for mem in enumerate_members(family)
+    ]
 
 
 def ensemble_avg_I_prime(state: CQState, family: HashFamily) -> float:
     """Exact family average of the uniformity-adjusted leaked information I'."""
-    _require_matching_domain(state, family)
-    vals = _member_values(state, family, lambda st: StateDecomposition(st).mutual_info_variants()["I_prime"])
+    vals = [ms["I_prime"] for ms in member_mutual_info(state, family)]
     return math.fsum(vals) / family.member_count
 
 
@@ -82,16 +84,25 @@ def avg_leak_bound_rhs(state: CQState, big_m: int, s: float) -> float:
     """Hashing bound on the averaged I': ``v^s M^s exp(-s H_{1+s}) / s``."""
     if not (0.0 < s <= 1.0):
         raise ValueError(f"the bound needs s in (0, 1], got {s}")
-    v = spectral_utilities(eve_marginal(state)).distinct_count_v
-    h = StateDecomposition(state).renyi_cond(s)
+    dec = StateDecomposition(state)
+    v = dec.v_count
+    h = dec.renyi_cond(s)
     return (v**s) * math.exp(s * (math.log(big_m) - h)) / s
 
 
-def verify_avg_leak_bound(state: CQState, family: HashFamily, s_grid=DEFAULT_S_GRID, *, name: str = "") -> BoundReport:
+def verify_avg_leak_bound(
+    state: CQState,
+    family: HashFamily,
+    s_grid=DEFAULT_S_GRID,
+    *,
+    name: str = "",
+    _dec: StateDecomposition | None = None,
+    _members: list[dict[str, float]] | None = None,
+) -> BoundReport:
     """Check ``E_X I' <= min_s v^s M^s exp(-s H_{1+s}) / s`` by enumeration."""
     _require_matching_domain(state, family)
     s_grid = _check_s_grid(s_grid)
-    dec = StateDecomposition(state)
+    dec = _dec if _dec is not None else StateDecomposition(state)
     v = dec.v_count
     big_m = family.range_size
 
@@ -106,9 +117,7 @@ def verify_avg_leak_bound(state: CQState, family: HashFamily, s_grid=DEFAULT_S_G
     rhs_min = -neg_min
     rhs_by_s[round(best_s, 12)] = rhs_min
 
-    member_stats = _member_values(
-        state, family, lambda st: StateDecomposition(st).mutual_info_variants()
-    )
+    member_stats = _members if _members is not None else member_mutual_info(state, family)
     i_prime_vals = [ms["I_prime"] for ms in member_stats]
     i_vals = [ms["I"] for ms in member_stats]
     lhs = math.fsum(i_prime_vals) / family.member_count
@@ -140,14 +149,19 @@ def ensemble_avg_exp_sI_bar_prime(state: CQState, family: HashFamily, s: float) 
     """Exact family average of ``exp(s * Ibar')``."""
     if not (0.0 < s <= 1.0):
         raise ValueError(f"the bound needs s in (0, 1], got {s}")
-    _require_matching_domain(state, family)
-    vals = _member_values(
-        state, family, lambda st: StateDecomposition(st).mutual_info_variants()["I_bar_prime"]
-    )
+    vals = [ms["I_bar_prime"] for ms in member_mutual_info(state, family)]
     return math.fsum(math.exp(s * val) for val in vals) / family.member_count
 
 
-def verify_exp_leak_bound(state: CQState, family: HashFamily, s_grid=DEFAULT_S_GRID, *, name: str = "") -> BoundReport:
+def verify_exp_leak_bound(
+    state: CQState,
+    family: HashFamily,
+    s_grid=DEFAULT_S_GRID,
+    *,
+    name: str = "",
+    _dec: StateDecomposition | None = None,
+    _members: list[dict[str, float]] | None = None,
+) -> BoundReport:
     """Check ``E_X exp(s Ibar') <= 1 + M^s exp(-s Hbar*_{1+s})`` on the grid.
 
     Also checks the averaged consequence
@@ -155,11 +169,10 @@ def verify_exp_leak_bound(state: CQState, family: HashFamily, s_grid=DEFAULT_S_G
     """
     _require_matching_domain(state, family)
     s_grid = _check_s_grid(s_grid)
-    dec = StateDecomposition(state)
+    dec = _dec if _dec is not None else StateDecomposition(state)
     big_m = family.range_size
-    ibar_vals = _member_values(
-        state, family, lambda st: StateDecomposition(st).mutual_info_variants()["I_bar_prime"]
-    )
+    member_stats = _members if _members is not None else member_mutual_info(state, family)
+    ibar_vals = [ms["I_bar_prime"] for ms in member_stats]
     avg_ibar = math.fsum(ibar_vals) / family.member_count
 
     rhs_by_s = {}
@@ -201,9 +214,9 @@ def finite_size_bound(state: CQState, big_m: int, s: float) -> float:
     """Key-quality bound ``log v + (log 2)/s + max(0, log M - H_{1+s})``."""
     if not (0.0 < s <= 1.0):
         raise ValueError(f"the bound needs s in (0, 1], got {s}")
-    v = spectral_utilities(eve_marginal(state)).distinct_count_v
-    h = StateDecomposition(state).renyi_cond(s)
-    return math.log(v) + math.log(2.0) / s + max(0.0, math.log(big_m) - h)
+    dec = StateDecomposition(state)
+    h = dec.renyi_cond(s)
+    return math.log(dec.v_count) + math.log(2.0) / s + max(0.0, math.log(big_m) - h)
 
 
 def finite_size_min(state: CQState, big_m: int, s_grid=DEFAULT_S_GRID) -> tuple[float, float]:
@@ -234,15 +247,15 @@ def matrix_lemma_checks(seed: int, dim: int, s_grid=DEFAULT_S_GRID) -> LemmaRepo
     eye = identity(dim)
     one_plus_x = HermitianMatrix(eye.mat + x.mat, atol=None)
     log_one_plus_x = matrix_log(one_plus_x)
-    min_pow = math.inf
-    min_log = math.inf
+    diffs = []
     for s in s_grid:
         s = float(s)
         x_s = matrix_power(x, s)
-        diff_pow = HermitianMatrix(eye.mat + x_s.mat - matrix_power(one_plus_x, s).mat, atol=None)
-        diff_log = HermitianMatrix(x_s.mat / s - log_one_plus_x.mat, atol=None)
-        min_pow = min(min_pow, diff_pow.min_eigenvalue())
-        min_log = min(min_log, diff_log.min_eigenvalue())
+        diffs.append(HermitianMatrix(eye.mat + x_s.mat - matrix_power(one_plus_x, s).mat, atol=None).mat)
+        diffs.append(HermitianMatrix(x_s.mat / s - log_one_plus_x.mat, atol=None).mat)
+    low = eigh_batch(np.stack(diffs))[0][:, 0]
+    min_pow = float(np.min(low[0::2]))
+    min_log = float(np.min(low[1::2]))
     return LemmaReport(min_pow, min_log, bool(min_pow >= -SLACK_TOL and min_log >= -SLACK_TOL))
 
 
@@ -259,12 +272,11 @@ class PinchReport:
 
 def pinching_bound_check(state: CQState, *, name: str = "") -> PinchReport:
     """Check ``I <= I(pinched) + log v`` and ``I = Ibar`` on the pinched state."""
-    eve = eve_marginal(state)
-    v = spectral_utilities(eve).distinct_count_v
-    pinched = CQState(state.probs, [pinch(eve, rho) for rho in state.eve_states])
-    i_orig = StateDecomposition(state).mutual_info_variants()["I"]
+    dec = StateDecomposition(state)
+    pinched = CQState(state.probs, [pinch(dec.eve, rho) for rho in state.eve_states])
+    i_orig = dec.mutual_info_variants()["I"]
     pinched_info = StateDecomposition(pinched).mutual_info_variants()
-    log_v = math.log(v)
+    log_v = math.log(dec.v_count)
     ok = (
         i_orig <= pinched_info["I"] + log_v + SLACK_TOL
         and abs(pinched_info["I"] - pinched_info["I_bar"]) <= SLACK_TOL
@@ -311,9 +323,11 @@ def run_full_suite(s_grid=DEFAULT_S_GRID) -> list[BoundReport]:
     """Both hashing bounds over the whole corpus, plus lemma and pinching checks."""
     reports: list[BoundReport] = []
     for name, state in default_corpus():
+        dec = StateDecomposition(state)
         for family in families_for(state.alphabet_size):
-            reports.append(verify_avg_leak_bound(state, family, s_grid, name=name))
-            reports.append(verify_exp_leak_bound(state, family, s_grid, name=name))
+            members = member_mutual_info(state, family)
+            for verify in (verify_avg_leak_bound, verify_exp_leak_bound):
+                reports.append(verify(state, family, s_grid, name=name, _dec=dec, _members=members))
 
     lemma_mins = ([], [])
     idx = 0

@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qpa import exponents as expmod
 from qpa.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -174,3 +176,40 @@ def test_selftest_passes():
 def test_missing_state_source_is_parse_error():
     assert main(["quantities"]) == 2
     assert main(["quantities", "--preset", "not-a-preset"]) == 2
+
+
+def test_suite_full_matches_golden(capsys):
+    code = main(["verify", "--suite", "full"])
+    assert code == 0
+    assert capsys.readouterr().out.encode() == (DATA / "suite_full_golden.txt").read_bytes()
+
+
+def test_size_cap_exit_6(capsys):
+    code = main(["verify", "--preset", "tilted-qubit", "--family", "toeplitz:q=2,k=12,m=2"])
+    err = capsys.readouterr().err
+    assert code == 6
+    assert err.startswith("error: resource cap exceeded:") and err.count("\n") == 1
+
+
+def _eigh_fails(m):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _exponents_disagree(*args, **kwargs):
+    return expmod.ExponentPoint(10.0, 0.25)
+
+
+@pytest.mark.parametrize(
+    "target, replacement, argv",
+    [
+        (np.linalg, ("eigh", _eigh_fails), ["quantities", "--preset", "tilted-qubit"]),
+        (expmod, ("exponent_e_phi_q", _exponents_disagree), ["exponents", "--preset", "tilted-qubit"]),
+    ],
+    ids=["eigen-convergence", "exponent-comparison"],
+)
+def test_numeric_failure_exit_7(monkeypatch, capsys, target, replacement, argv):
+    monkeypatch.setattr(target, *replacement)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 7
+    assert err.startswith("error: internal numeric failure:") and err.count("\n") == 1

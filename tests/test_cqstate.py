@@ -208,3 +208,21 @@ def test_json_error_taxonomy():
         load_state_json('{"probs": [1.0], "eve_states": [[[1.0, 0.0]]]}')  # cells not pairs
     with pytest.raises(StateValidationError):
         load_state_json('{"probs": [0.7, 0.4], "eve_states": [[[[0.5,0],[0,0]],[[0,0],[0.5,0]]],[[[0.5,0],[0,0]],[[0,0],[0.5,0]]]]}')
+
+
+def test_second_symbol_not_psd_is_rejected():
+    bad = np.array([[1.2, 0.0], [0.0, -0.2]])
+    with pytest.raises(StateValidationError) as info:
+        make_cq_state([0.5, 0.5], [np.eye(2) / 2, bad])
+    assert info.value.invariant == "positive semidefinite"
+    assert "eve state 1" in str(info.value)
+
+
+def test_validation_eigensystems_are_kept():
+    st = random_cq(5, 3, 3)
+    lam, vecs = st.eve_eigh
+    assert lam.shape == (3, 3) and vecs.shape == (3, 3, 3)
+    for a, rho in enumerate(st.eve_states):
+        w, v = np.linalg.eigh(rho.mat)
+        assert np.array_equal(lam[a], w)
+        assert np.array_equal(vecs[a], v)

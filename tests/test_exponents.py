@@ -170,3 +170,19 @@ def test_equivocation_saturates_at_conditional_entropy(corpus_states):
         h = StateDecomposition(st).cond_entropy()
         assert rates(st, h + 0.5).equivocation == pytest.approx(h, abs=1e-12), name
         assert rates(st, h / 2).equivocation == pytest.approx(h / 2, abs=1e-12), name
+
+
+def test_curve_evaluates_each_search_grid_once(monkeypatch):
+    calls = []
+    for attr in ("renyi_cond_grid", "phi_grid"):
+        original = getattr(StateDecomposition, attr)
+
+        def counted(self, values, _original=original, _attr=attr):
+            if np.size(values) > 1:  # scalar phi(t) goes through phi_grid too
+                calls.append(_attr)
+            return _original(self, values)
+
+        monkeypatch.setattr(StateDecomposition, attr, counted)
+    curve = exponent_curve(preset("tilted-qubit"), 0.0, 0.6, 7)
+    assert len(curve.rows) == 7
+    assert sorted(calls) == ["phi_grid", "renyi_cond_grid"]

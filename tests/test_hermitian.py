@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from qpa.hermitian import (
+    EigenConvergenceError,
     HermitianError,
     HermitianMatrix,
     SizeCapError,
     eig_hermitian,
+    eigh_batch,
     identity,
     matrix_exp,
     matrix_log,
@@ -216,3 +218,27 @@ def test_cluster_count_conservative_on_near_degenerate():
     assert spec.distinct_count == 2
     spec = HermitianMatrix(np.diag([1.0, 1.0 - 1e-4, 0.5])).spectrum
     assert spec.distinct_count == 3
+
+
+def test_eigh_batch_matches_single_decompositions():
+    rng = np.random.default_rng(11)
+    stack = np.stack([random_psd(rng, 4) for _ in range(5)])
+    w, v = eigh_batch(stack)
+    for a in range(5):
+        spec = eig_hermitian(HermitianMatrix(stack[a], atol=None))
+        assert np.array_equal(w[a], spec.eigenvalues[::-1])
+        assert np.array_equal(v[a], spec.eigenvectors[:, ::-1])
+
+
+def test_eigh_batch_residual_scales_with_norm(monkeypatch):
+    # a large exact decomposition carries a residual in proportion to its norm
+    rng = np.random.default_rng(12)
+    big = random_psd(rng, 6, scale=1e8)
+    w, _ = eigh_batch(big[None])
+    assert w[0, -1] > 1e8
+    # a decomposition that does not rebuild its matrix is rejected
+    mats = np.stack([np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]])]).astype(complex)
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.ones(m.shape[:-1]), np.broadcast_to(np.eye(2), m.shape)))
+    with pytest.raises(EigenConvergenceError) as info:
+        eigh_batch(mats)
+    assert info.value.residual == pytest.approx(math.sqrt(0.5))

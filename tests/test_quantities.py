@@ -378,3 +378,21 @@ def test_zero_probability_symbols_are_inert():
     assert mutual_info_variants(padded)["I_prime"] == pytest.approx(
         mutual_info_variants(base)["I_prime"] + delta, abs=1e-12
     )
+
+
+def test_nearly_singular_marginal_decomposes():
+    # a rare pure symbol along a direction the marginal barely supports: the
+    # sandwiched block has norm ~1e6 and an exact decomposition's residual
+    # (~4e-10) exceeds an absolute 1e-10, but not 1e-10 times the norm
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    q, _ = np.linalg.qr(g)
+    eps, rare = 1e-6, 1e-7
+    rho0 = q @ np.diag([1 - eps, eps / 2, eps / 2]) @ q.conj().T
+    rho1 = np.outer(q[:, 2], q[:, 2].conj())
+    st = make_cq_state([1 - rare, rare], [rho0, rho1])
+    dec = StateDecomposition(st)
+    assert float(dec.xi[1, -1]) > 1e6
+    info = dec.mutual_info_variants()
+    assert all(math.isfinite(v) for v in info.values())
+    assert 0.0 <= info["I"] <= info["I_prime"] <= math.log(2.0) + 1e-12

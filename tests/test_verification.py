@@ -8,8 +8,10 @@ from qpa.cqstate import AlphabetMismatchError, preset, random_cq, tensor_power
 from qpa.hashing import make_family
 from qpa.hermitian import HermitianMatrix, matrix_log, matrix_power
 from qpa.quantities import mutual_info_variants, renyi_cond_joint
+import qpa.verification as vmod
 from qpa.verification import (
     DEFAULT_S_GRID,
+    default_corpus,
     ensemble_avg_exp_sI_bar_prime,
     ensemble_avg_I_prime,
     families_for,
@@ -17,6 +19,7 @@ from qpa.verification import (
     finite_size_min,
     matrix_lemma_checks,
     pinching_bound_check,
+    run_full_suite,
     avg_leak_bound_rhs,
     verify_avg_leak_bound,
     verify_exp_leak_bound,
@@ -220,3 +223,19 @@ def test_pinching_bound_corpus(corpus_states):
         rep = pinching_bound_check(st, name=name)
         assert rep.passed, name
         assert rep.i_original <= rep.i_pinched + rep.log_v + 1e-9, name
+
+
+def test_full_suite_hashes_each_member_once(monkeypatch):
+    members = sum(f.member_count for _, st in default_corpus() for f in families_for(st.alphabet_size))
+    assert members == 412
+    calls = []
+    original = vmod.apply_function
+
+    def counted(state, f):
+        calls.append(f)
+        return original(state, f)
+
+    monkeypatch.setattr(vmod, "apply_function", counted)
+    reports = run_full_suite()
+    assert all(rep.passed for rep in reports)
+    assert len(calls) == members
