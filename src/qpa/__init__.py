@@ -1,88 +1,32 @@
 """Information quantities, universal_2 hashing checks, and security exponents
-for classical-quantum states."""
+for classical-quantum states.
+
+The package namespace holds the names of the README's library example and
+the exceptions the command line maps to exit codes; everything else is
+imported from its submodule (``qpa.hermitian``, ``qpa.cqstate``,
+``qpa.quantities``, ``qpa.hashing``, ``qpa.verification``, ``qpa.exponents``).
+"""
 
 from .cqstate import (
     AlphabetMismatchError,
-    ClassicalFunction,
-    CQState,
     StateFormatError,
     StateValidationError,
-    apply_eve_channel,
-    apply_function,
-    dump_state_json,
-    eve_marginal,
-    joint_density,
     load_state_json,
     make_cq_state,
     preset,
     random_cq,
     tensor_power,
 )
-from .exponents import (
-    ExponentCurve,
-    RatePoint,
-    exponent_curve,
-    exponent_e_H,
-    exponent_e_H_q,
-    exponent_e_phi_q,
-    rates,
-)
-from .hashing import (
-    FamilyMember,
-    HashFamily,
-    collision_stats,
-    enumerate_members,
-    make_explicit_family,
-    make_family,
-    member_function,
-    parse_family,
-    sample_member,
-)
-from .hermitian import (
-    CLUSTER_RTOL,
-    DEFAULT_DIM_CAP,
-    SUPPORT_RTOL,
-    EigenConvergenceError,
-    HermitianError,
-    HermitianMatrix,
-    SizeCapError,
-    Spectrum,
-    eig_hermitian,
-    identity,
-    matrix_exp,
-    matrix_function,
-    matrix_log,
-    matrix_power,
-    pinch,
-    spectral_utilities,
-    tensor,
-)
+from .exponents import ExponentComparisonError, exponent_curve, rates
+from .hashing import collision_stats, make_family
+from .hermitian import EigenConvergenceError, SizeCapError
 from .quantities import (
-    QuantityReport,
-    StateDecomposition,
     cond_entropy,
-    cond_entropy_bar,
-    min_entropy,
     mutual_info_variants,
-    phi_quantity,
     quantity_report,
-    relative_entropies,
     renyi_cond,
     renyi_cond_bar_star,
-    trace_distances,
-    von_neumann_entropies,
 )
-from .verification import (
-    BoundReport,
-    ensemble_avg_exp_sI_bar_prime,
-    ensemble_avg_I_prime,
-    finite_size_bound,
-    matrix_lemma_checks,
-    pinching_bound_check,
-    run_full_suite,
-    avg_leak_bound_rhs,
-    verify_avg_leak_bound,
-    verify_exp_leak_bound,
-)
+from .verification import verify_avg_leak_bound
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ from .cqstate import (
     load_state_json,
     preset,
 )
+from .exponents import fmt
 from .hashing import collision_stats, make_family, parse_family
 from .hermitian import (
     EigenConvergenceError,
@@ -51,10 +52,6 @@ EXIT_CAP = 6
 EXIT_NUMERIC = 7
 
 LOG2 = math.log(2.0)
-
-
-def _fmt(x: float) -> str:
-    return format(x + 0.0, ".12g")
 
 
 def _load_state(args):
@@ -110,7 +107,7 @@ def cmd_quantities(args) -> int:
     unit = args.log_base
     lines = [f"{'quantity':36s} value [{unit}]"]
     for key, val in report.values.items():
-        lines.append(f"{_display_symbol(key):36s} {_fmt(val / scale)}")
+        lines.append(f"{_display_symbol(key):36s} {fmt(val / scale)}")
     _write_output(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -119,7 +116,7 @@ def _report_lines(rep) -> str:
     status = "PASS" if rep.passed else "FAIL"
     who = rep.metadata.get("state", "")
     fam = rep.metadata.get("family", "")
-    return f"{status}  {rep.check:28s} slack={_fmt(rep.slack):>18s}  state={who} family={fam}"
+    return f"{status}  {rep.check:28s} slack={fmt(rep.slack):>18s}  state={who} family={fam}"
 
 
 def _lift_to_domain(state, domain: int):
@@ -130,7 +127,7 @@ def _lift_to_domain(state, domain: int):
 
     size = state.alphabet_size
     power = 1
-    while size < domain:
+    while 1 < size < domain:
         size *= state.alphabet_size
         power += 1
     if size != domain:
@@ -150,13 +147,7 @@ def cmd_verify(args) -> int:
         family = parse_family(args.family)
         state = _lift_to_domain(state, family.domain_size)
         s_grid = tuple(_parse_floats(args.s)) if args.s else vmod.DEFAULT_S_GRID
-        stamp = args.preset or args.state
-        dec = qmod.StateDecomposition(state)
-        members = vmod.member_mutual_info(state, family)
-        reports = [
-            verify(state, family, s_grid, name=stamp, _dec=dec, _members=members)
-            for verify in (vmod.verify_avg_leak_bound, vmod.verify_exp_leak_bound)
-        ]
+        reports = vmod.verify_hashing_bounds(state, family, s_grid, name=args.preset or args.state)
         coll = collision_stats(family)
         if not coll.is_universal2:
             print(f"warning: family {family.describe()} is not universal_2", file=sys.stderr)
@@ -181,9 +172,9 @@ def cmd_exponents(args) -> int:
     lines = [f"{'R':>14s} {'e_H':>14s} {'s*':>8s} {'e_H_q':>14s} {'s*':>8s} {'e_phi_q':>14s} {'t*':>8s} {'e_d_lower':>14s}"]
     for row in rows:
         lines.append(
-            f"{_fmt(row.R / scale):>14s} {_fmt(row.e_H / scale):>14s} {_fmt(row.s_star_H):>8s} "
-            f"{_fmt(row.e_H_q / scale):>14s} {_fmt(row.s_star_Hq):>8s} "
-            f"{_fmt(row.e_phi_q / scale):>14s} {_fmt(row.t_star):>8s} {_fmt(row.e_d_lower / scale):>14s}"
+            f"{fmt(row.R / scale):>14s} {fmt(row.e_H / scale):>14s} {fmt(row.s_star_H):>8s} "
+            f"{fmt(row.e_H_q / scale):>14s} {fmt(row.s_star_Hq):>8s} "
+            f"{fmt(row.e_phi_q / scale):>14s} {fmt(row.t_star):>8s} {fmt(row.e_d_lower / scale):>14s}"
         )
     _write_output(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -208,8 +199,8 @@ def cmd_rates(args) -> int:
     lines = [f"{'R':>14s} {'equivocation':>14s} {'min_leak_rate':>14s} {'optimal_rate':>14s}"]
     for p in points:
         lines.append(
-            f"{_fmt(p.R / scale):>14s} {_fmt(p.equivocation / scale):>14s} "
-            f"{_fmt(p.min_leak_rate / scale):>14s} {_fmt(p.optimal_rate / scale):>14s}"
+            f"{fmt(p.R / scale):>14s} {fmt(p.equivocation / scale):>14s} "
+            f"{fmt(p.min_leak_rate / scale):>14s} {fmt(p.optimal_rate / scale):>14s}"
         )
     _write_output(args.output, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -70,7 +70,7 @@ class ClassicalFunction:
 class CQState:
     """Validated classical-quantum state.
 
-    ``probs`` must be a distribution up to 1e-10 and every ``eve_state`` a
+    ``probs`` must be a finite distribution up to 1e-10 and every ``eve_state`` a
     unit-trace PSD matrix of one shared dimension. The PSD check is one
     stacked eigenproblem whose eigensystems are kept (``eve_eigh``) for the
     quantities built on the state. Instances are immutable.
@@ -88,6 +88,10 @@ class CQState:
             )
         if p.size == 0:
             raise StateValidationError("empty alphabet", "state needs at least one symbol")
+        if not np.all(np.isfinite(p)):
+            raise StateValidationError(
+                "finite probabilities", f"P contains {float(p[~np.isfinite(p)][0])!r}"
+            )
         if np.any(p < -PROB_ATOL):
             raise StateValidationError(
                 "negative probability", f"P contains {float(p.min()):.3e} < 0"
@@ -265,10 +269,8 @@ def tensor_power(state: CQState, n: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> C
     return CQState(np.array(probs), states)
 
 
-def depolarizing_kraus(p: float, dim: int = 2) -> list[np.ndarray]:
+def depolarizing_kraus(p: float) -> list[np.ndarray]:
     """Kraus set of the qubit depolarizing channel ``rho -> (1-p) rho + p I/2``."""
-    if dim != 2:
-        raise ValueError("depolarizing kraus set implemented for qubits only")
     sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     sy = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
     sz = np.array([[1, 0], [0, -1]], dtype=np.complex128)

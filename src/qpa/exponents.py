@@ -12,6 +12,7 @@ rate for a given key rate.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -30,6 +31,16 @@ T_GRID.setflags(write=False)
 
 class ExponentComparisonError(RuntimeError):
     """Computed exponents violate the comparison inequalities they must satisfy."""
+
+
+def _check_rate(rate: float) -> None:
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
+
+
+def fmt(x: float) -> str:
+    """Twelve significant digits, negative zero as zero: the number format of every output."""
+    return format(x + 0.0, ".12g")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,8 +64,7 @@ def exponent_e_H(state: CQState, rate: float, *, _dec: StateDecomposition | None
     The objective ``s H_{1+s} - s R`` is concave in s, so golden section
     converges; a negative optimum clamps to zero (no decay guaranteed).
     """
-    if rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
+    _check_rate(rate)
     dec = _dec if _dec is not None else StateDecomposition(state)
 
     def objective(s: float) -> float:
@@ -87,8 +97,7 @@ def exponent_e_H_q(
     the basin before the local golden refinement. ``_h_grid`` is
     ``H_{1+s}`` on ``S_GRID``, which does not depend on the rate.
     """
-    if rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
+    _check_rate(rate)
     dec = _dec if _dec is not None else StateDecomposition(state)
     xs = S_GRID
     h_grid = _h_grid if _h_grid is not None else dec.renyi_cond_grid(xs)
@@ -111,8 +120,7 @@ def exponent_e_phi_q(
 
     ``_phi_grid`` is ``phi`` on ``T_GRID``, which does not depend on the rate.
     """
-    if rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
+    _check_rate(rate)
     dec = _dec if _dec is not None else StateDecomposition(state)
     xs = T_GRID
     phi_grid = _phi_grid if _phi_grid is not None else dec.phi_grid(xs)
@@ -139,10 +147,6 @@ class CurveRow:
 CSV_HEADER = "R,e_H,s_star_H,e_H_q,s_star_Hq,e_phi_q,t_star,e_d_lower"
 
 
-def _fmt(x: float) -> str:
-    return format(x + 0.0, ".12g")
-
-
 @dataclasses.dataclass(frozen=True)
 class ExponentCurve:
     rows: tuple[CurveRow, ...]
@@ -152,7 +156,7 @@ class ExponentCurve:
         for r in self.rows:
             lines.append(
                 ",".join(
-                    _fmt(v)
+                    fmt(v)
                     for v in (r.R, r.e_H, r.s_star_H, r.e_H_q, r.s_star_Hq, r.e_phi_q, r.t_star, r.e_d_lower)
                 )
             )
@@ -193,8 +197,8 @@ def exponent_row(
 
 def exponent_curve(state: CQState, r_min: float, r_max: float, steps: int) -> ExponentCurve:
     """Rows at ``steps`` uniformly spaced rates in ``[r_min, r_max]``."""
-    if not (0.0 <= r_min < r_max):
-        raise ValueError(f"need 0 <= r_min < r_max, got [{r_min}, {r_max}]")
+    if not (0.0 <= r_min < r_max < math.inf):
+        raise ValueError(f"need 0 <= r_min < r_max < inf, got [{r_min}, {r_max}]")
     if steps < 2:
         raise ValueError("need at least 2 steps")
     dec = StateDecomposition(state)
@@ -220,8 +224,7 @@ def rates(state: CQState, rate: float) -> RatePoint:
     ``H(A|E)``; below it the key is asymptotically fully secret, so the
     ambiguity equals R itself and nothing must leak.
     """
-    if rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
+    _check_rate(rate)
     h_cond = StateDecomposition(state).cond_entropy()
     return RatePoint(
         R=rate,

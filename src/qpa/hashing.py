@@ -61,22 +61,10 @@ class FamilyMember:
     function: ClassicalFunction
 
 
-def _digits(x: int, q: int, width: int) -> np.ndarray:
-    out = np.empty(width, dtype=np.int64)
-    for i in range(width):
-        out[i] = x % q
-        x //= q
-    return out
-
-
-def _all_digits(q: int, width: int, count: int) -> np.ndarray:
-    """Matrix of little-endian digit vectors for 0..count-1, shape (count, width)."""
-    xs = np.arange(count, dtype=np.int64)
-    cols = []
-    for _ in range(width):
-        cols.append(xs % q)
-        xs = xs // q
-    return np.stack(cols, axis=1)
+def _digits(x, q: int, width: int) -> np.ndarray:
+    """Little-endian base-q digits of an int or an int array, on a new last axis."""
+    x = np.asarray(x, dtype=np.int64)
+    return np.stack([(x // q**i) % q for i in range(width)], axis=-1)
 
 
 def _toeplitz_index_grid(rows: int, cols: int) -> np.ndarray:
@@ -142,7 +130,7 @@ def member_function(family: HashFamily, index: int) -> ClassicalFunction:
         return ClassicalFunction(family.domain_size, family.range_size, family.tables[index])
     q, k, m = family.q, family.k, family.m
     mat = _member_matrix(family, index)
-    dom = _all_digits(q, k, family.domain_size)  # (|A|, k)
+    dom = _digits(np.arange(family.domain_size), q, k)  # (|A|, k)
     out_digits = (dom @ mat.T) % q  # (|A|, m)
     weights = q ** np.arange(m, dtype=np.int64)
     table = tuple(int(x) for x in out_digits @ weights)
@@ -153,13 +141,6 @@ def enumerate_members(family: HashFamily) -> Iterator[FamilyMember]:
     """All members in parameter-index order."""
     for index in range(family.member_count):
         yield FamilyMember(index, member_function(family, index))
-
-
-def sample_member(family: HashFamily, seed: int) -> FamilyMember:
-    """Uniform member draw, reproducible per seed."""
-    rng = np.random.default_rng(seed)
-    index = int(rng.integers(family.member_count))
-    return FamilyMember(index, member_function(family, index))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -250,7 +231,7 @@ def collision_stats(family: HashFamily) -> CollisionReport:
         raise SizeCapError(
             f"domain size {family.domain_size} exceeds difference-scan cap {MATRIX_DOMAIN_CAP}"
         )
-    diffs = _all_digits(family.q, family.k, family.domain_size)[1:]  # skip zero
+    diffs = _digits(np.arange(1, family.domain_size), family.q, family.k)  # skip zero
     worst = 0
     worst_diff = 1
     for idx, diff in enumerate(diffs):

@@ -112,11 +112,6 @@ class Spectrum:
     def distinct_count(self) -> int:
         return len(self.clusters)
 
-    def cluster_projectors(self) -> list[np.ndarray]:
-        """Orthogonal projectors onto each eigenvalue cluster."""
-        vs = self.eigenvectors
-        return [vs[:, a:b] @ vs[:, a:b].conj().T for a, b in self.clusters]
-
 
 def _cluster_ranges(w: np.ndarray, rtol: float = CLUSTER_RTOL) -> tuple[tuple[int, int], ...]:
     n = len(w)
@@ -225,23 +220,6 @@ def matrix_log(m: HermitianMatrix, *, support_tol: float = SUPPORT_RTOL) -> Herm
     return _rebuild(spec.eigenvectors, out)
 
 
-def matrix_exp(m: HermitianMatrix) -> HermitianMatrix:
-    """Spectral exponential of ``m``."""
-    spec = m.spectrum
-    return _rebuild(spec.eigenvectors, np.exp(spec.eigenvalues))
-
-
-def matrix_function(m: HermitianMatrix, f, *, support_tol: float = SUPPORT_RTOL) -> HermitianMatrix:
-    """Tagged dispatcher: ``("power", p)``, ``"log"``, or ``"exp"``."""
-    if isinstance(f, tuple) and len(f) == 2 and f[0] == "power":
-        return matrix_power(m, f[1], support_tol=support_tol)
-    if f == "log":
-        return matrix_log(m, support_tol=support_tol)
-    if f == "exp":
-        return matrix_exp(m)
-    raise ValueError(f"unknown matrix function tag {f!r}")
-
-
 def tensor(a: HermitianMatrix, b: HermitianMatrix, *, dim_cap: int = DEFAULT_DIM_CAP) -> HermitianMatrix:
     """Kronecker product ``a (x) b``."""
     new_dim = a.dim * b.dim
@@ -268,25 +246,3 @@ def pinch(sigma: HermitianMatrix, rho: HermitianMatrix) -> HermitianMatrix:
         block = vs[:, a:b]
         out += block @ (block.conj().T @ rho.mat @ block) @ block.conj().T
     return HermitianMatrix(out, atol=None)
-
-
-@dataclasses.dataclass(frozen=True)
-class SpectralInfo:
-    operator_norm: float
-    min_eigenvalue: float
-    distinct_count_v: int
-    support_projector: HermitianMatrix
-
-
-def spectral_utilities(m: HermitianMatrix, *, support_tol: float = SUPPORT_RTOL) -> SpectralInfo:
-    """Operator norm, minimum eigenvalue, cluster count v, support projector."""
-    spec = m.spectrum
-    w = spec.eigenvalues
-    norm = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = (w > support_tol * norm).astype(float)
-    return SpectralInfo(
-        operator_norm=norm,
-        min_eigenvalue=float(w[-1]) if w.size else 0.0,
-        distinct_count_v=spec.distinct_count,
-        support_projector=_rebuild(spec.eigenvectors, keep),
-    )

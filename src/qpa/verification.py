@@ -74,16 +74,9 @@ def member_mutual_info(state: CQState, family: HashFamily) -> list[dict[str, flo
     ]
 
 
-def ensemble_avg_I_prime(state: CQState, family: HashFamily) -> float:
-    """Exact family average of the uniformity-adjusted leaked information I'."""
-    vals = [ms["I_prime"] for ms in member_mutual_info(state, family)]
-    return math.fsum(vals) / family.member_count
-
-
 def avg_leak_bound_rhs(state: CQState, big_m: int, s: float) -> float:
     """Hashing bound on the averaged I': ``v^s M^s exp(-s H_{1+s}) / s``."""
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"the bound needs s in (0, 1], got {s}")
+    _check_s_grid((s,))
     dec = StateDecomposition(state)
     v = dec.v_count
     h = dec.renyi_cond(s)
@@ -145,14 +138,6 @@ def verify_avg_leak_bound(
     )
 
 
-def ensemble_avg_exp_sI_bar_prime(state: CQState, family: HashFamily, s: float) -> float:
-    """Exact family average of ``exp(s * Ibar')``."""
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"the bound needs s in (0, 1], got {s}")
-    vals = [ms["I_bar_prime"] for ms in member_mutual_info(state, family)]
-    return math.fsum(math.exp(s * val) for val in vals) / family.member_count
-
-
 def verify_exp_leak_bound(
     state: CQState,
     family: HashFamily,
@@ -212,22 +197,28 @@ def verify_exp_leak_bound(
 
 def finite_size_bound(state: CQState, big_m: int, s: float) -> float:
     """Key-quality bound ``log v + (log 2)/s + max(0, log M - H_{1+s})``."""
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"the bound needs s in (0, 1], got {s}")
+    _check_s_grid((s,))
     dec = StateDecomposition(state)
     h = dec.renyi_cond(s)
     return math.log(dec.v_count) + math.log(2.0) / s + max(0.0, math.log(big_m) - h)
 
 
-def finite_size_min(state: CQState, big_m: int, s_grid=DEFAULT_S_GRID) -> tuple[float, float]:
-    """Minimum of the finite-size bound over the grid; returns ``(value, s)``."""
-    best = math.inf
-    best_s = float(s_grid[0])
-    for s in s_grid:
-        val = finite_size_bound(state, big_m, float(s))
-        if val < best:
-            best, best_s = val, float(s)
-    return best, best_s
+def verify_hashing_bounds(
+    state: CQState,
+    family: HashFamily,
+    s_grid=DEFAULT_S_GRID,
+    *,
+    name: str = "",
+    _dec: StateDecomposition | None = None,
+) -> list[BoundReport]:
+    """Both hashing bounds for one state and family, from one decomposition and one enumeration."""
+    s_grid = _check_s_grid(s_grid)  # before the enumeration, which is the expensive part
+    dec = _dec if _dec is not None else StateDecomposition(state)
+    members = member_mutual_info(state, family)
+    return [
+        verify(state, family, s_grid, name=name, _dec=dec, _members=members)
+        for verify in (verify_avg_leak_bound, verify_exp_leak_bound)
+    ]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -325,9 +316,7 @@ def run_full_suite(s_grid=DEFAULT_S_GRID) -> list[BoundReport]:
     for name, state in default_corpus():
         dec = StateDecomposition(state)
         for family in families_for(state.alphabet_size):
-            members = member_mutual_info(state, family)
-            for verify in (verify_avg_leak_bound, verify_exp_leak_bound):
-                reports.append(verify(state, family, s_grid, name=name, _dec=dec, _members=members))
+            reports.extend(verify_hashing_bounds(state, family, s_grid, name=name, _dec=dec))
 
     lemma_mins = ([], [])
     idx = 0

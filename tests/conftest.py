@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qpa import preset, random_cq, tensor_power
+from qpa import preset
+from qpa.verification import default_corpus
 
 PRESET_NAMES = ["copy", "product", "tilted-qubit", "bb84(0.39269908169872414)", "depolarized(0.3)"]
 
@@ -12,16 +13,9 @@ def preset_states():
 
 
 @pytest.fixture(scope="session")
-def corpus_states(preset_states):
-    """Presets, their in-cap 2-fold powers, and 20 seeded random states."""
-    out = dict(preset_states)
-    for name, st in preset_states.items():
-        if st.alphabet_size == 2 and st.eve_dim == 2:
-            out[f"{name}^2"] = tensor_power(st, 2)
-    for i in range(20):
-        d_e = 2 if i % 2 == 0 else 3
-        out[f"random{i}"] = random_cq(i, 4, d_e)
-    return out
+def corpus_states():
+    """The verification corpus by name: presets, their in-cap 2-fold powers, 20 seeded random states."""
+    return dict(default_corpus())
 
 
 def random_psd(rng, dim, scale=1.0):

@@ -90,6 +90,43 @@ def test_family_mismatch_exit_4(tmp_path):
     assert res.returncode == 4
 
 
+def test_one_symbol_state_exit_4(tmp_path):
+    # a one-symbol alphabet has no tensor power that reaches a larger domain
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"probs": [1.0], "eve_states": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}))
+    res = run_cli("verify", "--state", str(one), "--family", "toeplitz:q=2,k=2,m=1")
+    assert res.returncode == 4
+    assert res.stderr.startswith("error: family/alphabet mismatch:") and res.stderr.count("\n") == 1
+
+
+def test_nonfinite_probability_exit_3(tmp_path, capsys):
+    eye = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"probs": [float("nan"), 0.5], "eve_states": [eye, eye]}))
+    code = main(["quantities", "--state", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: invalid state (finite probabilities):") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponents", "--r", "nan"],
+        ["exponents", "--r", "inf"],
+        ["sweep", "--r-max", "inf"],
+        ["rates", "--r", "nan"],
+    ],
+    ids=["exponents-nan", "exponents-inf", "sweep-inf", "rates-nan"],
+)
+def test_nonfinite_rate_exit_2(capsys, argv):
+    code = main([*argv, "--preset", "tilted-qubit"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_io_error_exit_5(tmp_path):
     res = run_cli(
         "sweep", "--preset", "product", "--steps", "3", "-o", str(tmp_path / "no_dir" / "x.csv")

@@ -66,6 +66,10 @@ def test_make_cq_state_diagnostics():
     with pytest.raises(StateValidationError) as err:
         make_cq_state([1.0], [])
     assert err.value.invariant == "length mismatch"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(StateValidationError) as err:
+            make_cq_state([bad, 0.5], [eye2, eye2])
+        assert err.value.invariant == "finite probabilities"
 
 
 def test_joint_density_presets():

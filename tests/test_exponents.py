@@ -89,7 +89,12 @@ def test_against_independent_dense_grid_via_joint_path():
 
 
 def test_comparison_lemma_rows(corpus_states):
-    for name in ("tilted-qubit", "bb84(0.39269908169872414)", "random0", "random1"):
+    for name in (
+        "tilted-qubit",
+        "bb84(0.39269908169872414)",
+        "random(seed=0,|A|=4,d_E=2)",
+        "random(seed=1,|A|=4,d_E=3)",
+    ):
         st = corpus_states[name]
         for rate in np.linspace(0.0, math.log(st.alphabet_size), 7):
             row = exponent_row(st, float(rate))

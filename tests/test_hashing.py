@@ -10,7 +10,6 @@ from qpa.hashing import (
     make_family,
     member_function,
     parse_family,
-    sample_member,
 )
 from qpa.hermitian import SizeCapError
 
@@ -148,19 +147,6 @@ def test_enumeration_is_parameter_bijection():
     # distinct parameters give distinct matrices, hence distinct tables here
     tables = {m.function.table for m in members}
     assert len(tables) == family.member_count
-
-
-def test_sample_member_deterministic_and_uniform():
-    family = make_family("toeplitz", 2, 2, 1)
-    assert sample_member(family, 123).index == sample_member(family, 123).index
-    counts = np.zeros(4)
-    for seed in range(10_000):
-        counts[sample_member(family, seed).index] += 1
-    # 5 sigma band around the uniform expectation
-    expected = 10_000 / 4
-    sigma = (10_000 * 0.25 * 0.75) ** 0.5
-    assert np.all(np.abs(counts - expected) <= 5 * sigma)
-    assert all(sample_member(family, s).index < family.member_count for s in range(50))
 
 
 def test_parse_family():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qpa.hermitian import (
+    SUPPORT_RTOL,
     EigenConvergenceError,
     HermitianError,
     HermitianMatrix,
@@ -11,11 +12,9 @@ from qpa.hermitian import (
     eig_hermitian,
     eigh_batch,
     identity,
-    matrix_exp,
     matrix_log,
     matrix_power,
     pinch,
-    spectral_utilities,
     tensor,
 )
 
@@ -102,7 +101,9 @@ def test_matrix_log_and_exp():
     assert np.allclose(matrix_log(identity(3)).mat, 0.0)
     rng = np.random.default_rng(5)
     m = HermitianMatrix(random_psd(rng, 3) + np.eye(3), atol=None)
-    assert np.allclose(matrix_exp(matrix_log(m)).mat, m.mat, atol=1e-10)
+    spec = matrix_log(m).spectrum
+    exp_of_log = (spec.eigenvectors * np.exp(spec.eigenvalues)) @ spec.eigenvectors.conj().T
+    assert np.allclose(exp_of_log, m.mat, atol=1e-10)
     with pytest.raises(HermitianError):
         matrix_log(HermitianMatrix(np.diag([1.0, -1.0])))
 
@@ -112,17 +113,6 @@ def test_matrix_function_commutes_with_input():
     m = HermitianMatrix(random_psd(rng, 4), atol=None)
     f = matrix_power(m, 0.7)
     assert np.max(np.abs(f.mat @ m.mat - m.mat @ f.mat)) <= 1e-9
-
-
-def test_matrix_function_dispatcher():
-    from qpa.hermitian import matrix_function
-
-    m = HermitianMatrix(np.diag([4.0, 1.0]))
-    assert np.allclose(matrix_function(m, ("power", 0.5)).mat, np.diag([2.0, 1.0]))
-    assert np.allclose(matrix_function(m, "log").mat, np.diag([math.log(4.0), 0.0]))
-    assert np.allclose(matrix_function(m, "exp").mat, np.diag(np.exp([4.0, 1.0])))
-    with pytest.raises(ValueError):
-        matrix_function(m, "sinh")
 
 
 def test_tensor_basics():
@@ -187,29 +177,19 @@ def test_pinching_inequality_seeded():
 
 
 def test_spectral_utilities():
-    info = spectral_utilities(identity(4))
-    assert info.operator_norm == pytest.approx(1.0)
-    assert info.distinct_count_v == 1
-    assert np.allclose(info.support_projector.mat, np.eye(4))
+    eye = identity(4)
+    assert eye.operator_norm() == pytest.approx(1.0)
+    assert eye.spectrum.distinct_count == 1
 
-    info = spectral_utilities(HermitianMatrix(np.diag([0.5, 0.5, 0.0, 0.0])))
-    assert info.distinct_count_v == 2
-    assert info.support_projector.trace() == pytest.approx(2.0)
-    assert info.min_eigenvalue == pytest.approx(0.0)
+    half = HermitianMatrix(np.diag([0.5, 0.5, 0.0, 0.0]))
+    w = half.spectrum.eigenvalues
+    assert half.spectrum.distinct_count == 2
+    assert int(np.sum(w > SUPPORT_RTOL * half.operator_norm())) == 2  # support rank
+    assert w[-1] == pytest.approx(0.0)
 
     m = identity(2)
     cube = tensor(tensor(m, m), m)
-    info = spectral_utilities(HermitianMatrix(cube.mat / 8, atol=None))
-    assert info.distinct_count_v == 1
-
-
-def test_support_projector_idempotent():
-    rng = np.random.default_rng(23)
-    g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    low_rank = HermitianMatrix(g @ g.conj().T, atol=None)
-    proj = spectral_utilities(low_rank).support_projector
-    assert np.max(np.abs(proj.mat @ proj.mat - proj.mat)) <= 1e-10
-    assert proj.trace() == pytest.approx(2.0)
+    assert HermitianMatrix(cube.mat / 8, atol=None).spectrum.distinct_count == 1
 
 
 def test_cluster_count_conservative_on_near_degenerate():

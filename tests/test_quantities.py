@@ -267,14 +267,14 @@ def test_relative_entropies():
     assert vals["D"] == math.inf and vals["D_bar"] == math.inf
 
     # D(rho||sigma) <= Dbar(pinch(rho)||sigma) + log v, the pinching route
-    from qpa.hermitian import pinch, spectral_utilities
+    from qpa.hermitian import pinch
 
     g2 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     sigma = HermitianMatrix(g2 @ g2.conj().T / np.trace(g2 @ g2.conj().T).real, atol=None)
     vals = relative_entropies(rho, sigma)
     assert vals["D"] >= -1e-10
     pinched = pinch(sigma, rho)
-    v = spectral_utilities(sigma).distinct_count_v
+    v = sigma.spectrum.distinct_count
     after = relative_entropies(pinched, sigma)
     assert vals["D"] <= after["D_bar"] + math.log(v) + 1e-9
     assert after["D"] == pytest.approx(after["D_bar"], abs=1e-9)

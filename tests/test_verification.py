@@ -12,17 +12,15 @@ import qpa.verification as vmod
 from qpa.verification import (
     DEFAULT_S_GRID,
     default_corpus,
-    ensemble_avg_exp_sI_bar_prime,
-    ensemble_avg_I_prime,
     families_for,
     finite_size_bound,
-    finite_size_min,
     matrix_lemma_checks,
     pinching_bound_check,
     run_full_suite,
     avg_leak_bound_rhs,
     verify_avg_leak_bound,
     verify_exp_leak_bound,
+    verify_hashing_bounds,
 )
 
 LOG2 = math.log(2.0)
@@ -35,7 +33,7 @@ TILTED_SQ_MEMBER_I_PRIMES = (0.286121739548083, 0.135497181880051)
 def test_ensemble_avg_trivial_family_is_plain_I_prime():
     copy = preset("copy")
     family = make_family("modified_toeplitz", 2, 1, 1)  # single identity member
-    assert ensemble_avg_I_prime(copy, family) == pytest.approx(LOG2, abs=1e-12)
+    assert verify_avg_leak_bound(copy, family).lhs == pytest.approx(LOG2, abs=1e-12)
 
 
 def test_ensemble_avg_product_state():
@@ -45,20 +43,20 @@ def test_ensemble_avg_product_state():
     # each such member contributes exactly its uniformity gap log M - H(f(A))
     product2 = tensor_power(preset("product"), 2)
     for family in families_for(4):
-        avg = ensemble_avg_I_prime(product2, family)
+        rep = verify_avg_leak_bound(product2, family, name="product^2")
         if family.kind == "modified_toeplitz":
-            assert avg == pytest.approx(0.0, abs=1e-12), family.describe()
+            assert rep.lhs == pytest.approx(0.0, abs=1e-12), family.describe()
         else:
-            assert avg >= -1e-12
-            assert verify_avg_leak_bound(product2, family, name="product^2").passed
+            assert rep.lhs >= -1e-12
+            assert rep.passed
     one_singular = make_family("toeplitz", 2, 2, 1)  # only the zero matrix fails
-    assert ensemble_avg_I_prime(product2, one_singular) == pytest.approx(LOG2 / 4, abs=1e-12)
+    assert verify_avg_leak_bound(product2, one_singular).lhs == pytest.approx(LOG2 / 4, abs=1e-12)
 
 
 def test_ensemble_avg_matches_frozen_enumeration():
     tilted2 = tensor_power(preset("tilted-qubit"), 2)
     family = make_family("modified_toeplitz", 2, 2, 1)
-    got = ensemble_avg_I_prime(tilted2, family)
+    got = verify_avg_leak_bound(tilted2, family).lhs
     assert got == pytest.approx(TILTED_SQ_AVG_I_PRIME, abs=1e-12)
     from qpa.cqstate import apply_function
     from qpa.hashing import enumerate_members
@@ -72,7 +70,9 @@ def test_ensemble_avg_matches_frozen_enumeration():
 
 def test_domain_mismatch_raises():
     with pytest.raises(AlphabetMismatchError):
-        ensemble_avg_I_prime(preset("copy"), make_family("toeplitz", 2, 2, 1))
+        verify_avg_leak_bound(preset("copy"), make_family("toeplitz", 2, 2, 1))
+    with pytest.raises(AlphabetMismatchError):
+        verify_hashing_bounds(preset("copy"), make_family("toeplitz", 2, 2, 1))
 
 
 def test_order_grid_validated():
@@ -127,8 +127,8 @@ def test_verify_exp_leak_bound_closed_forms_and_enumeration():
 
     copy = preset("copy")
     trivial = make_family("modified_toeplitz", 2, 1, 1)
-    assert ensemble_avg_exp_sI_bar_prime(copy, trivial, 1.0) == pytest.approx(2.0, abs=1e-12)
     rep = verify_exp_leak_bound(copy, trivial, name="copy")
+    assert rep.metadata["lhs_by_s"]["1"] == pytest.approx(2.0, abs=1e-12)
     assert rep.passed
     # at s = 1 the bound reads 2 <= 1 + 2 exp(0) = 3
     assert rep.rhs_by_s[1.0] == pytest.approx(3.0, abs=1e-12)
@@ -143,6 +143,29 @@ def test_verify_exp_leak_bound_random_states():
         st = random_cq(100 + seed, 4, 2)
         for family in families_for(4):
             assert verify_exp_leak_bound(st, family, name=f"random{seed}").passed
+
+
+def test_hashing_bounds_share_one_enumeration(monkeypatch):
+    tilted2 = tensor_power(preset("tilted-qubit"), 2)
+    family = make_family("toeplitz", 2, 2, 2)
+    separate = [
+        verify_avg_leak_bound(tilted2, family, name="tilted^2").to_json_dict(),
+        verify_exp_leak_bound(tilted2, family, name="tilted^2").to_json_dict(),
+    ]
+    calls = []
+    original = vmod.apply_function
+
+    def counted(state, f):
+        calls.append(f)
+        return original(state, f)
+
+    monkeypatch.setattr(vmod, "apply_function", counted)
+    together = verify_hashing_bounds(tilted2, family, name="tilted^2")
+    assert [rep.to_json_dict() for rep in together] == separate
+    assert len(calls) == family.member_count
+    with pytest.raises(ValueError):
+        verify_hashing_bounds(tilted2, family, s_grid=(2.0,))
+    assert len(calls) == family.member_count  # a bad grid is rejected before hashing
 
 
 def test_report_json_schema():
@@ -178,7 +201,7 @@ def test_finite_size_bound_values():
     assert finite_size_bound(preset("copy"), 2, 1.0) == pytest.approx(2 * LOG2, abs=1e-12)
     assert finite_size_bound(preset("product"), 2, 1.0) == pytest.approx(LOG2, abs=1e-12)
     tilted2 = tensor_power(preset("tilted-qubit"), 2)
-    got, s_star = finite_size_min(tilted2, 4, DEFAULT_S_GRID)
+    got = min(finite_size_bound(tilted2, 4, s) for s in DEFAULT_S_GRID)
     # independent joint-path grid evaluation
     v = 3  # eve marginal of the square has a doubled middle eigenvalue
     expected = min(
@@ -186,7 +209,8 @@ def test_finite_size_bound_values():
         for s in DEFAULT_S_GRID
     )
     assert got == pytest.approx(expected, abs=1e-10)
-    assert finite_size_bound(tilted2, 4, s_star) == pytest.approx(got, abs=1e-12)
+    with pytest.raises(ValueError):
+        finite_size_bound(tilted2, 4, float("nan"))
 
 
 def test_matrix_lemma_scalar_case():
