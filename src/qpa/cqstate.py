@@ -73,13 +73,16 @@ class CQState:
     ``probs`` must be a finite distribution up to 1e-10 and every ``eve_state`` a
     unit-trace PSD matrix of one shared dimension. The PSD check is one
     stacked eigenproblem whose eigensystems are kept (``eve_eigh``) for the
-    quantities built on the state. Instances are immutable.
+    quantities built on the state. Instances are immutable, so ``decomposition``
+    is built once, on first use, and shared by everything evaluated on the state.
     """
 
-    __slots__ = ("_probs", "_eve_states", "_eve_eigh")
+    __slots__ = ("_probs", "_eve_states", "_eve_eigh", "_decomposition")
 
     def __init__(self, probs, eve_states):
-        p = np.asarray(probs, dtype=float).reshape(-1)
+        p = np.asarray(probs, dtype=float)
+        if p.ndim != 1:
+            raise StateValidationError("one-dimensional probabilities", f"P has shape {p.shape}")
         states = tuple(eve_states)
         if len(states) != p.size:
             raise StateValidationError(
@@ -130,6 +133,7 @@ class CQState:
         self._probs = p
         self._eve_states = states
         self._eve_eigh = (lam, vecs)
+        self._decomposition = None
 
     @property
     def probs(self) -> np.ndarray:
@@ -143,6 +147,15 @@ class CQState:
     def eve_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues ``(|A|, d)`` and eigenvectors ``(|A|, d, d)`` of the eve states."""
         return self._eve_eigh
+
+    @property
+    def decomposition(self):
+        """The state's :class:`qpa.quantities.StateDecomposition`, built on first use."""
+        if self._decomposition is None:
+            from .quantities import StateDecomposition  # quantities imports this module
+
+            self._decomposition = StateDecomposition(self)
+        return self._decomposition
 
     @property
     def alphabet_size(self) -> int:
@@ -170,12 +183,12 @@ def make_cq_state(probs, rhos) -> CQState:
     return CQState(probs, mats)
 
 
-def joint_density(state: CQState, *, dim_cap: int = DEFAULT_DIM_CAP) -> HermitianMatrix:
+def joint_density(state: CQState) -> HermitianMatrix:
     """Block-diagonal joint operator with blocks ``P(a) * rho_a``."""
     d = state.eve_dim
     n = state.alphabet_size
-    if n * d > dim_cap:
-        raise SizeCapError(f"joint dimension {n * d} exceeds cap {dim_cap}")
+    if n * d > DEFAULT_DIM_CAP:
+        raise SizeCapError(f"joint dimension {n * d} exceeds cap {DEFAULT_DIM_CAP}")
     out = np.zeros((n * d, n * d), dtype=np.complex128)
     for a in range(n):
         out[a * d : (a + 1) * d, a * d : (a + 1) * d] = state.probs[a] * state.eve_states[a].mat
@@ -234,7 +247,7 @@ def apply_eve_channel(state: CQState, kraus) -> CQState:
     return CQState(state.probs, new_states)
 
 
-def tensor_power(state: CQState, n: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> CQState:
+def tensor_power(state: CQState, n: int) -> CQState:
     """The n-fold product state on alphabet ``A^n``.
 
     Symbol indices are little-endian in the original alphabet: joint symbol
@@ -246,9 +259,9 @@ def tensor_power(state: CQState, n: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> C
     if n == 1:
         return state
     big_a = state.alphabet_size**n
-    if big_a * state.eve_dim**n > dim_cap:
+    if big_a * state.eve_dim**n > DEFAULT_DIM_CAP:
         raise SizeCapError(
-            f"joint dimension {big_a * state.eve_dim ** n} exceeds cap {dim_cap}; "
+            f"joint dimension {big_a * state.eve_dim ** n} exceeds cap {DEFAULT_DIM_CAP}; "
             "per-copy quantities scale additively instead"
         )
     probs = []
@@ -373,6 +386,9 @@ def load_state_json(text: str) -> CQState:
     raw_states = doc["eve_states"]
     if not isinstance(probs, list) or not isinstance(raw_states, list):
         raise StateFormatError('"probs" and "eve_states" must be arrays')
+    for a, p in enumerate(probs):
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise StateFormatError(f'"probs" entry {a} must be a number, got {json.dumps(p)}')
     mats = []
     for a, rows in enumerate(raw_states):
         try:

@@ -18,15 +18,9 @@ import numpy as np
 
 from .cqstate import CQState
 from .optimize import golden_max
-from .quantities import StateDecomposition
+from .quantities import S_GRID, T_GRID
 
 LEMMA_TOL = 1e-9
-
-# search grids of the smoothing-method exponents: s in [0, 1] and t in [0, 1/2]
-S_GRID = np.linspace(0.0, 1.0, 1001)
-T_GRID = np.linspace(0.0, 0.5, 1001)
-S_GRID.setflags(write=False)
-T_GRID.setflags(write=False)
 
 
 class ExponentComparisonError(RuntimeError):
@@ -58,14 +52,14 @@ def _clamped(point: tuple[float, float]) -> ExponentPoint:
     return ExponentPoint(val, arg)
 
 
-def exponent_e_H(state: CQState, rate: float, *, _dec: StateDecomposition | None = None) -> ExponentPoint:
+def exponent_e_H(state: CQState, rate: float) -> ExponentPoint:
     """``max_{0<=s<=1} s (H_{1+s}(A|E) - R)`` via golden section.
 
     The objective ``s H_{1+s} - s R`` is concave in s, so golden section
     converges; a negative optimum clamps to zero (no decay guaranteed).
     """
     _check_rate(rate)
-    dec = _dec if _dec is not None else StateDecomposition(state)
+    dec = state.decomposition
 
     def objective(s: float) -> float:
         return s * (dec.renyi_cond(s) - rate)
@@ -84,24 +78,16 @@ def _grid_refine(objective, xs: np.ndarray, values: np.ndarray) -> tuple[float, 
     return float(xs[i]), float(values[i])
 
 
-def exponent_e_H_q(
-    state: CQState,
-    rate: float,
-    *,
-    _dec: StateDecomposition | None = None,
-    _h_grid: np.ndarray | None = None,
-) -> ExponentPoint:
+def exponent_e_H_q(state: CQState, rate: float) -> ExponentPoint:
     """Smoothing-method exponent ``max_{0<=s<=1} s/(2-s) (H_{1+s}(A|E) - R)``.
 
-    The objective is not certified concave, so a 1001-point grid locates
-    the basin before the local golden refinement. ``_h_grid`` is
-    ``H_{1+s}`` on ``S_GRID``, which does not depend on the rate.
+    The objective is not certified concave, so the 1001-point ``S_GRID``
+    locates the basin before the local golden refinement.
     """
     _check_rate(rate)
-    dec = _dec if _dec is not None else StateDecomposition(state)
+    dec = state.decomposition
     xs = S_GRID
-    h_grid = _h_grid if _h_grid is not None else dec.renyi_cond_grid(xs)
-    values = xs / (2.0 - xs) * (h_grid - rate)
+    values = xs / (2.0 - xs) * (dec.renyi_on_s_grid - rate)
 
     def objective(s: float) -> float:
         return s / (2.0 - s) * (dec.renyi_cond(s) - rate)
@@ -109,22 +95,16 @@ def exponent_e_H_q(
     return _clamped(_grid_refine(objective, xs, values))
 
 
-def exponent_e_phi_q(
-    state: CQState,
-    rate: float,
-    *,
-    _dec: StateDecomposition | None = None,
-    _phi_grid: np.ndarray | None = None,
-) -> ExponentPoint:
+def exponent_e_phi_q(state: CQState, rate: float) -> ExponentPoint:
     """Smoothing-method exponent ``max_{0<=t<=1/2} -(phi(t) + t R) / (2(1-t))``.
 
-    ``_phi_grid`` is ``phi`` on ``T_GRID``, which does not depend on the rate.
+    The 1001-point ``T_GRID`` locates the basin before the local golden
+    refinement.
     """
     _check_rate(rate)
-    dec = _dec if _dec is not None else StateDecomposition(state)
+    dec = state.decomposition
     xs = T_GRID
-    phi_grid = _phi_grid if _phi_grid is not None else dec.phi_grid(xs)
-    values = -(phi_grid + xs * rate) / (2.0 * (1.0 - xs))
+    values = -(dec.phi_on_t_grid + xs * rate) / (2.0 * (1.0 - xs))
 
     def objective(t: float) -> float:
         return -(dec.phi(t) + t * rate) / (2.0 * (1.0 - t))
@@ -163,19 +143,11 @@ class ExponentCurve:
         return "\n".join(lines) + "\n"
 
 
-def exponent_row(
-    state: CQState,
-    rate: float,
-    *,
-    _dec: StateDecomposition | None = None,
-    _h_grid: np.ndarray | None = None,
-    _phi_grid: np.ndarray | None = None,
-) -> CurveRow:
+def exponent_row(state: CQState, rate: float) -> CurveRow:
     """All exponents at one key rate, with the comparison inequalities enforced."""
-    dec = _dec if _dec is not None else StateDecomposition(state)
-    e_h = exponent_e_H(state, rate, _dec=dec)
-    e_hq = exponent_e_H_q(state, rate, _dec=dec, _h_grid=_h_grid)
-    e_pq = exponent_e_phi_q(state, rate, _dec=dec, _phi_grid=_phi_grid)
+    e_h = exponent_e_H(state, rate)
+    e_hq = exponent_e_H_q(state, rate)
+    e_pq = exponent_e_phi_q(state, rate)
     row = CurveRow(
         R=rate,
         e_H=e_h.value,
@@ -201,12 +173,8 @@ def exponent_curve(state: CQState, r_min: float, r_max: float, steps: int) -> Ex
         raise ValueError(f"need 0 <= r_min < r_max < inf, got [{r_min}, {r_max}]")
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    dec = StateDecomposition(state)
     rates_list = [r_min + (r_max - r_min) * i / (steps - 1) for i in range(steps)]
-    h_grid = dec.renyi_cond_grid(S_GRID)
-    phi_grid = dec.phi_grid(T_GRID)
-    rows = [exponent_row(state, r, _dec=dec, _h_grid=h_grid, _phi_grid=phi_grid) for r in rates_list]
-    return ExponentCurve(tuple(rows))
+    return ExponentCurve(tuple(exponent_row(state, r) for r in rates_list))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,7 +193,7 @@ def rates(state: CQState, rate: float) -> RatePoint:
     ambiguity equals R itself and nothing must leak.
     """
     _check_rate(rate)
-    h_cond = StateDecomposition(state).cond_entropy()
+    h_cond = state.decomposition.cond_entropy()
     return RatePoint(
         R=rate,
         equivocation=min(rate, h_cond),

@@ -107,18 +107,25 @@ def make_explicit_family(tables, range_size: int) -> HashFamily:
     return HashFamily(KIND_EXPLICIT, None, None, None, domain, range_size, len(tups), tups)
 
 
+def _toeplitz_block(family: HashFamily) -> tuple[int, int]:
+    """Width of a member's m x width Toeplitz block and its parameter count ``m + width - 1``.
+
+    Toeplitz members are all block; Toeplitz-identity members ``X a1 + a2``
+    have it on the first ``k - m`` digits and the identity on the last m.
+    """
+    width = family.k if family.kind == KIND_TOEPLITZ else family.k - family.m
+    return width, family.m + width - 1
+
+
 def _member_matrix(family: HashFamily, index: int) -> np.ndarray:
-    """Member's m x k matrix over F_q (Toeplitz-identity members are padded)."""
-    q, k, m = family.q, family.k, family.m
-    if family.kind == KIND_TOEPLITZ:
-        params = _digits(index, q, m + k - 1)
-        return params[_toeplitz_index_grid(m, k)]
-    # modified: f(a) = X a1 + a2 with a1 the first k-m digits, a2 the last m
-    mat = np.zeros((m, k), dtype=np.int64)
-    if k > m:
-        params = _digits(index, q, k - 1)
-        mat[:, : k - m] = params[_toeplitz_index_grid(m, k - m)]
-    mat[:, k - m :] = np.eye(m, dtype=np.int64)
+    """Member's m x k matrix over F_q: the Toeplitz block, then the identity block if any."""
+    m = family.m
+    width, n_params = _toeplitz_block(family)
+    mat = np.zeros((m, family.k), dtype=np.int64)
+    if width:  # a Toeplitz-identity family with k = m has no Toeplitz block
+        mat[:, :width] = _digits(index, family.q, n_params)[_toeplitz_index_grid(m, width)]
+    if family.kind == KIND_MODIFIED:
+        mat[:, width:] = np.eye(m, dtype=np.int64)
     return mat
 
 
@@ -177,24 +184,17 @@ def _colliding_member_count(family: HashFamily, diff: np.ndarray) -> int:
     The member matrix is linear in its parameter vector, so the count is
     the number of solutions of one small linear system over F_q.
     """
-    q, k, m = family.q, family.k, family.m
-    if family.kind == KIND_TOEPLITZ:
-        # (T_x diff)_i = sum_p x_p diff[i + k - 1 - p]
-        n_params = m + k - 1
-        rows = [
-            [int(diff[i + k - 1 - p]) if 0 <= i + k - 1 - p < k else 0 for p in range(n_params)]
-            for i in range(m)
-        ]
-        rhs = [0] * m
-    else:
-        # f_x(diff) = X_x diff1 + diff2 = 0, X linear in the parameters
-        n_params = k - 1
-        width = k - m
-        rows = [
-            [int(diff[i + width - 1 - p]) if 0 <= i + width - 1 - p < width else 0 for p in range(n_params)]
-            for i in range(m)
-        ]
+    q, m = family.q, family.m
+    width, n_params = _toeplitz_block(family)
+    # (X_x diff1)_i = sum_p x_p diff[i + width - 1 - p]; the identity block adds diff2
+    rows = [
+        [int(diff[i + width - 1 - p]) if 0 <= i + width - 1 - p < width else 0 for p in range(n_params)]
+        for i in range(m)
+    ]
+    if family.kind == KIND_MODIFIED:
         rhs = [(-int(diff[width + i])) % q for i in range(m)]
+    else:
+        rhs = [0] * m
     return _solution_count_mod_prime(rows, rhs, q, n_params)
 
 

@@ -113,11 +113,11 @@ class Spectrum:
         return len(self.clusters)
 
 
-def _cluster_ranges(w: np.ndarray, rtol: float = CLUSTER_RTOL) -> tuple[tuple[int, int], ...]:
+def _cluster_ranges(w: np.ndarray) -> tuple[tuple[int, int], ...]:
     n = len(w)
     if n == 0:
         return ()
-    tol = rtol * float(np.max(np.abs(w)))
+    tol = CLUSTER_RTOL * float(np.max(np.abs(w)))
     ranges = []
     start = 0
     for i in range(1, n):
@@ -175,10 +175,10 @@ def _rebuild(v: np.ndarray, values: np.ndarray) -> HermitianMatrix:
     return HermitianMatrix((v * values) @ v.conj().T, atol=None)
 
 
-def matrix_power(m: HermitianMatrix, p: float, *, support_tol: float = SUPPORT_RTOL) -> HermitianMatrix:
+def matrix_power(m: HermitianMatrix, p: float) -> HermitianMatrix:
     """Spectral power ``m^p`` with zeros kept at zero (pseudo-inverse style).
 
-    Eigenvalues within ``support_tol * max|eigenvalue|`` of zero map to zero.
+    Eigenvalues within ``SUPPORT_RTOL * max|eigenvalue|`` of zero map to zero.
     A fractional ``p`` on an eigenvalue decisively below zero is a domain
     error; integer powers act on the full spectrum.
     """
@@ -186,7 +186,7 @@ def matrix_power(m: HermitianMatrix, p: float, *, support_tol: float = SUPPORT_R
     w = spec.eigenvalues
     if w.size == 0:
         return m
-    cut = support_tol * float(np.max(np.abs(w)))
+    cut = SUPPORT_RTOL * float(np.max(np.abs(w)))
     out = np.zeros_like(w)
     if float(p).is_integer():
         ip = int(p)
@@ -205,13 +205,13 @@ def matrix_power(m: HermitianMatrix, p: float, *, support_tol: float = SUPPORT_R
     return _rebuild(spec.eigenvectors, out)
 
 
-def matrix_log(m: HermitianMatrix, *, support_tol: float = SUPPORT_RTOL) -> HermitianMatrix:
+def matrix_log(m: HermitianMatrix) -> HermitianMatrix:
     """Spectral natural log on the support of ``m``; the kernel maps to zero."""
     spec = m.spectrum
     w = spec.eigenvalues
     if w.size == 0:
         return m
-    cut = support_tol * float(np.max(np.abs(w)))
+    cut = SUPPORT_RTOL * float(np.max(np.abs(w)))
     if np.any(w < -cut):
         raise HermitianError(f"log of a matrix with negative eigenvalue {w[-1]:.3e}")
     out = np.zeros_like(w)
@@ -220,11 +220,11 @@ def matrix_log(m: HermitianMatrix, *, support_tol: float = SUPPORT_RTOL) -> Herm
     return _rebuild(spec.eigenvectors, out)
 
 
-def tensor(a: HermitianMatrix, b: HermitianMatrix, *, dim_cap: int = DEFAULT_DIM_CAP) -> HermitianMatrix:
+def tensor(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     """Kronecker product ``a (x) b``."""
     new_dim = a.dim * b.dim
-    if new_dim > dim_cap:
-        raise SizeCapError(f"tensor dimension {new_dim} exceeds cap {dim_cap}")
+    if new_dim > DEFAULT_DIM_CAP:
+        raise SizeCapError(f"tensor dimension {new_dim} exceeds cap {DEFAULT_DIM_CAP}")
     return HermitianMatrix(np.kron(a.mat, b.mat), atol=None)
 
 

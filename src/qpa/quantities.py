@@ -15,6 +15,7 @@ Neumann limit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -31,6 +32,12 @@ from .hermitian import (
 )
 
 S_MAX = 4.0
+
+# search grids of the smoothing-method exponents: s in [0, 1] and t in [0, 1/2]
+S_GRID = np.linspace(0.0, 1.0, 1001)
+T_GRID = np.linspace(0.0, 0.5, 1001)
+S_GRID.setflags(write=False)
+T_GRID.setflags(write=False)
 
 # largest phi argument evaluated: beta = 1/(1-t) = 16; beyond this, double
 # precision cannot carry the small inner eigenvalues back through the
@@ -71,19 +78,20 @@ class StateDecomposition:
 
     Holds the eigensystems of each ``rho_a`` and of the E marginal, the
     squared overlaps between them, and the eigensystem of each sandwiched
-    block ``(rho^E)^{-1/2} rho_a (rho^E)^{-1/2}``. Building one of these and
-    reusing it is the cheap way to scan a quantity over many orders.
+    block ``(rho^E)^{-1/2} rho_a (rho^E)^{-1/2}``. Each state builds one on
+    first use (``CQState.decomposition``), and every quantity, check and
+    exponent on the state reads it.
     """
 
-    def __init__(self, state: CQState, *, support_tol: float = SUPPORT_RTOL):
-        self.state = state
+    def __init__(self, state: CQState):
+        self.eve_states = state.eve_states  # not the state itself, which holds this decomposition
         self.alphabet_size = state.alphabet_size
         self.probs = state.probs
         eve = eve_marginal(state)
         self.eve = eve
         espec = eve.spectrum
         mu = np.maximum(espec.eigenvalues, 0.0)
-        cut = support_tol * (float(mu[0]) if mu.size else 0.0)
+        cut = SUPPORT_RTOL * (float(mu[0]) if mu.size else 0.0)
         supp = mu > cut
         self.mu = mu
         self.eve_support = supp
@@ -105,58 +113,66 @@ class StateDecomposition:
         self.xi = xi  # eigenvalues of the sandwiched block
         # <w_j| rho_a |w_j>
         self.xi_weight = np.maximum(np.real(np.einsum("aji,ajk,aki->ai", w.conj(), rhos, w)), 0.0)
-        self.xi_support = xi > support_tol * xi[:, -1:]
-        self._grid_terms = None
-        self._bar_grid_terms = None
-        self._phi_grid_terms = None
+        self.xi_support = xi > SUPPORT_RTOL * xi[:, -1:]
 
     # flattened positive terms of the two Renyi traces, for grid evaluation:
     # the traces are sums of w * exp(s * g + c0) over fixed (weight, slope) pairs
+    @functools.cached_property
     def _renyi_terms(self):
-        if self._grid_terms is None:
-            offs, slopes = [], []
-            log_mu = np.where(self.eve_support, np.log(np.where(self.eve_support, self.mu, 1.0)), 0.0)
-            for a in range(self.alphabet_size):
-                p = float(self.probs[a])
-                if p <= 0.0:
-                    continue
-                lam = self.lam[a]
-                for i in np.flatnonzero(lam > 0.0):
-                    base = math.log(p) + math.log(float(lam[i]))
-                    row = self.overlap[a][i]
-                    for j in np.flatnonzero(self.eve_support & (row > 0.0)):
-                        # term: O * p^{1+s} lam^{1+s} mu^{-s}
-                        offs.append(math.log(float(row[j])) + base)
-                        slopes.append(base - float(log_mu[j]))
-            self._grid_terms = (np.array(offs), np.array(slopes))
-        return self._grid_terms
+        offs, slopes = [], []
+        log_mu = np.where(self.eve_support, np.log(np.where(self.eve_support, self.mu, 1.0)), 0.0)
+        for a in range(self.alphabet_size):
+            p = float(self.probs[a])
+            if p <= 0.0:
+                continue
+            lam = self.lam[a]
+            for i in np.flatnonzero(lam > 0.0):
+                base = math.log(p) + math.log(float(lam[i]))
+                row = self.overlap[a][i]
+                for j in np.flatnonzero(self.eve_support & (row > 0.0)):
+                    # term: O * p^{1+s} lam^{1+s} mu^{-s}
+                    offs.append(math.log(float(row[j])) + base)
+                    slopes.append(base - float(log_mu[j]))
+        return np.array(offs), np.array(slopes)
 
+    @functools.cached_property
     def _bar_terms(self):
-        if self._bar_grid_terms is None:
-            offs, slopes = [], []
-            for a in range(self.alphabet_size):
-                p = float(self.probs[a])
-                if p <= 0.0:
-                    continue
-                xi = self.xi[a]
-                w = self.xi_weight[a]
-                for j in np.flatnonzero((xi > 0.0) & (w > 0.0)):
-                    # term: w * p^{1+s} xi^s
-                    offs.append(math.log(float(w[j])) + math.log(p))
-                    slopes.append(math.log(p) + math.log(float(xi[j])))
-            self._bar_grid_terms = (np.array(offs), np.array(slopes))
-        return self._bar_grid_terms
+        offs, slopes = [], []
+        for a in range(self.alphabet_size):
+            p = float(self.probs[a])
+            if p <= 0.0:
+                continue
+            xi = self.xi[a]
+            w = self.xi_weight[a]
+            for j in np.flatnonzero((xi > 0.0) & (w > 0.0)):
+                # term: w * p^{1+s} xi^s
+                offs.append(math.log(float(w[j])) + math.log(p))
+                slopes.append(math.log(p) + math.log(float(xi[j])))
+        return np.array(offs), np.array(slopes)
 
     # log of P(a) lam_i^a, shifted by its maximum, for the phi functional
+    @functools.cached_property
     def _phi_terms(self):
-        if self._phi_grid_terms is None:
-            mask = (self.lam > 0.0) & (self.probs[:, None] > 0.0)
-            logp = np.log(np.where(self.probs > 0.0, self.probs, 1.0))
-            loglam = np.log(np.where(self.lam > 0.0, self.lam, 1.0))
-            base = np.where(mask, logp[:, None] + loglam, -np.inf)
-            top = float(np.max(base))
-            self._phi_grid_terms = (top, np.where(mask, base - top, -1e30), self._basis.conj())
-        return self._phi_grid_terms
+        mask = (self.lam > 0.0) & (self.probs[:, None] > 0.0)
+        logp = np.log(np.where(self.probs > 0.0, self.probs, 1.0))
+        loglam = np.log(np.where(self.lam > 0.0, self.lam, 1.0))
+        base = np.where(mask, logp[:, None] + loglam, -np.inf)
+        top = float(np.max(base))
+        return top, np.where(mask, base - top, -1e30), self._basis.conj()
+
+    @functools.cached_property
+    def renyi_on_s_grid(self) -> np.ndarray:
+        """``renyi_cond_grid(S_GRID)``, read-only: the rate-independent part of the e_H_q search."""
+        values = self.renyi_cond_grid(S_GRID)
+        values.setflags(write=False)
+        return values
+
+    @functools.cached_property
+    def phi_on_t_grid(self) -> np.ndarray:
+        """``phi_grid(T_GRID)``, read-only: the rate-independent part of the e_phi_q search."""
+        values = self.phi_grid(T_GRID)
+        values.setflags(write=False)
+        return values
 
     # -- von Neumann layer ------------------------------------------------
 
@@ -221,7 +237,7 @@ class StateDecomposition:
         """Vectorized ``renyi_cond`` over an array of orders; s = 0 entries
         take the von Neumann limit."""
         s = np.asarray(s_values, dtype=float)
-        offs, slopes = self._renyi_terms()
+        offs, slopes = self._renyi_terms
         totals = np.exp(offs[:, None] + np.outer(slopes, s)).sum(axis=0)
         out = np.empty_like(s)
         pos = s > 0.0
@@ -235,7 +251,7 @@ class StateDecomposition:
         s = np.asarray(s_values, dtype=float)
         if np.any(s <= 0.0):
             raise ValueError("the sandwiched-type order grid needs s > 0")
-        offs, slopes = self._bar_terms()
+        offs, slopes = self._bar_terms
         totals = np.exp(offs[:, None] + np.outer(slopes, s)).sum(axis=0)
         return -np.log(totals) / s
 
@@ -291,7 +307,7 @@ class StateDecomposition:
         d1_parts = []
         d1p_parts = []
         for a in range(n):
-            rho = self.state.eve_states[a].mat
+            rho = self.eve_states[a].mat
             p = float(self.probs[a])
             diff = p * (rho - eve)
             d1_parts.append(float(np.sum(np.abs(np.linalg.eigvalsh(diff)))))
@@ -315,7 +331,7 @@ class StateDecomposition:
         if np.any((t < 0.0) | (t > PHI_T_MAX)):
             raise ValueError(f"phi is computable for t in [0, {PHI_T_MAX}], got {t_values}")
         alpha = 1.0 / (1.0 - t)
-        top, shifted, u_conj = self._phi_terms()
+        top, shifted, u_conj = self._phi_terms
         weights = np.exp(alpha[:, None, None] * shifted[None, :, :])  # (T, n, d)
         inner = np.einsum("aij,taj,akj->tik", self._basis, weights, u_conj)
         inner = (inner + np.conj(np.swapaxes(inner, 1, 2))) / 2
@@ -328,43 +344,43 @@ class StateDecomposition:
 
 def von_neumann_entropies(state: CQState) -> dict[str, float]:
     """Joint, E-side, and classical entropies ``{H_AE, H_E, H_A}``."""
-    dec = StateDecomposition(state)
+    dec = state.decomposition
     return {"H_AE": dec.joint_entropy(), "H_E": dec.eve_entropy(), "H_A": dec.classical_entropy()}
 
 
 def cond_entropy(state: CQState) -> float:
     """Conditional entropy ``H(A|E) = H(A,E) - H(E)``."""
-    return StateDecomposition(state).cond_entropy()
+    return state.decomposition.cond_entropy()
 
 
 def cond_entropy_bar(state: CQState) -> float:
     """Sandwiched conditional entropy ``Hbar(A|E)``, the s -> 0 limit of Hbar*."""
-    return StateDecomposition(state).cond_entropy_bar()
+    return state.decomposition.cond_entropy_bar()
 
 
 def renyi_cond(state: CQState, s: float) -> float:
     """Conditional Renyi entropy of order ``1+s``; ``s = 0`` gives ``H(A|E)``."""
-    return StateDecomposition(state).renyi_cond(s)
+    return state.decomposition.renyi_cond(s)
 
 
 def renyi_cond_bar_star(state: CQState, s: float) -> float:
     """Sandwiched-type conditional Renyi entropy ``Hbar*_{1+s}(A|E)``."""
-    return StateDecomposition(state).renyi_cond_bar_star(s)
+    return state.decomposition.renyi_cond_bar_star(s)
 
 
 def min_entropy(state: CQState) -> float:
     """``H_min(A|E)``: minus log of the sandwiched operator norm."""
-    return StateDecomposition(state).min_entropy()
+    return state.decomposition.min_entropy()
 
 
 def mutual_info_variants(state: CQState) -> dict[str, float]:
     """``{I, I_prime, I_bar, I_bar_prime}`` mutual-information values."""
-    return StateDecomposition(state).mutual_info_variants()
+    return state.decomposition.mutual_info_variants()
 
 
 def trace_distances(state: CQState) -> dict[str, float]:
     """Trace-norm distances from the product and uniform-product operators."""
-    return StateDecomposition(state).trace_distances()
+    return state.decomposition.trace_distances()
 
 
 def phi_quantity(state: CQState, t: float) -> float:
@@ -374,7 +390,7 @@ def phi_quantity(state: CQState, t: float) -> float:
     only ever uses ``[0, 1/2]``, but the bracketing checks against
     ``s H_{1+s}`` evaluate phi on the wider range.
     """
-    return StateDecomposition(state).phi(t)
+    return state.decomposition.phi(t)
 
 
 def relative_entropies(rho: HermitianMatrix, sigma: HermitianMatrix) -> dict[str, float]:
@@ -510,7 +526,7 @@ class QuantityReport:
 
 def quantity_report(state: CQState, s_values=(0.5,)) -> QuantityReport:
     """Compute the full quantity roster at the given order parameters."""
-    dec = StateDecomposition(state)
+    dec = state.decomposition
     out: dict[str, float] = {
         "H_AE": dec.joint_entropy(),
         "H_E": dec.eve_entropy(),

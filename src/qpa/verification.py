@@ -69,18 +69,21 @@ def member_mutual_info(state: CQState, family: HashFamily) -> list[dict[str, flo
     """``mutual_info_variants`` of the hashed state, per member in index order."""
     _require_matching_domain(state, family)
     return [
-        StateDecomposition(apply_function(state, mem.function)).mutual_info_variants()
+        apply_function(state, mem.function).decomposition.mutual_info_variants()
         for mem in enumerate_members(family)
     ]
+
+
+def _avg_leak_rhs(dec: StateDecomposition, big_m: int, s: float) -> float:
+    v = dec.v_count
+    h = dec.renyi_cond(s)
+    return (v**s) * math.exp(s * (math.log(big_m) - h)) / s
 
 
 def avg_leak_bound_rhs(state: CQState, big_m: int, s: float) -> float:
     """Hashing bound on the averaged I': ``v^s M^s exp(-s H_{1+s}) / s``."""
     _check_s_grid((s,))
-    dec = StateDecomposition(state)
-    v = dec.v_count
-    h = dec.renyi_cond(s)
-    return (v**s) * math.exp(s * (math.log(big_m) - h)) / s
+    return _avg_leak_rhs(state.decomposition, big_m, s)
 
 
 def verify_avg_leak_bound(
@@ -89,18 +92,17 @@ def verify_avg_leak_bound(
     s_grid=DEFAULT_S_GRID,
     *,
     name: str = "",
-    _dec: StateDecomposition | None = None,
     _members: list[dict[str, float]] | None = None,
 ) -> BoundReport:
     """Check ``E_X I' <= min_s v^s M^s exp(-s H_{1+s}) / s`` by enumeration."""
     _require_matching_domain(state, family)
     s_grid = _check_s_grid(s_grid)
-    dec = _dec if _dec is not None else StateDecomposition(state)
+    dec = state.decomposition
     v = dec.v_count
     big_m = family.range_size
 
     def rhs(s: float) -> float:
-        return (v**s) * math.exp(s * (math.log(big_m) - dec.renyi_cond(s))) / s
+        return _avg_leak_rhs(dec, big_m, s)
 
     rhs_by_s = {float(s): rhs(float(s)) for s in s_grid}
     coarse_best = min(rhs_by_s, key=rhs_by_s.get)
@@ -144,7 +146,6 @@ def verify_exp_leak_bound(
     s_grid=DEFAULT_S_GRID,
     *,
     name: str = "",
-    _dec: StateDecomposition | None = None,
     _members: list[dict[str, float]] | None = None,
 ) -> BoundReport:
     """Check ``E_X exp(s Ibar') <= 1 + M^s exp(-s Hbar*_{1+s})`` on the grid.
@@ -154,7 +155,7 @@ def verify_exp_leak_bound(
     """
     _require_matching_domain(state, family)
     s_grid = _check_s_grid(s_grid)
-    dec = _dec if _dec is not None else StateDecomposition(state)
+    dec = state.decomposition
     big_m = family.range_size
     member_stats = _members if _members is not None else member_mutual_info(state, family)
     ibar_vals = [ms["I_bar_prime"] for ms in member_stats]
@@ -198,7 +199,7 @@ def verify_exp_leak_bound(
 def finite_size_bound(state: CQState, big_m: int, s: float) -> float:
     """Key-quality bound ``log v + (log 2)/s + max(0, log M - H_{1+s})``."""
     _check_s_grid((s,))
-    dec = StateDecomposition(state)
+    dec = state.decomposition
     h = dec.renyi_cond(s)
     return math.log(dec.v_count) + math.log(2.0) / s + max(0.0, math.log(big_m) - h)
 
@@ -209,14 +210,12 @@ def verify_hashing_bounds(
     s_grid=DEFAULT_S_GRID,
     *,
     name: str = "",
-    _dec: StateDecomposition | None = None,
 ) -> list[BoundReport]:
-    """Both hashing bounds for one state and family, from one decomposition and one enumeration."""
+    """Both hashing bounds for one state and family, from one enumeration."""
     s_grid = _check_s_grid(s_grid)  # before the enumeration, which is the expensive part
-    dec = _dec if _dec is not None else StateDecomposition(state)
     members = member_mutual_info(state, family)
     return [
-        verify(state, family, s_grid, name=name, _dec=dec, _members=members)
+        verify(state, family, s_grid, name=name, _members=members)
         for verify in (verify_avg_leak_bound, verify_exp_leak_bound)
     ]
 
@@ -263,10 +262,10 @@ class PinchReport:
 
 def pinching_bound_check(state: CQState, *, name: str = "") -> PinchReport:
     """Check ``I <= I(pinched) + log v`` and ``I = Ibar`` on the pinched state."""
-    dec = StateDecomposition(state)
+    dec = state.decomposition
     pinched = CQState(state.probs, [pinch(dec.eve, rho) for rho in state.eve_states])
     i_orig = dec.mutual_info_variants()["I"]
-    pinched_info = StateDecomposition(pinched).mutual_info_variants()
+    pinched_info = pinched.decomposition.mutual_info_variants()
     log_v = math.log(dec.v_count)
     ok = (
         i_orig <= pinched_info["I"] + log_v + SLACK_TOL
@@ -312,11 +311,11 @@ def families_for(alphabet_size: int, big_ms=(2, 4), q: int = 2) -> list[HashFami
 
 def run_full_suite(s_grid=DEFAULT_S_GRID) -> list[BoundReport]:
     """Both hashing bounds over the whole corpus, plus lemma and pinching checks."""
+    corpus = default_corpus()
     reports: list[BoundReport] = []
-    for name, state in default_corpus():
-        dec = StateDecomposition(state)
+    for name, state in corpus:
         for family in families_for(state.alphabet_size):
-            reports.extend(verify_hashing_bounds(state, family, s_grid, name=name, _dec=dec))
+            reports.extend(verify_hashing_bounds(state, family, s_grid, name=name))
 
     lemma_mins = ([], [])
     idx = 0
@@ -341,7 +340,7 @@ def run_full_suite(s_grid=DEFAULT_S_GRID) -> list[BoundReport]:
 
     pinch_slack = math.inf
     pinch_ok = True
-    for name, state in default_corpus():
+    for name, state in corpus:
         rep = pinching_bound_check(state, name=name)
         pinch_slack = min(pinch_slack, rep.i_pinched + rep.log_v - rep.i_original)
         pinch_ok = pinch_ok and rep.passed

@@ -10,6 +10,7 @@ import pytest
 
 from qpa import exponents as expmod
 from qpa.cli import main
+from qpa.quantities import StateDecomposition
 
 DATA = Path(__file__).parent / "data"
 LOG2 = math.log(2.0)
@@ -250,3 +251,49 @@ def test_numeric_failure_exit_7(monkeypatch, capsys, target, replacement, argv):
     err = capsys.readouterr().err
     assert code == 7
     assert err.startswith("error: internal numeric failure:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [[[0.5], [0.5]], [True, False], ["a", 0.5], [None, 0.5]],
+    ids=["nested-list", "bool", "string", "null"],
+)
+def test_non_number_probs_exit_2(tmp_path, capsys, probs):
+    eye = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    bad = tmp_path / "probs.json"
+    bad.write_text(json.dumps({"probs": probs, "eve_states": [eye, eye]}))
+    code = main(["quantities", "--state", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad state document:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["exponents", "--r", "0.1,0.2,0.3"], "tilted_exponents_golden.json"),
+        (["verify", "--family", "toeplitz:q=2,k=2,m=1"], "tilted_lifted_verify_golden.json"),
+    ],
+    ids=["exponents", "lifted-verify"],
+)
+def test_tilted_json_matches_golden(capsys, argv, golden):
+    code = main([*argv, "--preset", "tilted-qubit", "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
+def test_exponents_evaluate_each_search_grid_once(monkeypatch, capsys):
+    calls = []
+    for attr in ("renyi_cond_grid", "phi_grid"):
+        original = getattr(StateDecomposition, attr)
+
+        def counted(self, values, _original=original, _attr=attr):
+            if np.size(values) > 1:  # scalar phi(t) goes through phi_grid too
+                calls.append(_attr)
+            return _original(self, values)
+
+        monkeypatch.setattr(StateDecomposition, attr, counted)
+    assert main(["exponents", "--preset", "tilted-qubit", "--r", "0.1,0.2,0.3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert sorted(calls) == ["phi_grid", "renyi_cond_grid"]

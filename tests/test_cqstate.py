@@ -230,3 +230,22 @@ def test_validation_eigensystems_are_kept():
         w, v = np.linalg.eigh(rho.mat)
         assert np.array_equal(lam[a], w)
         assert np.array_equal(vecs[a], v)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [[[0.5], [0.5]], [True, False], ["a", 0.5], [None, 0.5]],
+    ids=["nested-list", "bool", "string", "null"],
+)
+def test_state_document_probs_must_be_numbers(probs):
+    eye = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    with pytest.raises(StateFormatError, match='"probs" entry 0 must be a number'):
+        load_state_json(json.dumps({"probs": probs, "eve_states": [eye, eye]}))
+
+
+def test_probs_must_be_one_dimensional():
+    with pytest.raises(StateValidationError) as info:
+        make_cq_state([[0.5], [0.5]], [np.eye(2) / 2, np.eye(2) / 2])
+    assert info.value.invariant == "one-dimensional probabilities"
+    with pytest.raises(StateValidationError):
+        make_cq_state(1.0, [np.eye(2) / 2])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qpa.cqstate import make_cq_state, preset, random_cq, tensor_power
+from qpa.exponents import exponent_row, rates
+from qpa.hashing import make_family
 from qpa.hermitian import HermitianMatrix
 from qpa.quantities import (
     StateDecomposition,
@@ -26,6 +28,7 @@ from qpa.quantities import (
     trace_distances_joint,
     von_neumann_entropies,
 )
+from qpa.verification import verify_hashing_bounds
 
 from classical_oracle import classical_quantities
 
@@ -396,3 +399,22 @@ def test_nearly_singular_marginal_decomposes():
     info = dec.mutual_info_variants()
     assert all(math.isfinite(v) for v in info.values())
     assert 0.0 <= info["I"] <= info["I_prime"] <= math.log(2.0) + 1e-12
+
+
+def test_one_state_is_decomposed_once(monkeypatch):
+    decomposed = []
+    original = StateDecomposition.__init__
+
+    def counted(self, state):
+        decomposed.append(state)
+        original(self, state)
+
+    monkeypatch.setattr(StateDecomposition, "__init__", counted)
+    st = preset("tilted-qubit")
+    quantity_report(st, [0.25, 0.5])
+    exponent_row(st, 0.1)
+    exponent_row(st, 0.2)
+    rates(st, 0.3)
+    reports = verify_hashing_bounds(st, make_family("toeplitz", 2, 1, 1))
+    assert all(rep.passed for rep in reports)
+    assert sum(s is st for s in decomposed) == 1

@@ -7,7 +7,7 @@ import pytest
 from qpa.cqstate import AlphabetMismatchError, preset, random_cq, tensor_power
 from qpa.hashing import make_family
 from qpa.hermitian import HermitianMatrix, matrix_log, matrix_power
-from qpa.quantities import mutual_info_variants, renyi_cond_joint
+from qpa.quantities import StateDecomposition, mutual_info_variants, renyi_cond_joint
 import qpa.verification as vmod
 from qpa.verification import (
     DEFAULT_S_GRID,
@@ -263,3 +263,21 @@ def test_full_suite_hashes_each_member_once(monkeypatch):
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
     assert len(calls) == members
+
+
+def test_full_suite_decomposes_each_state_once(monkeypatch):
+    # each corpus state, each hashed member state and each pinched state, once
+    corpus = default_corpus()
+    members = sum(f.member_count for _, st in corpus for f in families_for(st.alphabet_size))
+    assert 2 * len(corpus) + members == 470
+    decomposed = []
+    original = StateDecomposition.__init__
+
+    def counted(self, state):
+        decomposed.append(state)
+        original(self, state)
+
+    monkeypatch.setattr(StateDecomposition, "__init__", counted)
+    reports = run_full_suite()
+    assert all(rep.passed for rep in reports)
+    assert len(decomposed) == 470
