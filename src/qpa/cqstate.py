@@ -1,9 +1,10 @@
 """Classical-quantum states: a classical symbol A correlated with a quantum side system E.
 
 A state is a distribution P over a finite alphabet together with one density
-matrix per symbol; the joint operator is the block-diagonal matrix with
-blocks ``P(a) * rho_a``. Includes hashing of the classical register, quantum
-operations on the E side, tensor powers, presets, and seeded random states.
+matrix per symbol, stored as one ``(|A|, d, d)`` stack; the joint operator is
+the block-diagonal matrix with blocks ``P(a) * rho_a``. Includes hashing of
+the classical register, quantum operations on the E side, tensor powers,
+presets, and seeded random states, each building its stack in one piece.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .hermitian import (
     HermitianMatrix,
     SizeCapError,
     eigh_batch,
+    hermitian_entries,
 )
 
 PROB_ATOL = 1e-10
@@ -68,27 +70,31 @@ class ClassicalFunction:
 
 
 class CQState:
-    """Validated classical-quantum state.
+    """Validated classical-quantum state; ``make_cq_state`` is the same constructor.
 
-    ``probs`` must be a finite distribution up to 1e-10 and every ``eve_state`` a
-    unit-trace PSD matrix of one shared dimension. The PSD check is one
-    stacked eigenproblem whose eigensystems are kept (``eve_eigh``) for the
-    quantities built on the state. Instances are immutable, so ``decomposition``
-    is built once, on first use, and shared by everything evaluated on the state.
+    ``probs`` is a finite distribution (up to 1e-10) and ``rhos`` an
+    ``(|A|, d, d)`` array or a list of ``d x d`` matrices. The stack is checked
+    and stored read-only by :func:`qpa.hermitian.hermitian_entries`, then held
+    to unit trace and to positivity by one stacked eigenproblem whose
+    eigensystems are kept (``eve_eigh``). Instances are immutable, so
+    ``decomposition`` is built once, on first use, and shared by everything
+    evaluated on the state.
     """
 
-    __slots__ = ("_probs", "_eve_states", "_eve_eigh", "_decomposition")
+    __slots__ = ("_probs", "_rhos", "_eve_eigh", "_eve_states", "_decomposition")
 
-    def __init__(self, probs, eve_states):
+    def __init__(self, probs, rhos):
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1:
             raise StateValidationError("one-dimensional probabilities", f"P has shape {p.shape}")
-        states = tuple(eve_states)
-        if len(states) != p.size:
+        try:
+            stack = np.asarray(rhos, dtype=np.complex128)
+        except ValueError as exc:
             raise StateValidationError(
-                "length mismatch",
-                f"{p.size} probabilities but {len(states)} eve states",
-            )
+                "eve dimension mismatch", f"eve states do not form one (|A|, d, d) stack: {exc}"
+            ) from exc
+        if stack.ndim and len(stack) != p.size:
+            raise StateValidationError("length mismatch", f"{p.size} probabilities but {len(stack)} eve states")
         if p.size == 0:
             raise StateValidationError("empty alphabet", "state needs at least one symbol")
         if not np.all(np.isfinite(p)):
@@ -104,35 +110,26 @@ class CQState:
             raise StateValidationError(
                 "probabilities sum to 1", f"sum(P) = {total!r} differs from 1"
             )
-        if not all(isinstance(s, HermitianMatrix) for s in states):
-            raise StateValidationError(
-                "hermitian eve state", "eve states must be HermitianMatrix instances"
-            )
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise StateValidationError(
-                "eve dimension mismatch", f"eve states must share one dimension, got {sorted(dims)}"
-            )
-        for a, s in enumerate(states):
-            if abs(s.trace() - 1.0) > PROB_ATOL:
-                raise StateValidationError(
-                    "unit trace", f"eve state {a} has trace {s.trace()!r}"
-                )
-        lam, vecs = eigh_batch(np.stack([s.mat for s in states]))
-        for a in range(len(states)):
-            low = float(lam[a, 0])
+        try:
+            stack = hermitian_entries(stack, 3)
+        except HermitianError as exc:
+            raise StateValidationError("hermitian eve state", f"eve states: {exc}") from exc
+        traces = np.trace(stack, axis1=1, axis2=2).real
+        for a, tr in enumerate(traces.tolist()):
+            if abs(tr - 1.0) > PROB_ATOL:
+                raise StateValidationError("unit trace", f"eve state {a} has trace {tr!r}")
+        lam, vecs = eigh_batch(stack)
+        for a, low in enumerate(lam[:, 0].tolist()):
             if low < -PROB_ATOL:
-                raise StateValidationError(
-                    "positive semidefinite",
-                    f"eve state {a} has eigenvalue {low:.3e}",
-                )
+                raise StateValidationError("positive semidefinite", f"eve state {a} has eigenvalue {low:.3e}")
         p = np.maximum(p, 0.0)
         p.setflags(write=False)
         lam.setflags(write=False)
         vecs.setflags(write=False)
         self._probs = p
-        self._eve_states = states
+        self._rhos = stack
         self._eve_eigh = (lam, vecs)
+        self._eve_states = None
         self._decomposition = None
 
     @property
@@ -140,7 +137,15 @@ class CQState:
         return self._probs
 
     @property
+    def rhos(self) -> np.ndarray:
+        """The eve states as one read-only, C-contiguous ``(|A|, d, d)`` array."""
+        return self._rhos
+
+    @property
     def eve_states(self) -> tuple[HermitianMatrix, ...]:
+        """The rows of ``rhos`` as :class:`HermitianMatrix` objects, built on first use."""
+        if self._eve_states is None:
+            self._eve_states = tuple(HermitianMatrix(r, atol=None) for r in self._rhos)
         return self._eve_states
 
     @property
@@ -163,24 +168,13 @@ class CQState:
 
     @property
     def eve_dim(self) -> int:
-        return self._eve_states[0].dim
+        return self._rhos.shape[1]
 
     def __repr__(self) -> str:
         return f"CQState(|A|={self.alphabet_size}, d_E={self.eve_dim})"
 
 
-def make_cq_state(probs, rhos) -> CQState:
-    """Build a validated state from raw probability and matrix data."""
-    mats = []
-    for a, r in enumerate(rhos):
-        if isinstance(r, HermitianMatrix):
-            mats.append(r)
-        else:
-            try:
-                mats.append(HermitianMatrix(r))
-            except HermitianError as exc:
-                raise StateValidationError("hermitian eve state", f"eve state {a}: {exc}") from exc
-    return CQState(probs, mats)
+make_cq_state = CQState
 
 
 def joint_density(state: CQState) -> HermitianMatrix:
@@ -189,17 +183,16 @@ def joint_density(state: CQState) -> HermitianMatrix:
     n = state.alphabet_size
     if n * d > DEFAULT_DIM_CAP:
         raise SizeCapError(f"joint dimension {n * d} exceeds cap {DEFAULT_DIM_CAP}")
-    out = np.zeros((n * d, n * d), dtype=np.complex128)
-    for a in range(n):
-        out[a * d : (a + 1) * d, a * d : (a + 1) * d] = state.probs[a] * state.eve_states[a].mat
-    return HermitianMatrix(out, atol=None)
+    out = np.zeros((n, d, n, d), dtype=np.complex128)
+    out[range(n), :, range(n), :] = state.probs[:, None, None] * state.rhos  # block a at (a, a)
+    return HermitianMatrix(out.reshape(n * d, n * d), atol=None)
 
 
 def eve_marginal(state: CQState) -> HermitianMatrix:
     """Partial trace over the classical register: ``sum_a P(a) rho_a``."""
     out = np.zeros((state.eve_dim, state.eve_dim), dtype=np.complex128)
     for a in range(state.alphabet_size):
-        out += state.probs[a] * state.eve_states[a].mat
+        out += state.probs[a] * state.rhos[a]
     return HermitianMatrix(out, atol=None)
 
 
@@ -214,37 +207,26 @@ def apply_function(state: CQState, f: ClassicalFunction) -> CQState:
             f"function domain {f.domain_size} != alphabet {state.alphabet_size}"
         )
     d = state.eve_dim
-    m = f.range_size
-    sums = [np.zeros((d, d), dtype=np.complex128) for _ in range(m)]
-    masses = [[] for _ in range(m)]
-    for a in range(state.alphabet_size):
-        i = f(a)
-        sums[i] += state.probs[a] * state.eve_states[a].mat
-        masses[i].append(float(state.probs[a]))
-    new_p = np.array([math.fsum(ms) for ms in masses])
-    new_states = []
-    for i in range(m):
-        if new_p[i] > 0.0:
-            new_states.append(HermitianMatrix(sums[i] / new_p[i], atol=None))
-        else:
-            new_states.append(HermitianMatrix(np.eye(d) / d, atol=None))
-    return CQState(new_p, new_states)
+    new_p = np.array([math.fsum(state.probs[np.equal(f.table, i)].tolist()) for i in range(f.range_size)])
+    sums = np.zeros((f.range_size, d, d), dtype=np.complex128)
+    for a, i in enumerate(f.table):  # np.add.at is ten times slower on 32 x 32 blocks
+        sums[i] += state.probs[a] * state.rhos[a]
+    hit = new_p > 0.0
+    sums[hit] /= new_p[hit, None, None]
+    sums[~hit] = np.eye(d) / d
+    return CQState(new_p, sums)
 
 
 def apply_eve_channel(state: CQState, kraus) -> CQState:
     """Apply a trace-preserving quantum operation to every eve state."""
     ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
-    d = state.eve_dim
     total = sum(k.conj().T @ k for k in ops)
-    if not np.allclose(total, np.eye(d), atol=1e-10):
+    if not np.allclose(total, np.eye(state.eve_dim), atol=1e-10):
         raise ValueError("Kraus operators do not sum to the identity (not trace preserving)")
-    new_states = []
-    for s in state.eve_states:
-        out = np.zeros((d, d), dtype=np.complex128)
-        for k in ops:
-            out += k @ s.mat @ k.conj().T
-        new_states.append(HermitianMatrix(out, atol=None))
-    return CQState(state.probs, new_states)
+    out = np.zeros_like(state.rhos)
+    for k in ops:
+        out += k @ state.rhos @ k.conj().T
+    return CQState(state.probs, out)
 
 
 def tensor_power(state: CQState, n: int) -> CQState:
@@ -252,7 +234,8 @@ def tensor_power(state: CQState, n: int) -> CQState:
 
     Symbol indices are little-endian in the original alphabet: joint symbol
     ``i`` has per-copy symbols ``(i // |A|**j) % |A|``, matching the digit
-    convention of the hash families.
+    convention of the hash families. Each copy enters as the most
+    significant digit: ``rho_(b + |A|^k a) = rho_b (x) rho_a``.
     """
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
@@ -264,22 +247,13 @@ def tensor_power(state: CQState, n: int) -> CQState:
             f"joint dimension {big_a * state.eve_dim ** n} exceeds cap {DEFAULT_DIM_CAP}; "
             "per-copy quantities scale additively instead"
         )
-    probs = []
-    states = []
-    for i in range(big_a):
-        digits = []
-        x = i
-        for _ in range(n):
-            digits.append(x % state.alphabet_size)
-            x //= state.alphabet_size
-        p = 1.0
-        mat = np.array([[1.0 + 0j]])
-        for dgt in digits:
-            p *= float(state.probs[dgt])
-            mat = np.kron(mat, state.eve_states[dgt].mat)
-        probs.append(p)
-        states.append(HermitianMatrix(mat, atol=None))
-    return CQState(np.array(probs), states)
+    probs, rhos = state.probs, state.rhos
+    for _ in range(n - 1):
+        probs = (probs[None, :] * state.probs[:, None]).reshape(-1)
+        # [a, b, i, k, j, l] = rhos[b, i, j] * rho_a[k, l], i.e. kron(rhos[b], rho_a)
+        rhos = rhos[None, :, :, None, :, None] * state.rhos[:, None, None, :, None, :]
+        rhos = rhos.reshape(len(probs), rhos.shape[2] * rhos.shape[3], -1)
+    return CQState(probs, rhos)
 
 
 def depolarizing_kraus(p: float) -> list[np.ndarray]:
@@ -329,8 +303,9 @@ _PRESETS = {
     "copy": (_preset_copy, None),
     "product": (_preset_product, None),
     "tilted-qubit": (_preset_tilted, None),
-    "bb84": (_preset_bb84, math.pi / 4),
-    "depolarized": (_preset_depolarized, 0.3),
+    # (default, low, high, allowed); the Kraus weights sqrt(1 - 3p/4), sqrt(p/4) need 0 <= p <= 4/3
+    "bb84": (_preset_bb84, (math.pi / 4, -math.inf, math.inf, "a finite angle theta")),
+    "depolarized": (_preset_depolarized, (0.3, 0.0, 4 / 3, "a finite p in [0, 4/3]")),
 }
 
 
@@ -346,12 +321,16 @@ def preset(name: str) -> CQState:
             raise ValueError(f"bad preset parameter in {name!r}") from exc
     if base not in _PRESETS:
         raise ValueError(f"unknown preset {base!r}; known: {sorted(_PRESETS)}")
-    builder, default = _PRESETS[base]
-    if default is None:
+    builder, parameter = _PRESETS[base]
+    if parameter is None:
         if param is not None:
             raise ValueError(f"preset {base!r} takes no parameter")
         return builder()
-    return builder(default if param is None else param)
+    default, low, high, allowed = parameter
+    value = default if param is None else param
+    if not (math.isfinite(value) and low <= value <= high):
+        raise ValueError(f"preset {base!r} needs {allowed}, got {value!r}")
+    return builder(value)
 
 
 def random_cq(seed: int, alphabet_size: int, eve_dim: int) -> CQState:
@@ -359,12 +338,30 @@ def random_cq(seed: int, alphabet_size: int, eve_dim: int) -> CQState:
     rng = np.random.default_rng(seed)
     raw = rng.gamma(1.0, size=alphabet_size)
     probs = raw / raw.sum()
-    states = []
-    for _ in range(alphabet_size):
-        g = rng.normal(size=(eve_dim, eve_dim)) + 1j * rng.normal(size=(eve_dim, eve_dim))
-        w = g @ g.conj().T
-        states.append(HermitianMatrix(w / np.trace(w).real, atol=None))
-    return CQState(probs, states)
+    parts = rng.normal(size=(alphabet_size, 2, eve_dim, eve_dim))  # per symbol: real, imaginary
+    g = parts[:, 0] + 1j * parts[:, 1]
+    w = g @ np.conj(np.swapaxes(g, 1, 2))
+    return CQState(probs, w / np.trace(w, axis1=1, axis2=2).real[:, None, None])
+
+
+def _json_number(x, where: str) -> float:
+    """A JSON number as a double; a bool, a non-number or an integer beyond double range is an error."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            raise StateFormatError(f"{where} must be a number, got an integer beyond double range") from None
+    raise StateFormatError(f"{where} must be a number, got {json.dumps(x)}")
+
+
+def _json_matrix(rows, where: str) -> list[list[complex]]:
+    """Rows of ``[re, im]`` cells, each part a JSON number."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise StateFormatError(f"{where}: must be an array of rows")
+    if not all(isinstance(cell, list) and len(cell) == 2 for row in rows for cell in row):
+        raise StateFormatError(f"{where}: entries must be [re, im] pairs")
+    part = f"{where} entry"
+    return [[complex(_json_number(re, part), _json_number(im, part)) for re, im in row] for row in rows]
 
 
 def load_state_json(text: str) -> CQState:
@@ -386,19 +383,8 @@ def load_state_json(text: str) -> CQState:
     raw_states = doc["eve_states"]
     if not isinstance(probs, list) or not isinstance(raw_states, list):
         raise StateFormatError('"probs" and "eve_states" must be arrays')
-    for a, p in enumerate(probs):
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise StateFormatError(f'"probs" entry {a} must be a number, got {json.dumps(p)}')
-    mats = []
-    for a, rows in enumerate(raw_states):
-        try:
-            mat = np.array(
-                [[complex(cell[0], cell[1]) for cell in row] for row in rows],
-                dtype=np.complex128,
-            )
-        except (TypeError, IndexError, ValueError) as exc:
-            raise StateFormatError(f"eve state {a}: entries must be [re, im] pairs") from exc
-        mats.append(mat)
+    probs = [_json_number(p, f'"probs" entry {a}') for a, p in enumerate(probs)]
+    mats = [_json_matrix(rows, f"eve state {a}") for a, rows in enumerate(raw_states)]
     return make_cq_state(probs, mats)
 
 
@@ -407,8 +393,7 @@ def dump_state_json(state: CQState) -> str:
     doc = {
         "probs": [float(p) for p in state.probs],
         "eve_states": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in s.mat]
-            for s in state.eve_states
+            [[[float(z.real), float(z.imag)] for z in row] for row in rho] for rho in state.rhos
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True)

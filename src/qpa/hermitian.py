@@ -38,33 +38,48 @@ class EigenConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def hermitian_entries(entries, ndim: int = 2, *, atol: float | None = 1e-12) -> np.ndarray:
+    """Checked Hermitian average ``(M + M^dag)/2`` of a matrix (``ndim=2``) or a stack (``ndim=3``).
+
+    Rejects another shape, non-finite entries and (unless ``atol=None``) an
+    asymmetry above ``atol``, naming the offending index. The result is
+    read-only and C-contiguous whatever the input's memory order, so that
+    later reductions over it round alike.
+    """
+    m = np.asarray(entries, dtype=np.complex128)
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+        raise HermitianError(f"expected {'a square matrix' if ndim == 2 else 'an (n, d, d) stack'}, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        first = np.argwhere(~np.isfinite(m))[0]
+        raise HermitianError(f"matrix entries must be finite, index {tuple(first.tolist())} is not")
+    m_dag = m.conj().swapaxes(-1, -2)
+    if atol is not None and m.size:
+        asym = np.abs(m - m_dag)
+        worst = np.unravel_index(np.argmax(asym), m.shape)
+        if asym[worst] > atol:
+            raise HermitianError(
+                f"matrix is not Hermitian: max |M - M^dag| = {asym[worst]:.3e} > {atol:.1e} "
+                f"at index {tuple(int(i) for i in worst)}"
+            )
+    out = np.ascontiguousarray((m + m_dag) / 2)
+    out.setflags(write=False)
+    return out
+
+
 class HermitianMatrix:
     """Immutable dense Hermitian matrix with a lazily cached spectrum.
 
-    The constructor rejects non-finite entries and (unless ``atol=None``)
-    inputs whose asymmetry exceeds ``atol``; the stored matrix is the exact
-    Hermitian average ``(M + M^dag)/2``. Instances are safe to share across
-    threads: the entry array is read-only and the spectrum cache is either
-    populated once or recomputed idempotently.
+    The entries pass :func:`hermitian_entries`: non-finite entries and
+    (unless ``atol=None``) an asymmetry above ``atol`` are rejected, and the
+    stored matrix is the exact Hermitian average ``(M + M^dag)/2``. Instances
+    are safe to share across threads: the entry array is read-only and the
+    spectrum cache is either populated once or recomputed idempotently.
     """
 
     __slots__ = ("_mat", "_spectrum")
 
     def __init__(self, entries, *, atol: float | None = 1e-12):
-        m = np.asarray(entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise HermitianError(f"expected a square matrix, got shape {m.shape}")
-        if m.size and not np.all(np.isfinite(m)):
-            raise HermitianError("matrix entries must be finite")
-        if atol is not None and m.size:
-            asym = float(np.max(np.abs(m - m.conj().T)))
-            if asym > atol:
-                raise HermitianError(
-                    f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e} > {atol:.1e}"
-                )
-        m = (m + m.conj().T) / 2
-        m.setflags(write=False)
-        self._mat = m
+        self._mat = hermitian_entries(entries, atol=atol)
         self._spectrum = None
 
     @property

@@ -84,7 +84,7 @@ class StateDecomposition:
     """
 
     def __init__(self, state: CQState):
-        self.eve_states = state.eve_states  # not the state itself, which holds this decomposition
+        self.rhos = state.rhos  # not the state itself, which holds this decomposition
         self.alphabet_size = state.alphabet_size
         self.probs = state.probs
         eve = eve_marginal(state)
@@ -102,8 +102,7 @@ class StateDecomposition:
         b = (vmat * inv_sqrt) @ vmat.conj().T  # (rho^E)^{-1/2} on the support
 
         lam, u = state.eve_eigh  # from the state's validation
-        rhos = np.stack([rho.mat for rho in state.eve_states])
-        x = b @ rhos @ b
+        x = b @ self.rhos @ b
         xi, w = eigh_batch((x + np.conj(np.swapaxes(x, 1, 2))) / 2)
         xi = np.maximum(xi, 0.0)
         # per symbol a, row a of each array:
@@ -112,7 +111,7 @@ class StateDecomposition:
         self.overlap = np.abs(np.conj(np.swapaxes(u, 1, 2)) @ vmat) ** 2  # |<u_i^a | v_j>|^2
         self.xi = xi  # eigenvalues of the sandwiched block
         # <w_j| rho_a |w_j>
-        self.xi_weight = np.maximum(np.real(np.einsum("aji,ajk,aki->ai", w.conj(), rhos, w)), 0.0)
+        self.xi_weight = np.maximum(np.real(np.einsum("aji,ajk,aki->ai", w.conj(), self.rhos, w)), 0.0)
         self.xi_support = xi > SUPPORT_RTOL * xi[:, -1:]
 
     # flattened positive terms of the two Renyi traces, for grid evaluation:
@@ -307,7 +306,7 @@ class StateDecomposition:
         d1_parts = []
         d1p_parts = []
         for a in range(n):
-            rho = self.eve_states[a].mat
+            rho = self.rhos[a]
             p = float(self.probs[a])
             diff = p * (rho - eve)
             d1_parts.append(float(np.sum(np.abs(np.linalg.eigvalsh(diff)))))

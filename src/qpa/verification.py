@@ -263,7 +263,7 @@ class PinchReport:
 def pinching_bound_check(state: CQState, *, name: str = "") -> PinchReport:
     """Check ``I <= I(pinched) + log v`` and ``I = Ibar`` on the pinched state."""
     dec = state.decomposition
-    pinched = CQState(state.probs, [pinch(dec.eve, rho) for rho in state.eve_states])
+    pinched = CQState(state.probs, [pinch(dec.eve, rho).mat for rho in state.eve_states])
     i_orig = dec.mutual_info_variants()["I"]
     pinched_info = pinched.decomposition.mutual_info_variants()
     log_v = math.log(dec.v_count)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -222,6 +223,24 @@ def test_suite_full_matches_golden(capsys):
     assert capsys.readouterr().out.encode() == (DATA / "suite_full_golden.txt").read_bytes()
 
 
+def test_suite_full_json_matches_golden_digest(capsys):
+    # SHA-256 of the parent's 222 KB output; suite_full_golden.txt gives the readable diff
+    code = main(["verify", "--suite", "full", "--format", "json"])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "1f85eab4cbdd6d6a0c043d90af0b29385960ba9df11caccc0fb18312e7b36277"
+
+
+def test_complex_lifted_verify_matches_golden(monkeypatch, capsys):
+    # a complex qubit state lifted to its 5th power (d_E = 32); run from tests/data so the
+    # report's "state" field holds the relative path the golden was made with
+    monkeypatch.chdir(DATA)
+    argv = ["verify", "--state", "complex_qubit_state.json", "--family", "modified_toeplitz:q=2,k=5,m=3"]
+    code = main([*argv, "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().out.encode() == (DATA / "complex_lifted_verify_golden.json").read_bytes()
+
+
 def test_size_cap_exit_6(capsys):
     code = main(["verify", "--preset", "tilted-qubit", "--family", "toeplitz:q=2,k=12,m=2"])
     err = capsys.readouterr().err
@@ -255,8 +274,8 @@ def test_numeric_failure_exit_7(monkeypatch, capsys, target, replacement, argv):
 
 @pytest.mark.parametrize(
     "probs",
-    [[[0.5], [0.5]], [True, False], ["a", 0.5], [None, 0.5]],
-    ids=["nested-list", "bool", "string", "null"],
+    [[[0.5], [0.5]], [True, False], ["a", 0.5], [None, 0.5], [10**400, 0.5]],
+    ids=["nested-list", "bool", "string", "null", "huge-int"],
 )
 def test_non_number_probs_exit_2(tmp_path, capsys, probs):
     eye = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
@@ -267,6 +286,43 @@ def test_non_number_probs_exit_2(tmp_path, capsys, probs):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: bad state document:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [[True, False], [0.5, 0.0, 0.0], [10**400, 0.0], [0.5, "0"], [0.5], 0.5],
+    ids=["bool", "three-entries", "huge-int", "string", "one-entry", "bare-number"],
+)
+def test_bad_matrix_cell_exit_2(tmp_path, capsys, cell):
+    eye = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    bad = tmp_path / "cells.json"
+    bad.write_text(json.dumps({"probs": [0.5, 0.5], "eve_states": [eye, [[cell, [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]}))
+    code = main(["quantities", "--state", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad state document: eve state 1") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name, allowed",
+    [
+        ("depolarized(2)", "a finite p in [0, 4/3]"),
+        ("depolarized(-1)", "a finite p in [0, 4/3]"),
+        ("depolarized(1e400)", "a finite p in [0, 4/3]"),
+        ("depolarized(nan)", "a finite p in [0, 4/3]"),
+        ("bb84(inf)", "a finite angle theta"),
+        ("bb84(nan)", "a finite angle theta"),
+    ],
+)
+def test_preset_parameter_out_of_range_exit_2(capsys, name, allowed):
+    code = main(["quantities", "--preset", name])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    base = name.partition("(")[0]
+    assert captured.err.startswith(f"error: preset '{base}' needs {allowed}, got ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from qpa import hermitian
 from qpa.cqstate import (
     AlphabetMismatchError,
     ClassicalFunction,
+    CQState,
     StateFormatError,
     StateValidationError,
     apply_eve_channel,
@@ -234,13 +236,25 @@ def test_validation_eigensystems_are_kept():
 
 @pytest.mark.parametrize(
     "probs",
-    [[[0.5], [0.5]], [True, False], ["a", 0.5], [None, 0.5]],
-    ids=["nested-list", "bool", "string", "null"],
+    [[[0.5], [0.5]], [True, False], ["a", 0.5], [None, 0.5], [10**400, 0.5]],
+    ids=["nested-list", "bool", "string", "null", "huge-int"],
 )
 def test_state_document_probs_must_be_numbers(probs):
     eye = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
     with pytest.raises(StateFormatError, match='"probs" entry 0 must be a number'):
         load_state_json(json.dumps({"probs": probs, "eve_states": [eye, eye]}))
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [[True, False], [0.5, 0.0, 0.0], [10**400, 0.0], [0.5, "0"], [0.5, None], [0.5], 0.5],
+    ids=["bool", "three-entries", "huge-int", "string", "null", "one-entry", "bare-number"],
+)
+def test_state_document_cells_must_be_number_pairs(cell):
+    eye = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    odd = [[[0.5, 0.0], cell], [[0.0, 0.0], [0.5, 0.0]]]
+    with pytest.raises(StateFormatError, match="^eve state 1"):
+        load_state_json(json.dumps({"probs": [0.5, 0.5], "eve_states": [eye, odd]}))
 
 
 def test_probs_must_be_one_dimensional():
@@ -249,3 +263,107 @@ def test_probs_must_be_one_dimensional():
     assert info.value.invariant == "one-dimensional probabilities"
     with pytest.raises(StateValidationError):
         make_cq_state(1.0, [np.eye(2) / 2])
+
+
+# -- the stacked state layer against per-symbol reference loops ---------------
+
+
+def _hermitian_part(m):
+    return (m + m.conj().T) / 2
+
+
+def test_make_cq_state_is_the_constructor():
+    assert make_cq_state is CQState
+    st = make_cq_state([0.6, 0.4], np.stack([np.diag([0.9, 0.1]), np.eye(2) / 2]))
+    assert st.rhos.shape == (2, 2, 2) and not st.rhos.flags.writeable
+    assert np.array_equal(st.rhos[0], np.diag([0.9, 0.1]))
+
+
+def test_apply_function_matches_per_symbol_loop(corpus_states):
+    rng = np.random.default_rng(5)
+    for name, st in corpus_states.items():
+        m = int(rng.integers(1, 4)) + 1  # range sizes 2..4 leave some outputs empty
+        table = tuple(int(x) for x in rng.integers(0, m, size=st.alphabet_size))
+        hashed = apply_function(st, ClassicalFunction(st.alphabet_size, m, table))
+        d = st.eve_dim
+        sums = [np.zeros((d, d), dtype=complex) for _ in range(m)]
+        masses = [[] for _ in range(m)]
+        for a, i in enumerate(table):
+            sums[i] += st.probs[a] * st.rhos[a]
+            masses[i].append(float(st.probs[a]))
+        probs = np.array([math.fsum(ms) for ms in masses])
+        assert np.array_equal(hashed.probs, probs), name
+        for i in range(m):
+            expect = sums[i] / probs[i] if probs[i] > 0.0 else np.eye(d) / d
+            assert np.array_equal(hashed.rhos[i], _hermitian_part(expect)), (name, i)
+
+
+def test_tensor_power_matches_kron_chain(corpus_states):
+    for name, st in corpus_states.items():
+        n = 3 if st.alphabet_size == 2 and st.eve_dim == 2 else 2
+        if (st.alphabet_size * st.eve_dim) ** n > 4096:
+            continue
+        power = tensor_power(st, n)
+        size = st.alphabet_size
+        for i in range(size**n):
+            digits = [(i // size**j) % size for j in range(n)]  # little-endian
+            p, mat = st.probs[digits[0]], st.rhos[digits[0]]
+            for dgt in digits[1:]:
+                p, mat = p * st.probs[dgt], np.kron(mat, st.rhos[dgt])
+            assert power.probs[i] == p, (name, i)
+            assert np.array_equal(power.rhos[i], _hermitian_part(mat)), (name, i)
+
+
+def test_apply_eve_channel_matches_per_symbol_loop(corpus_states):
+    rng = np.random.default_rng(11)
+    for name, st in corpus_states.items():
+        kraus = random_kraus(rng, st.eve_dim, n_ops=3)
+        out = apply_eve_channel(st, kraus)
+        assert np.array_equal(out.probs, st.probs), name
+        for a in range(st.alphabet_size):
+            expect = np.zeros_like(st.rhos[a])
+            for k in kraus:
+                expect += k @ st.rhos[a] @ k.conj().T
+            assert np.array_equal(out.rhos[a], _hermitian_part(expect)), (name, a)
+
+
+@pytest.mark.parametrize("seed, size, dim", [(0, 4, 2), (1, 4, 3), (7, 2, 2), (9, 3, 4)])
+def test_random_cq_matches_per_symbol_draws(seed, size, dim):
+    rng = np.random.default_rng(seed)
+    raw = rng.gamma(1.0, size=size)
+    st = random_cq(seed, size, dim)
+    assert np.array_equal(st.probs, raw / raw.sum())
+    for a in range(size):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        w = g @ g.conj().T
+        assert np.array_equal(st.rhos[a], _hermitian_part(w / np.trace(w).real)), a
+
+
+def test_stack_memory_order_does_not_change_the_decomposition(corpus_states):
+    for name, st in corpus_states.items():
+        base = make_cq_state(st.probs, np.ascontiguousarray(st.rhos))
+        ref = base.decomposition
+        for stack in (np.asfortranarray(st.rhos), np.conj(np.swapaxes(st.rhos, 1, 2))):
+            other = make_cq_state(st.probs, stack)
+            assert other.rhos.flags.c_contiguous, name
+            assert np.array_equal(other.rhos, base.rhos), name
+            dec = other.decomposition
+            for field in ("mu", "lam", "overlap", "xi", "xi_weight"):
+                assert np.array_equal(getattr(dec, field), getattr(ref, field)), (name, field)
+            assert dec.mutual_info_variants() == ref.mutual_info_variants(), name
+            assert dec.renyi_cond(0.4) == ref.renyi_cond(0.4), name
+
+
+def test_hashing_a_state_builds_no_hermitian_matrix(monkeypatch, corpus_states):
+    built = []
+    original = hermitian.HermitianMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(hermitian.HermitianMatrix, "__init__", counted)
+    for st in corpus_states.values():
+        table = tuple(a % 2 for a in range(st.alphabet_size))
+        apply_function(st, ClassicalFunction(st.alphabet_size, 2, table))
+    assert built == []

@@ -4,6 +4,10 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+
+from qpa import cqstate
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,3 +28,17 @@ def test_readme_library_block_runs():
     block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     assert "import qpa" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_traced_state_key_reads_the_eve_states(monkeypatch):
+    # --trace 1 keys every decomposed state by its probabilities and eve_states[a].mat bytes
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    state_key = importlib.import_module("tracing")._state_key
+    tilted = cqstate.preset("tilted-qubit")
+    hashed = cqstate.apply_function(tilted, cqstate.ClassicalFunction.constant(2))
+    for state in (tilted, hashed):
+        key = state_key(state)
+        assert len(key) == 16 and key == state_key(cqstate.make_cq_state(state.probs, state.rhos))
+        for a, rho in enumerate(state.eve_states):
+            assert np.array_equal(rho.mat, state.rhos[a])
+    assert state_key(tilted) != state_key(hashed)
