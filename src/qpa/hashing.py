@@ -9,7 +9,8 @@ same way; classical alphabets must use the same indexing.
 
 Collision probabilities are certified with exact integer counting; the
 universal_2 property is a combinatorial claim, so no floating tolerance is
-acceptable there.
+acceptable there; for the matrix kinds each nonzero input difference is one
+linear system over F_q, and all of them are row-reduced together mod q.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ SUPPORTED_PRIMES = (2, 3, 5)
 DOMAIN_CAP = 2**16
 MEMBER_CAP = 2**20
 PAIRWISE_DOMAIN_CAP = 2**10  # explicit member lists, true all-pairs scan
-MATRIX_DOMAIN_CAP = 2**13  # matrix kinds, per-difference solution counting
+MATRIX_DOMAIN_CAP = 2**13  # matrix kinds: one linear system per nonzero difference
+_CHUNK = 1024  # systems row-reduced together, so the stack holds _CHUNK * m * (n_params + 1) entries
+# entries stay in 0..q-1 and an elimination step forms at most (q - 1)**2 + q, which must fit the dtype
+_KERNEL_DTYPE = np.uint8
 
 KIND_TOEPLITZ = "toeplitz"
 KIND_MODIFIED = "modified_toeplitz"
@@ -154,55 +158,52 @@ def enumerate_members(family: HashFamily) -> Iterator[FamilyMember]:
 class CollisionReport:
     max_collision_prob: Fraction
     is_universal2: bool
-    worst_input: int  # colliding pair difference (matrix kinds) or packed pair
+    # matrix kinds: the smallest difference index (base-q digits of a1 - a2) of maximal count, 1 if none
+    # collides; explicit lists: the first worst pair a1 < a2 packed as a1 * |A| + a2, 0 if none collides
+    worst_input: int
 
 
-def _solution_count_mod_prime(rows: list[list[int]], rhs: list[int], q: int, n_params: int) -> int:
-    """Exact number of parameter vectors solving ``rows @ x = rhs`` over F_q."""
-    aug = [[v % q for v in row] + [rhs[i] % q] for i, row in enumerate(rows)]
-    rank = 0
-    for col in range(n_params):
-        pivot = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = pow(aug[rank][col], q - 2, q)
-        aug[rank] = [(v * inv) % q for v in aug[rank]]
-        for i in range(len(aug)):
-            if i != rank and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [(a - factor * b) % q for a, b in zip(aug[i], aug[rank])]
-        rank += 1
-    if any(aug[i][-1] for i in range(rank, len(aug))):
-        return 0
-    return q ** (n_params - rank)
-
-
-def _colliding_member_count(family: HashFamily, diff: np.ndarray) -> int:
-    """Members sending the nonzero input difference ``diff`` to zero.
-
-    The member matrix is linear in its parameter vector, so the count is
-    the number of solutions of one small linear system over F_q.
-    """
+def _difference_systems(family: HashFamily, diffs: np.ndarray) -> np.ndarray:
+    """(n_params + 1, m, N) stack of systems over F_q, solved by the members sending each row of ``diffs`` to zero."""
     q, m = family.q, family.m
     width, n_params = _toeplitz_block(family)
-    # (X_x diff1)_i = sum_p x_p diff[i + width - 1 - p]; the identity block adds diff2
-    rows = [
-        [int(diff[i + width - 1 - p]) if 0 <= i + width - 1 - p < width else 0 for p in range(n_params)]
-        for i in range(m)
-    ]
+    band = (width - 1) + np.arange(m)[None, :] - np.arange(n_params)[:, None]  # (p, i) -> diff[i + width - 1 - p]
+    in_band = (0 <= band) & (band < width)
+    digits = np.ascontiguousarray(diffs.T, dtype=_KERNEL_DTYPE)  # (k, N)
+    aug = np.zeros((n_params + 1, m, len(diffs)), dtype=_KERNEL_DTYPE)
+    aug[:n_params] = np.where(in_band[:, :, None], digits[np.where(in_band, band, 0)], 0)
     if family.kind == KIND_MODIFIED:
-        rhs = [(-int(diff[width + i])) % q for i in range(m)]
-    else:
-        rhs = [0] * m
-    return _solution_count_mod_prime(rows, rhs, q, n_params)
+        aug[n_params] = (q - digits[width:]) % q  # -diff2; full Toeplitz has rhs 0
+    return aug
+
+
+def _solution_dims(aug: np.ndarray, q: int) -> np.ndarray:
+    """Solution-space dimension over F_q of each system in ``aug`` (n_params + 1, rows, N), -1 if none; in place."""
+    inverse = np.array([0] + [pow(v, q - 2, q) for v in range(1, q)], dtype=_KERNEL_DTYPE)
+    systems = np.arange(aug.shape[2])
+    used = np.zeros(aug.shape[1:], dtype=bool)  # rows that already hold a pivot
+    for col in range(len(aug) - 1):
+        column = aug[col]
+        candidates = (column != 0) & ~used
+        has_pivot = candidates.any(axis=0)
+        pivot = candidates.argmax(axis=0)
+        # the pivot row right of this column, scaled to a leading 1; zero (a no-op) without a pivot.
+        # Clearing the column zeroes the pivot row too: only rows without a pivot are read again.
+        scale = inverse[column[pivot, systems]] * has_pivot
+        pivot_row = aug[col + 1 :, pivot, systems] * scale % q
+        aug[col + 1 :] += (q - column) % q * pivot_row[:, None]
+        aug[col + 1 :] %= q
+        used[pivot, systems] |= has_pivot
+    # rows without a pivot are zero on the left, so a nonzero rhs there has no solution
+    consistent = ~((aug[-1] != 0) & ~used).any(axis=0)
+    return np.where(consistent, len(aug) - 1 - used.sum(axis=0), -1)
 
 
 def collision_stats(family: HashFamily) -> CollisionReport:
     """Exact worst-pair collision probability over the whole family.
 
-    For matrix members ``f(a1) = f(a2)`` iff ``f(a1 - a2) = 0``, so one
-    exact member count per nonzero digit difference covers every input
+    For matrix members ``f(a1) = f(a2)`` iff ``f(a1 - a2) = 0``, so the
+    exact member counts of the nonzero digit differences cover every input
     pair; explicit lists get a true all-pairs scan. Integer arithmetic
     throughout, result as a Fraction.
     """
@@ -231,15 +232,13 @@ def collision_stats(family: HashFamily) -> CollisionReport:
         raise SizeCapError(
             f"domain size {family.domain_size} exceeds difference-scan cap {MATRIX_DOMAIN_CAP}"
         )
-    diffs = _digits(np.arange(1, family.domain_size), family.q, family.k)  # skip zero
-    worst = 0
-    worst_diff = 1
-    for idx, diff in enumerate(diffs):
-        count = _colliding_member_count(family, diff)
-        if count > worst:
-            worst = count
-            worst_diff = idx + 1
-    prob = Fraction(worst, family.member_count)
+    worst_dim, worst_diff = -1, 1
+    for start in range(1, family.domain_size, _CHUNK):  # skip the zero difference
+        diffs = _digits(np.arange(start, min(start + _CHUNK, family.domain_size)), family.q, family.k)
+        dims = _solution_dims(_difference_systems(family, diffs), family.q)
+        if dims.max() > worst_dim:
+            worst_dim, worst_diff = int(dims.max()), start + int(dims.argmax())
+    prob = Fraction(family.q**worst_dim if worst_dim >= 0 else 0, family.member_count)
     return CollisionReport(prob, prob <= bound, worst_diff)
 
 

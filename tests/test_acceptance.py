@@ -126,8 +126,8 @@ def test_acceptance_05_commutative_reduction():
     _announce(5, "diagonal states match the scalar classical implementation")
 
 def test_acceptance_06_universal2_certification():
-    for q in (2, 3):
-        for k in range(1, 9):
+    for q, k_max in ((2, 8), (3, 8), (5, 5)):
+        for k in range(1, k_max + 1):
             for m in range(1, min(k, 4) + 1):
                 for kind in ("toeplitz", "modified_toeplitz"):
                     family = make_family(kind, q, k, m)

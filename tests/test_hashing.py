@@ -3,7 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hashing_oracle
+from qpa import hashing
 from qpa.hashing import (
+    SUPPORTED_PRIMES,
+    _solution_dims,
     collision_stats,
     enumerate_members,
     make_explicit_family,
@@ -167,12 +171,84 @@ def test_collision_stats_domain_cap():
         collision_stats(make_explicit_family([tuple([0] * 2048)], range_size=2))
 
 
+def batched_counts(family, diffs):
+    """Member counts of the batched kernel for rows of base-q digits."""
+    dims = _solution_dims(hashing._difference_systems(family, np.array(diffs)), family.q)
+    return [family.q ** int(d) if d >= 0 else 0 for d in dims]
+
+
 def test_collision_count_probability_zero_difference():
     # inputs differing only in the identity-block digits never collide
     family = make_family("modified_toeplitz", 2, 2, 1)
-    from qpa.hashing import _colliding_member_count
-    import numpy as np
+    assert batched_counts(family, [[0, 1], [1, 0], [1, 1]]) == [0, 1, 1]
 
-    assert _colliding_member_count(family, np.array([0, 1])) == 0
-    assert _colliding_member_count(family, np.array([1, 0])) == 1
-    assert _colliding_member_count(family, np.array([1, 1])) == 1
+
+def test_batched_counts_match_scalar_oracle(monkeypatch):
+    # every matrix family of both kinds over F_2, F_3, F_5 with |A| <= 729; none reaches a cap
+    families = [
+        make_family(kind, q, k, m)
+        for q, k_max in ((2, 9), (3, 6), (5, 4))
+        for k in range(1, k_max + 1)
+        for m in range(1, k + 1)
+        for kind in ("toeplitz", "modified_toeplitz")
+    ]
+    expected = []
+    for family in families:
+        counts = hashing_oracle.colliding_member_counts(family)
+        assert batched_counts(family, hashing_oracle.nonzero_differences(family)) == counts, family.describe()
+        expected.append(hashing_oracle.collision_report(family, counts))
+        assert collision_stats(family) == expected[-1], family.describe()
+    # chunk boundaries must not change the worst count or the first difference attaining it
+    monkeypatch.setattr(hashing, "_CHUNK", 37)
+    assert [collision_stats(family) for family in families] == expected
+
+
+@pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (5, 2)])
+def test_identity_only_family_never_collides(q, k):
+    # Toeplitz-identity with k = m has no Toeplitz block: every member is the identity map
+    family = make_family("modified_toeplitz", q, k, k)
+    report = collision_stats(family)
+    assert (report.max_collision_prob, report.is_universal2, report.worst_input) == (0, True, 1)
+    assert batched_counts(family, hashing_oracle.nonzero_differences(family)) == [0] * (family.domain_size - 1)
+
+
+def test_zero_parameter_columns():
+    family = make_family("modified_toeplitz", 2, 1, 1)
+    assert hashing._toeplitz_block(family) == (0, 0)
+    assert batched_counts(family, [[1]]) == [0]
+    assert collision_stats(family) == hashing.CollisionReport(Fraction(0), True, 1)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_PRIMES)
+def test_row_reduction_matches_scalar_solver(q):
+    # difference systems always have rank 0 or m; random low-rank systems reach every rank
+    rng = np.random.default_rng(q)
+    for n_rows in range(1, 6):
+        for n_params in range(0, 8):
+            # 64 systems of rank at most rank[s], half with a right-hand side in the column space
+            rank = rng.integers(0, min(n_rows, n_params) + 1, size=64)
+            left = rng.integers(0, q, size=(64, n_rows, 5)) * (np.arange(5) < rank[:, None, None])
+            coeffs = np.einsum("sir,srp->sip", left, rng.integers(0, q, size=(64, 5, n_params))) % q
+            solvable = coeffs @ rng.integers(0, q, n_params) % q
+            rhs = np.where(rng.random(64)[:, None] < 0.5, solvable, rng.integers(0, q, (64, n_rows)))
+            stack = np.concatenate([coeffs, rhs[:, :, None]], axis=2).transpose(2, 1, 0)
+            dims = _solution_dims(np.ascontiguousarray(stack, dtype=hashing._KERNEL_DTYPE), q)
+            expected = [
+                hashing_oracle.solution_count_mod_prime(c.tolist(), r.tolist(), q, n_params)
+                for c, r in zip(coeffs, rhs)
+            ]
+            assert [q ** int(d) if d >= 0 else 0 for d in dims] == expected, (n_rows, n_params)
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 4), (3, 3), (5, 2)])
+def test_full_toeplitz_square(q, k):
+    # at m = k the band of a nonzero difference has full rank m, leaving k - 1 free parameters
+    family = make_family("toeplitz", q, k, k)
+    assert batched_counts(family, hashing_oracle.nonzero_differences(family)) == [q ** (k - 1)] * (family.domain_size - 1)
+    assert collision_stats(family) == hashing.CollisionReport(Fraction(1, q**k), True, 1)
+
+
+def test_kernel_dtype_holds_an_elimination_step():
+    # entries stay below q and one step forms at most (q - 1)**2 + q; a larger prime must widen the dtype
+    q = max(SUPPORTED_PRIMES)
+    assert (q - 1) ** 2 + q <= np.iinfo(hashing._KERNEL_DTYPE).max
