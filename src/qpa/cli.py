@@ -139,6 +139,9 @@ def _lift_to_domain(state, domain: int):
 
 def cmd_verify(args) -> int:
     if args.suite == "full":
+        for flag in ("s", "family", "preset", "state"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} cannot be combined with --suite full, which ignores it")
         reports = vmod.run_full_suite()
     else:
         if not args.family:

@@ -224,11 +224,25 @@ def test_suite_full_matches_golden(capsys):
 
 
 def test_suite_full_json_matches_golden_digest(capsys):
-    # SHA-256 of the parent's 222 KB output; suite_full_golden.txt gives the readable diff
+    # SHA-256 of the 222 KB output; suite_full_golden.txt gives the readable diff
     code = main(["verify", "--suite", "full", "--format", "json"])
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "1f85eab4cbdd6d6a0c043d90af0b29385960ba9df11caccc0fb18312e7b36277"
+    assert digest == "3fa73026d8815eca95cddd8863e4018c83e35a43fbefc09895e5cd4cba6c8f78"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--s", "0"), ("--family", "toeplitz:q=2,k=2,m=1"), ("--preset", "copy"), ("--state", "state.json")],
+    ids=["s", "family", "preset", "state"],
+)
+def test_suite_full_rejects_ignored_flags(capsys, flag, value):
+    # the suite runs its own corpus, families and order grid
+    code = main(["verify", "--suite", "full", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} cannot be combined with --suite full, which ignores it\n"
 
 
 def test_complex_lifted_verify_matches_golden(monkeypatch, capsys):

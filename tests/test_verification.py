@@ -1,12 +1,16 @@
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qpa.cqstate import AlphabetMismatchError, preset, random_cq, tensor_power
+from lemma_oracle import SUITE_SEEDS, lemma_min_eigenvalues, seeded_psd
+from qpa.cqstate import AlphabetMismatchError, CQState, preset, random_cq, tensor_power
 from qpa.hashing import make_family
-from qpa.hermitian import HermitianMatrix, matrix_log, matrix_power
+from qpa.hermitian import HermitianMatrix, matrix_log, matrix_power, pinch
 from qpa.quantities import StateDecomposition, mutual_info_variants, renyi_cond_joint
 import qpa.verification as vmod
 from qpa.verification import (
@@ -229,6 +233,77 @@ def test_matrix_lemma_checks_seeded():
         assert rep.passed, seed
         assert rep.min_eig_power >= -1e-9
         assert rep.min_eig_log >= -1e-9
+
+
+@pytest.mark.parametrize("s_grid", [(0.0, 0.5), (2.0,), (-0.5,), ()], ids=["zero", "above-one", "negative", "empty"])
+def test_matrix_lemma_grid_validated(s_grid):
+    with pytest.raises(ValueError, match=r"s in \(0, 1\]"):
+        matrix_lemma_checks(seed=0, dim=3, s_grid=s_grid)
+
+
+def test_matrix_lemma_scalars_match_matrix_oracle():
+    for seed, dim in SUITE_SEEDS:
+        power, log = lemma_min_eigenvalues(seed, dim, DEFAULT_S_GRID)
+        power_gap, log_gap = vmod._lemma_gaps(np.linalg.eigh(seeded_psd(seed, dim).mat)[0], DEFAULT_S_GRID)
+        np.testing.assert_allclose(power_gap.min(axis=1), power, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_gap.min(axis=1), log, rtol=0, atol=1e-12)
+        rep = matrix_lemma_checks(seed=seed, dim=dim)
+        assert rep.min_eig_power == pytest.approx(power.min(), abs=1e-12)
+        assert rep.min_eig_log == pytest.approx(log.min(), abs=1e-12)
+        # the power lemma is tight at s = 1, where the scalar difference is exactly 0
+        assert rep.min_eig_power == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 45, 123, 194])
+def test_matrix_lemma_scalars_match_mpmath(seed):
+    # 50-digit eigenvalues of the same X; seed 194 is where the matrix route reads -5.09e-14
+    dim = dict(SUITE_SEEDS)[seed]
+    x = seeded_psd(seed, dim).mat
+    power_gap, log_gap = vmod._lemma_gaps(np.linalg.eigh(x)[0], DEFAULT_S_GRID)
+    with mpmath.workdps(50):
+        lam = [mpmath.re(e) for e in mpmath.eighe(mpmath.matrix(x.tolist()), eigvals_only=True)]
+        for k, s in enumerate(DEFAULT_S_GRID):
+            s_mp = mpmath.mpf(s)
+            true_power = min(1 + e**s_mp - (1 + e) ** s_mp for e in lam)
+            true_log = min(e**s_mp / s_mp - mpmath.log1p(e) for e in lam)
+            assert abs(power_gap[k].min() - true_power) <= 1e-13, s
+            assert abs(log_gap[k].min() - true_log) <= 1e-13, s
+            assert (true_power == 0) if s == 1.0 else (true_power > 0), s
+    assert matrix_lemma_checks(seed=seed, dim=dim).min_eig_power == 0.0
+
+
+@given(
+    lam=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=6),
+    s=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_lemma_gaps_are_nonnegative(lam, s):
+    # both lemmas hold for every lambda >= 0 and s in (0, 1]; below 0 is only the
+    # rounding of terms of size (1 + lambda)^s. A subnormal s overflows lambda^s / s
+    # to +inf, which still satisfies the log lemma.
+    lam = np.array(lam)
+    with np.errstate(over="ignore"):
+        power_gap, log_gap = vmod._lemma_gaps(lam, (s,))
+    floor = -1e-15 * (1.0 + lam) ** s
+    assert np.all(power_gap[0] >= floor)
+    assert np.all(log_gap[0] >= floor)
+
+
+def test_lemma_gaps_cut_the_kernel():
+    # eigh returns a rank-deficient X's zero eigenvalues as rounding-sized values of
+    # either sign; as in matrix_power, those at or below SUPPORT_RTOL * max are exact zeros
+    power_gap, log_gap = vmod._lemma_gaps(np.array([-3e-17, 2e-13, 1.0]), DEFAULT_S_GRID)
+    assert np.all(power_gap[:, :2] == 0.0)
+    assert np.all(log_gap[:, :2] == 0.0)
+
+
+def test_pinching_sandwich_matches_per_symbol_pinch(corpus_states):
+    for name, state in corpus_states.items():
+        eve = state.decomposition.eve
+        reference = CQState(state.probs, [pinch(eve, HermitianMatrix(rho)).mat for rho in state.rhos])
+        info = reference.decomposition.mutual_info_variants()
+        rep = pinching_bound_check(state, name=name)
+        assert rep.i_pinched == pytest.approx(info["I"], abs=1e-12), name
+        assert rep.i_bar_pinched == pytest.approx(info["I_bar"], abs=1e-12), name
 
 
 def test_pinching_bound_commuting_state():
