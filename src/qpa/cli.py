@@ -4,8 +4,9 @@ Commands: ``quantities`` (information-quantity report), ``verify`` (hashing
 bound suites), ``exponents`` (decay exponents at given rates), ``sweep``
 (exponent curve as CSV), ``rates`` (equivocation and leak rates), and
 ``selftest`` (embedded closed-form checks). Data files always carry nats;
-``--log-base bits`` rescales the text display only. Identical invocations
-produce byte-identical output.
+``--log-base bits`` rescales the text display of ``quantities``,
+``exponents`` and ``rates`` only. Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def cmd_verify(args) -> int:
         state = _load_state(args)
         family = parse_family(args.family)
         state = _lift_to_domain(state, family.domain_size)
-        s_grid = tuple(_parse_floats(args.s)) if args.s else vmod.DEFAULT_S_GRID
+        s_grid = tuple(_parse_floats(args.s)) if args.s is not None else vmod.DEFAULT_S_GRID
         reports = vmod.verify_hashing_bounds(state, family, s_grid, name=args.preset or args.state)
         coll = collision_stats(family)
         if not coll.is_universal2:
@@ -314,10 +315,11 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", help="path to a JSON state file")
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
+def _add_output_args(p: argparse.ArgumentParser, log_base: bool = True) -> None:
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--log-base", choices=("nats", "bits"), default="nats")
+    if log_base:
+        p.add_argument("--log-base", choices=("nats", "bits"), default="nats", help="unit of the text display")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", help="family descriptor, e.g. toeplitz:q=2,k=2,m=1")
     p.add_argument("--s", help="comma-separated order grid (default 0.1..1.0)")
     p.add_argument("--suite", choices=("full",), help="run the whole standard corpus")
-    _add_output_args(p)
+    _add_output_args(p, log_base=False)  # slacks are nats or, for the exp bound, ratios
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("exponents", help="decay exponents at given key rates")

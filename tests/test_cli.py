@@ -151,6 +151,32 @@ def test_verify_copy_trivial_family(capsys):
     assert "slack=" in out and "PASS" in out
 
 
+@pytest.mark.parametrize("grid", ["", ","], ids=["empty", "comma"])
+def test_verify_rejects_an_empty_order_grid(capsys, grid):
+    # an empty --s is an empty grid, not a request for the default one
+    code = main(["verify", "--preset", "copy", "--family", "toeplitz:q=2,k=1,m=1", "--s", grid])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: the hashing bounds hold for s in (0, 1]; got grid ()\n"
+
+
+@pytest.mark.parametrize("command", ["quantities", "exponents", "rates"])
+def test_log_base_rescales_the_text_display(capsys, command):
+    assert main([command, "--preset", "product", "--log-base", "bits"]) == 0
+    bits = capsys.readouterr().out
+    assert main([command, "--preset", "product"]) == 0
+    assert bits != capsys.readouterr().out
+
+
+def test_verify_has_no_log_base(capsys):
+    # its slacks are in nats or, for the exp bound, a dimensionless ratio
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--preset", "product", "--family", "toeplitz:q=2,k=1,m=1", "--log-base", "bits"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --log-base bits" in capsys.readouterr().err
+
+
 def test_verify_json_report(capsys):
     code = main(
         ["verify", "--preset", "copy", "--family", "toeplitz:q=2,k=1,m=1", "--format", "json"]
@@ -228,7 +254,7 @@ def test_suite_full_json_matches_golden_digest(capsys):
     code = main(["verify", "--suite", "full", "--format", "json"])
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "3fa73026d8815eca95cddd8863e4018c83e35a43fbefc09895e5cd4cba6c8f78"
+    assert digest == "7d281a33fd315f549d59b483bfe417dba244b0adda12a08f697beeffa58de482"
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from qpa.cqstate import make_cq_state, preset, random_cq, tensor_power
 from qpa.exponents import exponent_row, rates
 from qpa.hashing import make_family
 from qpa.hermitian import HermitianMatrix
 from qpa.quantities import (
+    S_MAX,
     StateDecomposition,
     cond_entropy,
     cond_entropy_bar,
@@ -31,6 +34,7 @@ from qpa.quantities import (
 from qpa.verification import verify_hashing_bounds
 
 from classical_oracle import classical_quantities
+from renyi_oracle import renyi_references
 
 LOG2 = math.log(2.0)
 
@@ -129,10 +133,74 @@ def test_order_parameter_domains():
         renyi_cond(st, -0.1)
     with pytest.raises(ValueError, match="cond_entropy_bar"):
         renyi_cond_bar_star(st, 0.0)
+    with pytest.raises(ValueError, match="cond_entropy_bar"):
+        st.decomposition.renyi_cond_bar_star_grid([0.5, 0.0])
     with pytest.raises(ValueError):
         phi_quantity(st, 0.95)
     with pytest.raises(ValueError):
         phi_quantity(st, -0.1)
+
+
+@pytest.mark.parametrize("s", [math.nan, -0.5, 10.0, math.inf], ids=["nan", "negative", "above-max", "inf"])
+@pytest.mark.parametrize("quantity", ["renyi_cond", "renyi_cond_bar_star"])
+def test_renyi_orders_checked_by_grid_and_scalar(quantity, s):
+    dec = preset("tilted-qubit").decomposition
+    message = f"s={s} outside \\[0, {S_MAX}\\]"
+    with pytest.raises(ValueError, match=message):
+        getattr(dec, quantity)(s)
+    with pytest.raises(ValueError, match=message):
+        getattr(dec, f"{quantity}_grid")([0.5, s])
+
+
+REFERENCE_ORDERS = [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "name", ["tilted-qubit", "bb84(0.39269908169872414)", "depolarized(0.3)", "7:2,2", "11:4,3", "13:3,4", "17:8,2"]
+)
+def test_renyi_matches_50_digit_reference(name):
+    # down to s = 1e-12, where 1e-15 of rounding in the trace becomes 1e-3 in -log(trace) / s
+    if ":" in name:
+        seed, shape = name.split(":")
+        st = random_cq(int(seed), *(int(n) for n in shape.split(",")))
+    else:
+        st = preset(name)
+    dec = st.decomposition
+    h_ref, bar_ref = renyi_references(st, REFERENCE_ORDERS)
+    h_grid = dec.renyi_cond_grid(REFERENCE_ORDERS)
+    bar_grid = dec.renyi_cond_bar_star_grid(REFERENCE_ORDERS)
+    for k, s in enumerate(REFERENCE_ORDERS):
+        h, hbar = float(h_ref[k]), float(bar_ref[k])
+        for value in (dec.renyi_cond(s), h_grid[k]):
+            assert abs(value - h) <= 1e-13 * max(1.0, abs(h)), (name, s)
+        for value in (dec.renyi_cond_bar_star(s), bar_grid[k]):
+            assert abs(value - hbar) <= 1e-13 * max(1.0, abs(hbar)), (name, s)
+
+
+@given(
+    seed=hst.integers(0, 10_000),
+    shape=hst.sampled_from([(2, 2), (4, 3), (3, 4), (8, 2)]),
+    s=hst.floats(1e-12, 1e-2),
+)
+def test_small_orders_stay_below_the_von_neumann_limits(seed, shape, s):
+    dec = random_cq(seed, *shape).decomposition
+    h = dec.renyi_cond(s)
+    assert h <= dec.cond_entropy() + 1e-14
+    assert dec.renyi_cond_bar_star(s) <= dec.cond_entropy_bar() + 1e-14
+    assert dec.renyi_cond(2 * s) <= h + 1e-14
+
+
+def test_bar_star_keeps_the_mass_outside_the_sandwich_support():
+    # |0> and |+>: each rho_a puts 1 - cos^2(pi/8) of its mass outside the support
+    # of its rank-one sandwich, so Tr rho (rho_E^-1/2 rho rho_E^-1/2)^s tends to
+    # cos^2(pi/8) < 1 as s -> 0 and Hbar*_{1+s} grows like -log(cos^2(pi/8)) / s
+    plus = np.full((2, 2), 0.5)
+    st = make_cq_state([0.5, 0.5], [np.diag([1.0, 0.0]), plus])
+    dec = st.decomposition
+    for s in (1e-6, 1e-3, 0.25, 1.0, 4.0):
+        joint = renyi_cond_bar_star_joint(st, s)
+        assert dec.renyi_cond_bar_star(s) == pytest.approx(joint, rel=1e-12), s
+    assert dec.renyi_cond_bar_star(1e-6) == pytest.approx(-math.log(math.cos(math.pi / 8) ** 2) / 1e-6, rel=1e-9)
 
 
 def test_monotone_decreasing_in_s(corpus_states):
