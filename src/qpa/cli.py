@@ -84,15 +84,20 @@ def _write_output(path: str | None, text: str) -> None:
         raise
 
 
+# report-key prefix, display label; the key's parameter and ")" follow the prefix
+_PARAMETER_SYMBOLS = (
+    ("H_renyi_bar_star(", "Hbar*_(1+s)(A|E), s="),
+    ("H_renyi(", "H_(1+s)(A|E), s="),
+    ("phi(", "phi(t), t="),
+)
+
+
 def _display_symbol(key: str) -> str:
     if key in qmod.QUANTITY_SYMBOLS:
         return qmod.QUANTITY_SYMBOLS[key]
-    if key.startswith("H_renyi_bar_star("):
-        return f"Hbar*_(1+s)(A|E), s={key[18:-1]}"
-    if key.startswith("H_renyi("):
-        return f"H_(1+s)(A|E), s={key[8:-1]}"
-    if key.startswith("phi("):
-        return f"phi(t), t={key[4:-1]}"
+    for prefix, label in _PARAMETER_SYMBOLS:
+        if key.startswith(prefix):
+            return label + key[len(prefix) : -1]
     return key
 
 

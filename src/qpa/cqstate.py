@@ -188,12 +188,17 @@ def joint_density(state: CQState) -> HermitianMatrix:
     return HermitianMatrix(out.reshape(n * d, n * d), atol=None)
 
 
-def eve_marginal(state: CQState) -> HermitianMatrix:
-    """Partial trace over the classical register: ``sum_a P(a) rho_a``."""
+def eve_marginal_entries(state: CQState) -> np.ndarray:
+    """Partial trace over the classical register, ``sum_a P(a) rho_a``, as a read-only Hermitian array."""
     out = np.zeros((state.eve_dim, state.eve_dim), dtype=np.complex128)
     for a in range(state.alphabet_size):
         out += state.probs[a] * state.rhos[a]
-    return HermitianMatrix(out, atol=None)
+    return hermitian_entries(out, atol=None)
+
+
+def eve_marginal(state: CQState) -> HermitianMatrix:
+    """:func:`eve_marginal_entries` as a :class:`HermitianMatrix`, for the joint-matrix oracles."""
+    return HermitianMatrix(eve_marginal_entries(state), atol=None)
 
 
 def apply_function(state: CQState, f: ClassicalFunction) -> CQState:

@@ -172,18 +172,23 @@ def eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def eig_hermitian(m: HermitianMatrix) -> Spectrum:
-    """Eigendecomposition of ``m`` with descending, clustered eigenvalues.
+def eigh_descending(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """Descending eigenvalues, eigenvectors and :class:`Spectrum` clusters of one Hermitian array.
 
     Deterministic for identical input; the residual check of
-    :func:`eigh_batch` applies.
+    :func:`eigh_batch` applies. Both arrays are read-only.
     """
-    w, v = eigh_batch(m.mat[None])
+    w, v = eigh_batch(mat[None])
     w = w[0, ::-1].copy()
     v = v[0, :, ::-1].copy()
     w.setflags(write=False)
     v.setflags(write=False)
-    return Spectrum(w, v, _cluster_ranges(w))
+    return w, v, _cluster_ranges(w)
+
+
+def eig_hermitian(m: HermitianMatrix) -> Spectrum:
+    """Eigendecomposition of ``m`` with descending, clustered eigenvalues."""
+    return Spectrum(*eigh_descending(m.mat))
 
 
 def _rebuild(v: np.ndarray, values: np.ndarray) -> HermitianMatrix:

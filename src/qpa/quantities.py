@@ -20,11 +20,12 @@ import math
 
 import numpy as np
 
-from .cqstate import CQState, eve_marginal, joint_density
+from .cqstate import CQState, eve_marginal, eve_marginal_entries, joint_density
 from .hermitian import (
     SUPPORT_RTOL,
     HermitianMatrix,
     eigh_batch,
+    eigh_descending,
     identity,
     matrix_log,
     matrix_power,
@@ -108,27 +109,26 @@ class StateDecomposition:
 
     Holds the eigensystems of each ``rho_a`` and of the E marginal, the
     squared overlaps between them, and the eigensystem of each sandwiched
-    block ``(rho^E)^{-1/2} rho_a (rho^E)^{-1/2}``. Each state builds one on
-    first use (``CQState.decomposition``), and every quantity, check and
-    exponent on the state reads it.
+    block ``(rho^E)^{-1/2} rho_a (rho^E)^{-1/2}``, all as arrays with one
+    row per symbol. Each state builds one on first use
+    (``CQState.decomposition``), and every quantity, check and exponent on
+    the state reads it.
     """
 
     def __init__(self, state: CQState):
         self.rhos = state.rhos  # not the state itself, which holds this decomposition
         self.alphabet_size = state.alphabet_size
         self.probs = state.probs
-        eve = eve_marginal(state)
-        self.eve = eve
-        espec = eve.spectrum
-        mu = np.maximum(espec.eigenvalues, 0.0)
-        cut = SUPPORT_RTOL * (float(mu[0]) if mu.size else 0.0)
-        supp = mu > cut
+        self.eve_mat = eve_marginal_entries(state)
+        eve_values, vmat, self.eve_clusters = eigh_descending(self.eve_mat)
+        self.eve_vectors = vmat
+        self.v_count = len(self.eve_clusters)
+        mu = np.maximum(eve_values, 0.0)
+        supp = mu > SUPPORT_RTOL * float(mu[0])
         self.mu = mu
         self.eve_support = supp
-        self.v_count = espec.distinct_count
         inv_sqrt = np.zeros_like(mu)
         inv_sqrt[supp] = mu[supp] ** -0.5
-        vmat = espec.eigenvectors
         b = (vmat * inv_sqrt) @ vmat.conj().T  # (rho^E)^{-1/2} on the support
 
         lam, u = state.eve_eigh  # from the state's validation
@@ -199,12 +199,8 @@ class StateDecomposition:
     # -- von Neumann layer ------------------------------------------------
 
     def joint_entropy(self) -> float:
-        parts = [
-            _entropy_of(self.probs[a] * self.lam[a])
-            for a in range(self.alphabet_size)
-            if self.probs[a] > 0.0
-        ]
-        return math.fsum(parts)
+        # the fsum of per-symbol entropies: one fsum over every term rounds differently
+        return math.fsum(map(_entropy_of, self.probs[:, None] * self.lam))
 
     def eve_entropy(self) -> float:
         return _entropy_of(self.mu)
@@ -216,16 +212,8 @@ class StateDecomposition:
         return self.joint_entropy() - self.eve_entropy()
 
     def cond_entropy_bar(self) -> float:
-        parts = []
-        for a in range(self.alphabet_size):
-            p = float(self.probs[a])
-            if p <= 0.0:
-                continue
-            xi = self.xi[a]
-            keep = self.xi_support[a]
-            w = self.xi_weight[a]
-            parts.append(p * float(np.sum(w[keep] * np.log(p * xi[keep]))))
-        return -math.fsum(parts)
+        log_pxi = np.where(self.xi_support, _log_positive(self.probs[:, None] * self.xi), 0.0)
+        return -math.fsum((self.probs * np.sum(self.xi_weight * log_pxi, axis=1)).tolist())
 
     # -- Renyi layer -------------------------------------------------------
 
@@ -250,64 +238,43 @@ class StateDecomposition:
         return _renyi_from_terms(self._bar_terms, _check_order(s_values, allow_zero=False))
 
     def min_entropy(self) -> float:
-        best = max(
-            float(self.probs[a]) * (float(self.xi[a][-1]) if self.xi[a].size else 0.0)
-            for a in range(self.alphabet_size)
-        )
-        return -math.log(best)
+        return -math.log(float(np.max(self.probs * self.xi[:, -1])))
 
     # -- mutual information layer -------------------------------------------
 
     def mutual_info_variants(self) -> dict[str, float]:
+        pos = self.probs > 0.0
         supp = self.eve_support
-        log_mu = np.zeros_like(self.mu)
-        log_mu[supp] = np.log(self.mu[supp])
-        i_parts = []
-        ibar_parts = []
-        ibarp_parts = []
-        for a in range(self.alphabet_size):
-            p = float(self.probs[a])
-            if p <= 0.0:
-                continue
-            lam = self.lam[a]
-            ov = self.overlap[a]
-            out_mass = float(np.sum(lam @ ov[:, ~supp])) if np.any(~supp) else 0.0
-            if out_mass > 1e-10:
-                return {k: math.inf for k in ("I", "I_prime", "I_bar", "I_bar_prime")}
-            tr_log_self = float(np.sum(lam[lam > 0.0] * np.log(lam[lam > 0.0])))
-            tr_log_eve = float(lam @ ov @ log_mu)
-            i_parts.append(p * (tr_log_self - tr_log_eve))
-            xi = self.xi[a]
-            keep = self.xi_support[a]
-            w = self.xi_weight[a]
-            tr_log_xi = float(np.sum(w[keep] * np.log(xi[keep])))
-            w_mass = float(np.sum(w[keep]))
-            ibar_parts.append(p * tr_log_xi)
-            ibarp_parts.append(p * (math.log(self.alphabet_size * p) * w_mass + tr_log_xi))
-        i_val = math.fsum(i_parts)
-        i_prime = i_val + math.log(self.alphabet_size) - self.classical_entropy()
+        # (1, d) @ (d, d) @ (d, 1) products per symbol, which round as per-row dots
+        lam_ov = (self.lam[:, None, :] @ self.overlap)[pos]
+        if np.any(np.sum(lam_ov[:, 0, ~supp], axis=1) > 1e-10):  # weight outside supp(rho^E)
+            return {k: math.inf for k in ("I", "I_prime", "I_bar", "I_bar_prime")}
+        p = self.probs[pos]
+        lam = self.lam[pos]
+        tr_log_self = np.sum(lam * _log_positive(lam), axis=1)
+        tr_log_eve = (lam_ov @ np.where(supp, _log_positive(self.mu), 0.0)[:, None])[:, 0, 0]
+        keep = self.xi_support[pos]
+        w = np.where(keep, self.xi_weight[pos], 0.0)
+        tr_log_xi = np.sum(w * _log_positive(self.xi[pos]), axis=1)
+        # math.log, not np.log, which rounds some arguments differently
+        log_ap = np.array([math.log(self.alphabet_size * x) for x in p.tolist()])
+        i_val = math.fsum((p * (tr_log_self - tr_log_eve)).tolist())
         return {
             "I": i_val,
-            "I_prime": i_prime,
-            "I_bar": math.fsum(ibar_parts),
-            "I_bar_prime": math.fsum(ibarp_parts),
+            "I_prime": i_val + math.log(self.alphabet_size) - self.classical_entropy(),
+            "I_bar": math.fsum((p * tr_log_xi).tolist()),
+            "I_bar_prime": math.fsum((p * (log_ap * np.sum(w, axis=1) + tr_log_xi)).tolist()),
         }
 
     # -- distances and the phi functional ------------------------------------
 
     def trace_distances(self) -> dict[str, float]:
-        eve = self.eve.mat
         n = self.alphabet_size
-        d1_parts = []
-        d1p_parts = []
-        for a in range(n):
-            rho = self.rhos[a]
-            p = float(self.probs[a])
-            diff = p * (rho - eve)
-            d1_parts.append(float(np.sum(np.abs(np.linalg.eigvalsh(diff)))))
-            diffp = p * rho - eve / n
-            d1p_parts.append(float(np.sum(np.abs(np.linalg.eigvalsh(diffp)))))
-        return {"d1": math.fsum(d1_parts), "d1_prime": math.fsum(d1p_parts)}
+        p = self.probs[:, None, None]
+        # rows 0..n-1: P(a) (rho_a - rho^E); rows n..2n-1: P(a) rho_a - rho^E / |A|
+        diffs = np.concatenate([p * (self.rhos - self.eve_mat), p * self.rhos - self.eve_mat / n])
+        norms = np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=1).tolist()
+        return {"d1": math.fsum(norms[:n]), "d1_prime": math.fsum(norms[n:])}
 
     def phi(self, t: float) -> float:
         return float(self.phi_grid([t])[0])
@@ -538,9 +505,12 @@ def quantity_report(state: CQState, s_values=(0.5,)) -> QuantityReport:
         if 0.0 <= s <= 0.5:
             out[f"phi({s:g})"] = dec.phi(s)
     cap = math.log(state.alphabet_size) + 1e-9
+    capped = ("H_cond", "H_renyi(", "H_min")
+    if dec._bar_terms[2] == 0.0:  # a shortfall (nonzero log_mass) rightly lifts Hbar*_{1+s} above log|A|
+        capped += ("H_renyi_bar_star(",)
     for key, val in out.items():
         if not math.isfinite(val):
             raise ValueError(f"quantity {key} is not finite")
-        if key.startswith(("H_cond", "H_renyi", "H_min")) and val > cap:
+        if key.startswith(capped) and val > cap:
             raise ValueError(f"conditional entropy {key}={val} exceeds log|A|")
     return QuantityReport(dict(sorted(out.items())))

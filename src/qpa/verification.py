@@ -165,21 +165,18 @@ def verify_exp_leak_bound(
 
     rhs_by_s = {}
     lhs_by_s = {}
-    slack = math.inf
-    best_s = float(s_grid[0])
     derived_ok = True
     for s in s_grid:
-        s = float(s)
         hbar = dec.renyi_cond_bar_star(s)
-        rhs = 1.0 + math.exp(s * (math.log(big_m) - hbar))
-        lhs = math.fsum(math.exp(s * val) for val in ibar_vals) / family.member_count
-        rhs_by_s[s] = rhs
-        lhs_by_s[s] = lhs
-        if rhs - lhs < slack:
-            slack = rhs - lhs
-            best_s = s
+        rhs_by_s[s] = 1.0 + math.exp(s * (math.log(big_m) - hbar))
+        lhs_by_s[s] = math.fsum(math.exp(s * val) for val in ibar_vals) / family.member_count
         if s * avg_ibar > math.exp(s * (math.log(big_m) - hbar)) + SLACK_TOL:
             derived_ok = False
+    slack_by_s = {s: rhs_by_s[s] - lhs_by_s[s] for s in s_grid}
+    slack = min(slack_by_s.values())
+    # the binding order: the smallest within SLACK_TOL of the minimum, so that a
+    # slack flat to rounding does not pick an order by its last bit
+    best_s = min(s for s, gap in slack_by_s.items() if gap <= slack + SLACK_TOL)
     return BoundReport(
         check="hashing-bound-exp-Ibar-prime",
         lhs=lhs_by_s[best_s],
@@ -279,9 +276,8 @@ def pinching_bound_check(state: CQState, *, name: str = "") -> PinchReport:
     the E marginal's eigenvalue-cluster projectors ``P_k``.
     """
     dec = state.decomposition
-    spec = dec.eve.spectrum
-    v = spec.eigenvectors
-    projectors = [v[:, a:b] @ v[:, a:b].conj().T for a, b in spec.clusters]
+    v = dec.eve_vectors
+    projectors = [v[:, a:b] @ v[:, a:b].conj().T for a, b in dec.eve_clusters]
     pinched = CQState(state.probs, sum(p @ state.rhos @ p for p in projectors))
     i_orig = dec.mutual_info_variants()["I"]
     pinched_info = pinched.decomposition.mutual_info_variants()

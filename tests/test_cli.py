@@ -40,6 +40,38 @@ def test_quantities_text(capsys):
     assert float(line.split()[-1]) == pytest.approx(LOG2, abs=1e-11)
 
 
+def test_quantities_text_labels_every_order(capsys):
+    # each parameterised label carries the order exactly as its report key does
+    code = main(["quantities", "--preset", "tilted-qubit", "--s", "1,0.25"])
+    labels = [line[:36].rstrip() for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    for s in ("0.25", "1"):
+        assert f"H_(1+s)(A|E), s={s}" in labels
+        assert f"Hbar*_(1+s)(A|E), s={s}" in labels
+    assert "phi(t), t=0.25" in labels
+    assert not any(label.endswith("s=") or "s=." in label for label in labels)
+
+
+def test_quantities_accepts_hbar_star_above_log_alphabet(tmp_path, capsys):
+    # |0><0| and |+><+|: each rho_a has weight outside its sandwich's support, so
+    # Hbar*_{1+s} exceeds log|A| at small s, and the report must not reject it
+    from qpa.cqstate import load_state_json
+    from qpa.quantities import renyi_cond_bar_star_joint
+
+    doc = {
+        "probs": [0.5, 0.5],
+        "eve_states": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]],
+    }
+    path = tmp_path / "zero_plus.json"
+    path.write_text(json.dumps(doc))
+    code = main(["quantities", "--state", str(path), "--s", "0.1", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    value = json.loads(captured.out)["values"]["H_renyi_bar_star(0.1)"]
+    assert value > LOG2
+    assert value == pytest.approx(renyi_cond_bar_star_joint(load_state_json(path.read_text()), 0.1), abs=1e-12)
+
+
 def test_quantities_json_matches_golden(tmp_path, capsys):
     code = main(["quantities", "--preset", "tilted-qubit", "--s", "0.25", "--format", "json"])
     out = capsys.readouterr().out
@@ -254,7 +286,7 @@ def test_suite_full_json_matches_golden_digest(capsys):
     code = main(["verify", "--suite", "full", "--format", "json"])
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "7d281a33fd315f549d59b483bfe417dba244b0adda12a08f697beeffa58de482"
+    assert digest == "d07b543ffa9ef3736169b82e4b678eb6634d4353a031d344e8da265f5b4ad649"
 
 
 @pytest.mark.parametrize(
@@ -279,6 +311,31 @@ def test_complex_lifted_verify_matches_golden(monkeypatch, capsys):
     code = main([*argv, "--format", "json"])
     assert code == 0
     assert capsys.readouterr().out.encode() == (DATA / "complex_lifted_verify_golden.json").read_bytes()
+
+
+def test_commands_take_one_spectral_path(monkeypatch, capsys):
+    # every command below reads the arrays of StateDecomposition; HermitianMatrix and
+    # eig_hermitian serve only the joint oracles, selftest and CQState.eve_states
+    from qpa import hermitian
+
+    counts = {"HermitianMatrix": 0, "eig_hermitian": 0}
+    init, eig = hermitian.HermitianMatrix.__init__, hermitian.eig_hermitian
+
+    def counted_init(self, *args, **kwargs):
+        counts["HermitianMatrix"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_eig(*args, **kwargs):
+        counts["eig_hermitian"] += 1
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(hermitian.HermitianMatrix, "__init__", counted_init)
+    monkeypatch.setattr(hermitian, "eig_hermitian", counted_eig)
+    lifted = ["--state", str(DATA / "complex_qubit_state.json"), "--family", "modified_toeplitz:q=2,k=5,m=3"]
+    for argv in (["verify", "--suite", "full"], ["verify", *lifted], ["quantities", "--preset", "tilted-qubit"]):
+        assert main(argv) == 0, argv
+        assert counts == {"HermitianMatrix": 0, "eig_hermitian": 0}, argv
+    capsys.readouterr()
 
 
 def test_size_cap_exit_6(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from qpa.cqstate import make_cq_state, preset, random_cq, tensor_power
+from qpa.cqstate import ClassicalFunction, apply_function, make_cq_state, preset, random_cq, tensor_power
 from qpa.exponents import exponent_row, rates
 from qpa.hashing import make_family
 from qpa.hermitian import HermitianMatrix
@@ -351,10 +351,25 @@ def test_relative_entropies():
     assert after["D"] == pytest.approx(after["D_bar"], abs=1e-9)
 
 
+def _rank_deficient_state():
+    # both eve states live in a 2-dim subspace of a 3-dim E space
+    u = np.array([[1, 0], [0, 1], [0, 0]], dtype=complex)
+    r0 = u @ np.diag([0.8, 0.2]) @ u.conj().T
+    v = np.array([[1 / math.sqrt(2)], [1 / math.sqrt(2)], [0]], dtype=complex)
+    r1 = 0.7 * (v @ v.conj().T) + 0.3 * (u @ (np.eye(2) / 2) @ u.conj().T)
+    return make_cq_state([0.55, 0.45], [r0, r1])
+
+
 def test_blockwise_agrees_with_joint_path(preset_states):
     states = dict(preset_states)
     states["random40"] = random_cq(40, 4, 3)
     states["random41"] = random_cq(41, 3, 2)
+    # d_E >= 8: numpy sums rows of 8 or more entries pairwise, with unrolled partial sums
+    states["random42"] = random_cq(42, 3, 9)
+    # output symbol 1 is never hit: probability 0 and a maximally mixed placeholder
+    states["hashed-empty"] = apply_function(random_cq(43, 4, 3), ClassicalFunction(4, 3, (0, 2, 0, 2)))
+    assert states["hashed-empty"].probs[1] == 0.0
+    states["rank-deficient"] = _rank_deficient_state()
     for name, st in states.items():
         dec = StateDecomposition(st)
         for s in (0.25, 1.0):
@@ -375,6 +390,58 @@ def test_blockwise_agrees_with_joint_path(preset_states):
             assert block_dist[key] == pytest.approx(joint_dist[key], abs=1e-10), (name, key)
         for t in (0.0, 0.25, 0.5):
             assert dec.phi(t) == pytest.approx(phi_quantity_joint(st, t), abs=1e-10), name
+
+
+def _per_symbol_loops(dec):
+    """The blockwise quantities as one loop over the symbols, in the same arithmetic."""
+
+    def entropy(values):
+        return -math.fsum(v * math.log(v) for v in values[values > 0.0].tolist())
+
+    n = dec.alphabet_size
+    log_mu = np.zeros_like(dec.mu)
+    log_mu[dec.eve_support] = np.log(dec.mu[dec.eve_support])
+    h_ae, h_bar, i_parts, ibar_parts, ibarp_parts, d1, d1p = [], [], [], [], [], [], []
+    for a in range(n):
+        p, lam, keep, w, xi = float(dec.probs[a]), dec.lam[a], dec.xi_support[a], dec.xi_weight[a], dec.xi[a]
+        d1.append(float(np.sum(np.abs(np.linalg.eigvalsh(p * (dec.rhos[a] - dec.eve_mat))))))
+        d1p.append(float(np.sum(np.abs(np.linalg.eigvalsh(p * dec.rhos[a] - dec.eve_mat / n)))))
+        if p <= 0.0:
+            continue
+        h_ae.append(entropy(dec.probs[a] * lam))
+        h_bar.append(p * float(np.sum(w[keep] * np.log(p * xi[keep]))))
+        tr_log_self = float(np.sum(lam[lam > 0.0] * np.log(lam[lam > 0.0])))
+        i_parts.append(p * (tr_log_self - float(lam @ dec.overlap[a] @ log_mu)))
+        tr_log_xi = float(np.sum(w[keep] * np.log(xi[keep])))
+        ibar_parts.append(p * tr_log_xi)
+        ibarp_parts.append(p * (math.log(n * p) * float(np.sum(w[keep])) + tr_log_xi))
+    i_val = math.fsum(i_parts)
+    return {
+        "H_AE": math.fsum(h_ae),
+        "H_cond_bar": -math.fsum(h_bar),
+        "H_min": -math.log(max(float(dec.probs[a]) * float(dec.xi[a][-1]) for a in range(n))),
+        "I": i_val,
+        "I_prime": i_val + math.log(n) - entropy(dec.probs),
+        "I_bar": math.fsum(ibar_parts),
+        "I_bar_prime": math.fsum(ibarp_parts),
+        "d1": math.fsum(d1),
+        "d1_prime": math.fsum(d1p),
+    }
+
+
+def test_blockwise_arrays_round_as_per_symbol_loops(corpus_states):
+    # below 8 entries per row numpy sums rows sequentially, so the masked
+    # array expressions must reproduce the loop's bits exactly
+    states = dict(corpus_states)
+    states["hashed-empty"] = apply_function(random_cq(43, 4, 3), ClassicalFunction(4, 3, (0, 2, 0, 2)))
+    states["rank-deficient"] = _rank_deficient_state()
+    states["random44"] = random_cq(44, 5, 7)
+    for name, st in states.items():
+        dec = StateDecomposition(st)
+        arrays = {"H_AE": dec.joint_entropy(), "H_cond_bar": dec.cond_entropy_bar(), "H_min": dec.min_entropy()}
+        arrays.update(dec.mutual_info_variants())
+        arrays.update(dec.trace_distances())
+        assert arrays == _per_symbol_loops(dec), name
 
 
 def test_grid_evaluations_match_scalar():
@@ -416,14 +483,9 @@ def test_quantity_report_invariants(corpus_states):
 
 
 def test_rank_deficient_eve_marginal():
-    # both eve states live in a 2-dim subspace of a 3-dim E space, so every
-    # inverse power acts on a strict support; blockwise and joint paths must
-    # still agree and the identities must survive
-    u = np.array([[1, 0], [0, 1], [0, 0]], dtype=complex)
-    r0 = u @ np.diag([0.8, 0.2]) @ u.conj().T
-    v = np.array([[1 / math.sqrt(2)], [1 / math.sqrt(2)], [0]], dtype=complex)
-    r1 = 0.7 * (v @ v.conj().T) + 0.3 * (u @ (np.eye(2) / 2) @ u.conj().T)
-    st = make_cq_state([0.55, 0.45], [r0, r1])
+    # every inverse power acts on a strict support; blockwise and joint paths
+    # must still agree and the identities must survive
+    st = _rank_deficient_state()
     dec = StateDecomposition(st)
     assert dec.renyi_cond(2.5) == pytest.approx(renyi_cond_joint(st, 2.5), abs=1e-10)
     assert dec.renyi_cond_bar_star(0.5) == pytest.approx(

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lemma_oracle import SUITE_SEEDS, lemma_min_eigenvalues, seeded_psd
-from qpa.cqstate import AlphabetMismatchError, CQState, preset, random_cq, tensor_power
+from qpa.cqstate import AlphabetMismatchError, CQState, eve_marginal, preset, random_cq, tensor_power
 from qpa.hashing import make_family
 from qpa.hermitian import HermitianMatrix, matrix_log, matrix_power, pinch
 from qpa.quantities import StateDecomposition, mutual_info_variants, renyi_cond_joint
@@ -140,6 +140,23 @@ def test_verify_exp_leak_bound_closed_forms_and_enumeration():
     tilted2 = tensor_power(preset("tilted-qubit"), 2)
     for family in families_for(4):
         assert verify_exp_leak_bound(tilted2, family, name="tilted^2").passed, family.describe()
+
+
+def test_exp_leak_bound_reports_the_smallest_binding_order():
+    # copy against the one-member family: the slack 1 + 2^s - 2^s is 1 at every
+    # order up to rounding, so no order may win by its last bit
+    copy = preset("copy")
+    trivial = make_family("modified_toeplitz", 2, 1, 1)
+    for grid in (DEFAULT_S_GRID, DEFAULT_S_GRID[::-1]):
+        rep = verify_exp_leak_bound(copy, trivial, grid, name="copy")
+        assert rep.best_s == 0.1
+        assert rep.lhs == rep.metadata["lhs_by_s"]["0.1"]
+    # a slack that is not flat binds at its minimum
+    tilted2 = tensor_power(preset("tilted-qubit"), 2)
+    rep = verify_exp_leak_bound(tilted2, make_family("toeplitz", 2, 2, 1), name="tilted^2")
+    gaps = {s: rep.rhs_by_s[s] - rep.metadata["lhs_by_s"][f"{s:g}"] for s in rep.rhs_by_s}
+    assert rep.best_s == min(gaps, key=gaps.get)
+    assert rep.slack == gaps[rep.best_s]
 
 
 def test_verify_exp_leak_bound_random_states():
@@ -298,7 +315,7 @@ def test_lemma_gaps_cut_the_kernel():
 
 def test_pinching_sandwich_matches_per_symbol_pinch(corpus_states):
     for name, state in corpus_states.items():
-        eve = state.decomposition.eve
+        eve = eve_marginal(state)
         reference = CQState(state.probs, [pinch(eve, HermitianMatrix(rho)).mat for rho in state.rhos])
         info = reference.decomposition.mutual_info_variants()
         rep = pinching_bound_check(state, name=name)
