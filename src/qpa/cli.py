@@ -68,6 +68,13 @@ def _parse_floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+def _parse_rates(text: str) -> list[float]:
+    rates = _parse_floats(text)
+    if not rates:
+        raise ValueError(f"--r needs at least one key rate, got {text!r}")
+    return rates
+
+
 def _write_output(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -172,7 +179,7 @@ def cmd_verify(args) -> int:
 
 def cmd_exponents(args) -> int:
     state = _load_state(args)
-    rows = [expmod.exponent_row(state, r) for r in _parse_floats(args.r)]
+    rows = [expmod.exponent_row(state, r) for r in _parse_rates(args.r)]
     if args.format == "json":
         doc = {"units": "nats", "rows": [vars(row) for row in rows]}
         _write_output(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -199,7 +206,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_rates(args) -> int:
     state = _load_state(args)
-    points = [expmod.rates(state, r) for r in _parse_floats(args.r)]
+    points = [expmod.rates(state, r) for r in _parse_rates(args.r)]
     if args.format == "json":
         doc = {"units": "nats", "rows": [vars(p) for p in points]}
         _write_output(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")

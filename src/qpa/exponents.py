@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from .cqstate import CQState
-from .optimize import golden_max
-from .quantities import S_GRID, T_GRID
+from .optimize import golden_max, increasing_root
+from .quantities import T_GRID
 
 LEMMA_TOL = 1e-9
 
@@ -52,11 +52,33 @@ def _clamped(point: tuple[float, float]) -> ExponentPoint:
     return ExponentPoint(val, arg)
 
 
-def exponent_e_H(state: CQState, rate: float) -> ExponentPoint:
-    """``max_{0<=s<=1} s (H_{1+s}(A|E) - R)`` via golden section.
+def _stationary_max(objective, numerator) -> tuple[float, float]:
+    """Maximize ``objective`` on ``[0, 1]``, where ``objective(0) = 0`` and its
+    derivative is a negative multiple of the nondecreasing ``numerator``.
 
-    The objective ``s H_{1+s} - s R`` is concave in s, so golden section
-    converges; a negative optimum clamps to zero (no decay guaranteed).
+    ``numerator(s)`` returns its value and derivative. The maximum sits at
+    the numerator's root clamped to ``[0, 1]``; s = 1 also wins when its
+    value is within 1e-15 of the interior one, the endpoint rule of
+    ``golden_max``.
+    """
+    s = increasing_root(numerator, 0.0, 1.0)
+    if s == 0.0:
+        return 0.0, 0.0
+    f_s = objective(s)
+    if s < 1.0:
+        f_1 = objective(1.0)
+        if f_1 >= f_s - 1e-15:
+            return 1.0, f_1
+    return s, f_s
+
+
+def exponent_e_H(state: CQState, rate: float) -> ExponentPoint:
+    """``max_{0<=s<=1} s (H_{1+s}(A|E) - R)`` at the root of its derivative.
+
+    With ``psi(s) = -s H_{1+s}(A|E)`` convex, the objective ``-psi(s) - s R``
+    is concave with derivative ``-(psi'(s) + R)``, so its maximum is the root
+    of the nondecreasing ``psi'(s) + R`` clamped to ``[0, 1]``; a vanishing
+    optimum clamps to zero (no decay guaranteed).
     """
     _check_rate(rate)
     dec = state.decomposition
@@ -64,7 +86,11 @@ def exponent_e_H(state: CQState, rate: float) -> ExponentPoint:
     def objective(s: float) -> float:
         return s * (dec.renyi_cond(s) - rate)
 
-    return _clamped(golden_max(objective, 0.0, 1.0, tol=1e-10))
+    def numerator(s: float) -> tuple[float, float]:
+        _, d1, d2 = dec.renyi_cond_moments(s)
+        return d1 + rate, d2
+
+    return _clamped(_stationary_max(objective, numerator))
 
 
 def _grid_refine(objective, xs: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -81,18 +107,23 @@ def _grid_refine(objective, xs: np.ndarray, values: np.ndarray) -> tuple[float, 
 def exponent_e_H_q(state: CQState, rate: float) -> ExponentPoint:
     """Smoothing-method exponent ``max_{0<=s<=1} s/(2-s) (H_{1+s}(A|E) - R)``.
 
-    The objective is not certified concave, so the 1001-point ``S_GRID``
-    locates the basin before the local golden refinement.
+    The objective is ``-(psi(s) + s R) / (2-s)`` with ``psi(s) = -s H_{1+s}``,
+    and its derivative is ``-N(s) / (2-s)^2`` with the stationarity
+    numerator ``N(s) = (2-s) psi'(s) + psi(s) + 2R``. ``N' = (2-s) psi''``
+    is nonnegative, so the objective is unimodal and peaks at the root of
+    ``N`` clamped to ``[0, 1]``.
     """
     _check_rate(rate)
     dec = state.decomposition
-    xs = S_GRID
-    values = xs / (2.0 - xs) * (dec.renyi_on_s_grid - rate)
 
     def objective(s: float) -> float:
         return s / (2.0 - s) * (dec.renyi_cond(s) - rate)
 
-    return _clamped(_grid_refine(objective, xs, values))
+    def numerator(s: float) -> tuple[float, float]:
+        psi, d1, d2 = dec.renyi_cond_moments(s)
+        return (2.0 - s) * d1 + psi + 2.0 * rate, (2.0 - s) * d2
+
+    return _clamped(_stationary_max(objective, numerator))
 
 
 def exponent_e_phi_q(state: CQState, rate: float) -> ExponentPoint:

@@ -34,10 +34,8 @@ from .hermitian import (
 
 S_MAX = 4.0
 
-# search grids of the smoothing-method exponents: s in [0, 1] and t in [0, 1/2]
-S_GRID = np.linspace(0.0, 1.0, 1001)
+# search grid of the e_phi_q exponent over t in [0, 1/2]
 T_GRID = np.linspace(0.0, 0.5, 1001)
-S_GRID.setflags(write=False)
 T_GRID.setflags(write=False)
 
 # largest phi argument evaluated: beta = 1/(1-t) = 16; beyond this, double
@@ -102,6 +100,22 @@ def _renyi_from_terms(terms, s: np.ndarray) -> np.ndarray:
     """
     weights, slopes, log_mass = terms
     return -(log_mass + np.log1p(np.expm1(np.multiply.outer(s, slopes)) @ weights)) / s
+
+
+def _moments_from_terms(terms, s: float) -> tuple[float, float, float]:
+    """``(psi, psi', psi'')`` at one order s of ``psi(s) = log(sum_k exp(off_k + s g_k))``.
+
+    ``psi = -s H_{1+s}`` over the terms of ``_renyi_from_terms``, evaluated
+    the same way; ``psi'`` and ``psi''`` are the mean and the variance of the
+    slopes ``g_k`` under the tilted weights ``w_k exp(s g_k) / exp(psi)``,
+    so ``psi`` is convex.
+    """
+    weights, slopes, log_mass = terms
+    grow = np.expm1(s * slopes)
+    total = float(grow @ weights)
+    tilted = weights * (1.0 + grow) / (1.0 + total)
+    mean = float(tilted @ slopes)
+    return log_mass + math.log1p(total), mean, float(tilted @ (slopes - mean) ** 2)
 
 
 class StateDecomposition:
@@ -183,13 +197,6 @@ class StateDecomposition:
         return top, np.where(mask, base - top, -1e30), self._basis.conj()
 
     @functools.cached_property
-    def renyi_on_s_grid(self) -> np.ndarray:
-        """``renyi_cond_grid(S_GRID)``, read-only: the rate-independent part of the e_H_q search."""
-        values = self.renyi_cond_grid(S_GRID)
-        values.setflags(write=False)
-        return values
-
-    @functools.cached_property
     def phi_on_t_grid(self) -> np.ndarray:
         """``phi_grid(T_GRID)``, read-only: the rate-independent part of the e_phi_q search."""
         values = self.phi_grid(T_GRID)
@@ -232,6 +239,10 @@ class StateDecomposition:
         if not pos.all():
             out = np.where(pos, out, self.cond_entropy())
         return out
+
+    def renyi_cond_moments(self, s: float) -> tuple[float, float, float]:
+        """``(psi, psi', psi'')`` of the convex ``psi(s) = -s H_{1+s}(A|E)`` at one order s."""
+        return _moments_from_terms(self._renyi_terms, float(_check_order(s, allow_zero=True)))
 
     def renyi_cond_bar_star_grid(self, s_values) -> np.ndarray:
         """``Hbar*_{1+s}(A|E)`` over an array of orders in ``(0, S_MAX]``."""

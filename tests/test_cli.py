@@ -193,6 +193,17 @@ def test_verify_rejects_an_empty_order_grid(capsys, grid):
     assert captured.err == "error: the hashing bounds hold for s in (0, 1]; got grid ()\n"
 
 
+@pytest.mark.parametrize("command", ["exponents", "rates"])
+@pytest.mark.parametrize("rates", ["", ","], ids=["empty", "comma"])
+def test_empty_rate_list_exit_2(capsys, command, rates):
+    # an empty --r would print a bare table header and exit 0
+    code = main([command, "--preset", "tilted-qubit", "--r", rates])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --r needs at least one key rate, got {rates!r}\n"
+
+
 @pytest.mark.parametrize("command", ["quantities", "exponents", "rates"])
 def test_log_base_rescales_the_text_display(capsys, command):
     assert main([command, "--preset", "product", "--log-base", "bits"]) == 0
@@ -442,11 +453,11 @@ def test_exponents_evaluate_each_search_grid_once(monkeypatch, capsys):
         original = getattr(StateDecomposition, attr)
 
         def counted(self, values, _original=original, _attr=attr):
-            if np.size(values) > 1:  # scalar phi(t) goes through phi_grid too
+            if np.size(values) > 1:  # scalar renyi_cond(s) and phi(t) go through the grids too
                 calls.append(_attr)
             return _original(self, values)
 
         monkeypatch.setattr(StateDecomposition, attr, counted)
     assert main(["exponents", "--preset", "tilted-qubit", "--r", "0.1,0.2,0.3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
-    assert sorted(calls) == ["phi_grid", "renyi_cond_grid"]
+    assert calls == ["phi_grid"]  # renyi_cond_grid sees one point at a time: e_H and e_H_q search no grid

@@ -1,9 +1,14 @@
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
-from qpa.cqstate import preset, random_cq
+from qpa.cqstate import preset, random_cq, tensor_power
 from qpa.exponents import (
     CSV_HEADER,
     exponent_curve,
@@ -11,10 +16,14 @@ from qpa.exponents import (
     exponent_e_H_q,
     exponent_e_phi_q,
     exponent_row,
+    fmt,
     rates,
 )
 from qpa.quantities import StateDecomposition
 
+from renyi_oracle import DPS, psi_reference
+
+DATA = Path(__file__).parent / "data"
 LOG2 = math.log(2.0)
 
 # frozen 10^4-point dense-grid maxima for the tilted-qubit state at R = 0.2
@@ -183,11 +192,85 @@ def test_curve_evaluates_each_search_grid_once(monkeypatch):
         original = getattr(StateDecomposition, attr)
 
         def counted(self, values, _original=original, _attr=attr):
-            if np.size(values) > 1:  # scalar phi(t) goes through phi_grid too
+            if np.size(values) > 1:  # scalar renyi_cond(s) and phi(t) go through the grids too
                 calls.append(_attr)
             return _original(self, values)
 
         monkeypatch.setattr(StateDecomposition, attr, counted)
     curve = exponent_curve(preset("tilted-qubit"), 0.0, 0.6, 7)
     assert len(curve.rows) == 7
-    assert sorted(calls) == ["phi_grid", "renyi_cond_grid"]
+    assert calls == ["phi_grid"]  # renyi_cond_grid sees one point at a time: e_H and e_H_q search no grid
+
+
+def _reference_argmax(psi, rate: float, smoothed: bool):
+    """50-digit ``(s*, max)`` of ``-psi(s) - s R``, or of that over ``2 - s`` when ``smoothed``.
+
+    ``s*`` is the root of the objective's stationarity numerator, which is
+    nondecreasing in s, clamped to ``[0, 1]``.
+    """
+    with mpmath.workdps(DPS):
+        r = mpmath.mpf(rate)
+        if smoothed:
+            numerator = lambda s: (2 - s) * mpmath.diff(psi, s) + psi(s) + 2 * r
+            objective = lambda s: -(psi(s) + s * r) / (2 - s)
+        else:
+            numerator = lambda s: mpmath.diff(psi, s) + r
+            objective = lambda s: -psi(s) - s * r
+        if numerator(mpmath.mpf(0)) >= 0:
+            return 0.0, 0.0
+        if numerator(mpmath.mpf(1)) <= 0:
+            s = mpmath.mpf(1)
+        else:
+            s = mpmath.findroot(numerator, (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
+        return float(s), objective(s)
+
+
+def _golden_rows():
+    """``(rate, {field: golden value})`` for every row of the tilted-qubit exponent goldens."""
+    doc = json.loads((DATA / "tilted_exponents_golden.json").read_text(encoding="utf-8"))
+    rows = [(row["R"], row) for row in doc["rows"]]
+    lines = (DATA / "tilted_sweep_golden.csv").read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    for i, line in enumerate(lines[1:]):
+        row = dict(zip(header, line.split(",")))
+        rate = LOG2 * i / (len(lines) - 2)  # the sweep's rate grid, which the CSV prints rounded
+        assert fmt(rate) == row["R"]
+        rows.append((rate, row))
+    return rows
+
+
+def test_golden_arguments_and_values_match_the_50_digit_argmax():
+    st = preset("tilted-qubit")
+    psi = psi_reference(st)
+    for rate, golden in _golden_rows():
+        for value_key, arg_key, solve, smoothed in (
+            ("e_H", "s_star_H", exponent_e_H, False),
+            ("e_H_q", "s_star_Hq", exponent_e_H_q, True),
+        ):
+            point = solve(st, rate)
+            # the golden holds this point, in full (JSON) or as printed (CSV)
+            as_stored = (lambda x: x) if isinstance(golden[arg_key], float) else fmt
+            assert (golden[value_key], golden[arg_key]) == (as_stored(point.value), as_stored(point.arg)), rate
+            ref_arg, ref_value = _reference_argmax(psi, rate, smoothed)
+            assert abs(point.arg - ref_arg) <= 1e-12, (rate, arg_key)
+            assert abs(point.value - ref_value) <= 1e-14 * abs(ref_value), (rate, value_key)
+
+
+@given(
+    seed=hst.integers(0, 10_000),
+    shape=hst.sampled_from([(2, 2), (3, 2), (2, 3), (4, 2)]),
+    fraction=hst.floats(0.0, 1.0),
+)
+def test_exponents_are_additive_and_bracketed_by_a_grid(seed, shape, fraction):
+    st = random_cq(seed, *shape)
+    rate = fraction * math.log(st.alphabet_size)
+    doubled = tensor_power(st, 2)
+    xs = np.linspace(0.0, 1.0, 2001)
+    h = st.decomposition.renyi_cond_grid(xs)
+    objectives = (xs * (h - rate), xs / (2.0 - xs) * (h - rate))
+    for solve, values in zip((exponent_e_H, exponent_e_H_q), objectives):
+        one, two = solve(st, rate), solve(doubled, 2.0 * rate)
+        assert two.value == pytest.approx(2.0 * one.value, rel=1e-12, abs=1e-14)
+        assert abs(two.arg - one.arg) <= 1e-12
+        grid_max = max(float(np.max(values)), 0.0)
+        assert grid_max - 1e-12 <= one.value <= grid_max + 2e-6

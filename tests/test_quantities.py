@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -34,7 +35,7 @@ from qpa.quantities import (
 from qpa.verification import verify_hashing_bounds
 
 from classical_oracle import classical_quantities
-from renyi_oracle import renyi_references
+from renyi_oracle import DPS, psi_reference, renyi_references
 
 LOG2 = math.log(2.0)
 
@@ -175,6 +176,23 @@ def test_renyi_matches_50_digit_reference(name):
             assert abs(value - h) <= 1e-13 * max(1.0, abs(h)), (name, s)
         for value in (dec.renyi_cond_bar_star(s), bar_grid[k]):
             assert abs(value - hbar) <= 1e-13 * max(1.0, abs(hbar)), (name, s)
+
+
+@pytest.mark.parametrize("name", ["tilted-qubit", "7:2,2", "11:4,3"])
+def test_renyi_moments_match_50_digit_derivatives(name):
+    # psi(s) = -s H_{1+s}(A|E) and its first two derivatives, which the exponent solvers use
+    if ":" in name:
+        seed, shape = name.split(":")
+        st = random_cq(int(seed), *(int(n) for n in shape.split(",")))
+    else:
+        st = preset(name)
+    psi = psi_reference(st)
+    for s in (0.0, 1e-6, 0.5, 1.0, 4.0):
+        got = st.decomposition.renyi_cond_moments(s)
+        with mpmath.workdps(DPS):
+            want = [float(mpmath.diff(psi, mpmath.mpf(s), n)) for n in range(3)]
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (name, s, k)
 
 
 @given(

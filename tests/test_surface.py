@@ -1,4 +1,4 @@
-"""The names other code reaches into qpa for: the benchmark tracer and the README."""
+"""What other code relies on in qpa: the benchmark tracer and correctness gate, and the README."""
 
 import importlib
 import re
@@ -42,3 +42,11 @@ def test_traced_state_key_reads_the_eve_states(monkeypatch):
         for a, rho in enumerate(state.eve_states):
             assert np.array_equal(rho.mat, state.rhos[a])
     assert state_key(tilted) != state_key(hashed)
+
+
+def test_benchmark_sweep_passes_its_correctness_gate(monkeypatch, tmp_path):
+    # the sweep workload's own check, with the stored seed-0 reference rows,
+    # so a drifted argument or value fails here before the benchmark runs
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    sweep = importlib.import_module("workloads").Sweep(0, tmp_path)
+    assert sweep._check_one(sweep.op()) is None
