@@ -3,10 +3,11 @@
 ``e_H`` is the guaranteed exponential decay rate of the averaged leaked
 information under universal_2 hashing at key rate R; ``e_H_q`` and
 ``e_phi_q`` are the rates obtainable through the smoothing method, computed
-for comparison; ``e_H / 2`` lower-bounds the trace-distance exponent. The
-rate layer reports the optimal secret-key generation rate ``H(A|E)``, the
-equivocation (Eve's ambiguity) rate, and the minimum leaked-information
-rate for a given key rate.
+for comparison; ``e_H / 2`` lower-bounds the trace-distance exponent. Each
+is the maximum of a unimodal objective, found at the root of its
+stationarity numerator. The rate layer reports the optimal secret-key
+generation rate ``H(A|E)``, the equivocation (Eve's ambiguity) rate, and
+the minimum leaked-information rate for a given key rate.
 """
 
 from __future__ import annotations
@@ -14,11 +15,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
 from .cqstate import CQState
-from .optimize import golden_max, increasing_root
-from .quantities import T_GRID
+from .optimize import increasing_root
 
 LEMMA_TOL = 1e-9
 
@@ -43,33 +41,23 @@ class ExponentPoint:
     arg: float
 
 
-def _clamped(point: tuple[float, float]) -> ExponentPoint:
-    # the s = 0 / t = 0 anchor is identically zero, so optima below the
-    # double-precision noise floor of the objective are zeros, not decay
-    arg, val = point
-    if val <= 1e-15:
-        return ExponentPoint(0.0, 0.0)
-    return ExponentPoint(val, arg)
-
-
-def _stationary_max(objective, numerator) -> tuple[float, float]:
-    """Maximize ``objective`` on ``[0, 1]``, where ``objective(0) = 0`` and its
+def _stationary_max(objective, numerator, hi: float) -> ExponentPoint:
+    """Maximize ``objective`` on ``[0, hi]``, where ``objective(0) = 0`` and its
     derivative is a negative multiple of the nondecreasing ``numerator``.
 
-    ``numerator(s)`` returns its value and derivative. The maximum sits at
-    the numerator's root clamped to ``[0, 1]``; s = 1 also wins when its
-    value is within 1e-15 of the interior one, the endpoint rule of
-    ``golden_max``.
+    The maximum sits at the numerator's root clamped to ``[0, hi]``; ``hi``
+    also wins when its value is within 1e-15 of the interior one, so a flat
+    objective resolves to the exact endpoint rather than a point inside it.
+    The anchor ``objective(0)`` is identically zero, so a maximum below the
+    double-precision noise floor of the objective is zero, not decay.
     """
-    s = increasing_root(numerator, 0.0, 1.0)
-    if s == 0.0:
-        return 0.0, 0.0
-    f_s = objective(s)
-    if s < 1.0:
-        f_1 = objective(1.0)
-        if f_1 >= f_s - 1e-15:
-            return 1.0, f_1
-    return s, f_s
+    x = increasing_root(numerator, 0.0, hi)
+    f_x = objective(x) if x > 0.0 else 0.0
+    if 0.0 < x < hi:
+        f_hi = objective(hi)
+        if f_hi >= f_x - 1e-15:
+            x, f_x = hi, f_hi
+    return ExponentPoint(f_x, x) if f_x > 1e-15 else ExponentPoint(0.0, 0.0)
 
 
 def exponent_e_H(state: CQState, rate: float) -> ExponentPoint:
@@ -86,22 +74,10 @@ def exponent_e_H(state: CQState, rate: float) -> ExponentPoint:
     def objective(s: float) -> float:
         return s * (dec.renyi_cond(s) - rate)
 
-    def numerator(s: float) -> tuple[float, float]:
-        _, d1, d2 = dec.renyi_cond_moments(s)
-        return d1 + rate, d2
+    def numerator(s: float) -> float:
+        return dec.renyi_cond_moments(s)[1] + rate
 
-    return _clamped(_stationary_max(objective, numerator))
-
-
-def _grid_refine(objective, xs: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Golden-polish the best grid point within one step on either side."""
-    i = int(np.argmax(values))
-    lo = float(xs[max(0, i - 1)])
-    hi = float(xs[min(len(xs) - 1, i + 1)])
-    x, fx = golden_max(objective, lo, hi, tol=1e-10)
-    if fx >= float(values[i]):
-        return x, fx
-    return float(xs[i]), float(values[i])
+    return _stationary_max(objective, numerator, 1.0)
 
 
 def exponent_e_H_q(state: CQState, rate: float) -> ExponentPoint:
@@ -119,28 +95,33 @@ def exponent_e_H_q(state: CQState, rate: float) -> ExponentPoint:
     def objective(s: float) -> float:
         return s / (2.0 - s) * (dec.renyi_cond(s) - rate)
 
-    def numerator(s: float) -> tuple[float, float]:
-        psi, d1, d2 = dec.renyi_cond_moments(s)
-        return (2.0 - s) * d1 + psi + 2.0 * rate, (2.0 - s) * d2
+    def numerator(s: float) -> float:
+        psi, d1 = dec.renyi_cond_moments(s)
+        return (2.0 - s) * d1 + psi + 2.0 * rate
 
-    return _clamped(_stationary_max(objective, numerator))
+    return _stationary_max(objective, numerator, 1.0)
 
 
 def exponent_e_phi_q(state: CQState, rate: float) -> ExponentPoint:
     """Smoothing-method exponent ``max_{0<=t<=1/2} -(phi(t) + t R) / (2(1-t))``.
 
-    The 1001-point ``T_GRID`` locates the basin before the local golden
-    refinement.
+    The objective's derivative is ``-N(t) / (2(1-t)^2)`` with the
+    stationarity numerator ``N(t) = (1-t)(phi'(t) + R) + phi(t) + t R``.
+    ``N' = (1-t) phi''`` is nonnegative because ``phi`` is convex, so the
+    objective is unimodal and peaks at the root of ``N`` clamped to
+    ``[0, 1/2]``.
     """
     _check_rate(rate)
     dec = state.decomposition
-    xs = T_GRID
-    values = -(dec.phi_on_t_grid + xs * rate) / (2.0 * (1.0 - xs))
 
     def objective(t: float) -> float:
         return -(dec.phi(t) + t * rate) / (2.0 * (1.0 - t))
 
-    return _clamped(_grid_refine(objective, xs, values))
+    def numerator(t: float) -> float:
+        phi, d1 = dec.phi_and_slope(t)
+        return (1.0 - t) * (d1 + rate) + phi + t * rate
+
+    return _stationary_max(objective, numerator, 0.5)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Scalar optimisers: golden-section maximisation of a unimodal function, and
-the root of a nondecreasing function by Newton's method safeguarded by
+the root of a nondecreasing function by regula falsi safeguarded by
 bisection, which locates the maximum of an objective whose derivative is a
 negative multiple of it (a stationarity condition).
 """
@@ -44,33 +44,34 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, floa
 
 
 def increasing_root(fn, lo: float, hi: float) -> float:
-    """Root of a nondecreasing ``h`` on ``[lo, hi]``, clamped to the interval.
+    """Root of a nondecreasing ``h = fn`` on ``[lo, hi]``, clamped to the interval.
 
-    ``fn(x)`` returns ``(h(x), h'(x))``. Returns ``lo`` when ``h(lo) >= 0``
-    and ``hi`` when ``h(hi) <= 0``. Otherwise Newton steps shrink a sign
-    bracket, with a bisection step wherever Newton would leave the bracket
-    or ``h'`` vanishes, until a step moves ``x`` by at most a few ulps.
+    Returns ``lo`` when ``h(lo) >= 0`` and ``hi`` when ``h(hi) <= 0``.
+    Otherwise regula falsi with the Illinois modification (when a step lands
+    on the same side as the one before, halve the value kept at the other
+    end) shrinks a sign bracket, with a bisection step wherever a step would
+    leave the bracket, until the bracket is two ulps wide; its midpoint is
+    the root.
     """
-    h_lo, _ = fn(lo)
-    if h_lo >= 0.0:
+    f_lo = fn(lo)
+    if f_lo >= 0.0:
         return lo
-    h_hi, _ = fn(hi)
-    if h_hi <= 0.0:
+    f_hi = fn(hi)
+    if f_hi <= 0.0:
         return hi
-    a, b = lo, hi
-    x = 0.5 * (a + b)
+    x0, f0, x1, f1 = lo, f_lo, hi, f_hi  # a sign bracket; x1 is the latest point
     for _ in range(_ROOT_STEPS):
-        h, dh = fn(x)
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not min(x0, x1) < x < max(x0, x1):
+            x = 0.5 * (x0 + x1)
+        h = fn(x)
         if h == 0.0:
             return x
-        if h < 0.0:
-            a = x
+        if (h > 0.0) == (f1 > 0.0):
+            f0 *= 0.5
         else:
-            b = x
-        step = x - h / dh if dh > 0.0 else math.nan
-        if not a < step < b:
-            step = 0.5 * (a + b)
-        if abs(step - x) <= 4.0 * _EPS * abs(step):
-            return step
-        x = step
-    return x
+            x0, f0 = x1, f1
+        x1, f1 = x, h
+        if abs(x1 - x0) <= 2.0 * _EPS * max(abs(x0), abs(x1)):
+            break
+    return 0.5 * (x0 + x1)

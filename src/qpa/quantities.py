@@ -34,10 +34,6 @@ from .hermitian import (
 
 S_MAX = 4.0
 
-# search grid of the e_phi_q exponent over t in [0, 1/2]
-T_GRID = np.linspace(0.0, 0.5, 1001)
-T_GRID.setflags(write=False)
-
 # largest phi argument evaluated: beta = 1/(1-t) = 16; beyond this, double
 # precision cannot carry the small inner eigenvalues back through the
 # 1/beta root without silent truncation
@@ -102,20 +98,19 @@ def _renyi_from_terms(terms, s: np.ndarray) -> np.ndarray:
     return -(log_mass + np.log1p(np.expm1(np.multiply.outer(s, slopes)) @ weights)) / s
 
 
-def _moments_from_terms(terms, s: float) -> tuple[float, float, float]:
-    """``(psi, psi', psi'')`` at one order s of ``psi(s) = log(sum_k exp(off_k + s g_k))``.
+def _moments_from_terms(terms, s: float) -> tuple[float, float]:
+    """``(psi, psi')`` at one order s of ``psi(s) = log(sum_k exp(off_k + s g_k))``.
 
     ``psi = -s H_{1+s}`` over the terms of ``_renyi_from_terms``, evaluated
-    the same way; ``psi'`` and ``psi''`` are the mean and the variance of the
-    slopes ``g_k`` under the tilted weights ``w_k exp(s g_k) / exp(psi)``,
-    so ``psi`` is convex.
+    the same way; ``psi'`` is the mean of the slopes ``g_k`` under the tilted
+    weights ``w_k exp(s g_k) / exp(psi)``, and ``psi''`` their variance, so
+    ``psi`` is convex.
     """
     weights, slopes, log_mass = terms
     grow = np.expm1(s * slopes)
     total = float(grow @ weights)
     tilted = weights * (1.0 + grow) / (1.0 + total)
-    mean = float(tilted @ slopes)
-    return log_mass + math.log1p(total), mean, float(tilted @ (slopes - mean) ** 2)
+    return log_mass + math.log1p(total), float(tilted @ slopes)
 
 
 class StateDecomposition:
@@ -196,13 +191,6 @@ class StateDecomposition:
         top = float(np.max(base))
         return top, np.where(mask, base - top, -1e30), self._basis.conj()
 
-    @functools.cached_property
-    def phi_on_t_grid(self) -> np.ndarray:
-        """``phi_grid(T_GRID)``, read-only: the rate-independent part of the e_phi_q search."""
-        values = self.phi_grid(T_GRID)
-        values.setflags(write=False)
-        return values
-
     # -- von Neumann layer ------------------------------------------------
 
     def joint_entropy(self) -> float:
@@ -240,8 +228,8 @@ class StateDecomposition:
             out = np.where(pos, out, self.cond_entropy())
         return out
 
-    def renyi_cond_moments(self, s: float) -> tuple[float, float, float]:
-        """``(psi, psi', psi'')`` of the convex ``psi(s) = -s H_{1+s}(A|E)`` at one order s."""
+    def renyi_cond_moments(self, s: float) -> tuple[float, float]:
+        """``(psi, psi')`` of the convex ``psi(s) = -s H_{1+s}(A|E)`` at one order s."""
         return _moments_from_terms(self._renyi_terms, float(_check_order(s, allow_zero=True)))
 
     def renyi_cond_bar_star_grid(self, s_values) -> np.ndarray:
@@ -299,16 +287,46 @@ class StateDecomposition:
         final ``1/beta`` root would re-amplify eigenvalues that underflowed,
         so larger arguments are rejected rather than computed wrong.
         """
+        t, top, (y,) = self._phi_inner(t_values, (0,))
+        eta = self._phi_spectrum(np.linalg.eigvalsh(y))  # (T, d)
+        return top + np.log(np.sum(eta ** (1.0 - t)[:, None], axis=1))
+
+    def phi_and_slope(self, t: float) -> tuple[float, float]:
+        """``(phi(t), phi'(t))`` at one t in ``[0, PHI_T_MAX]``, from one eigenproblem.
+
+        ``d Tr f(X) = Tr f'(X) dX`` on ``X = sum_a X_a``, ``X_a = (P(a) rho_a)^alpha``,
+        ``alpha = 1/(1-t)``, gives ``phi' = Tr X^{-t} (sum_a X_a log X_a - X log X) / Tr X^{1-t}``,
+        which holds as well for the scaled ``Y = X / exp(alpha top)`` of ``phi_grid``;
+        ``Y^{-t}`` acts on ``Y``'s support.
+        """
+        t, top, (y, y_log_y) = self._phi_inner(float(t), (0, 1))
+        eta, v = np.linalg.eigh(y)
+        eta = self._phi_spectrum(eta)
+        trace = float(np.sum(eta ** (1.0 - t)))
+        e = eta[eta > 0.0]
+        gap = np.real(np.einsum("ji,jk,ki->i", v.conj(), y_log_y, v))[eta > 0.0] - e * np.log(e)
+        return top + math.log(trace), float(np.sum(gap * e**-t)) / trace
+
+    def _phi_inner(self, t_values, log_powers):
+        """``(t, top, ops)`` for t checked to lie in ``[0, PHI_T_MAX]``: ``ops[k]`` holds
+        ``sum_a Y_a (log Y_a)^k`` per t for each k in ``log_powers``, built in the
+        eigenbasis of each ``rho_a``, where ``Y_a = (P(a) rho_a / exp(top))^alpha`` and
+        ``alpha = 1/(1-t)``, so that ``sum_a Y_a = X(t) / exp(alpha top)``."""
         t = np.asarray(t_values, dtype=float)
         if np.any((t < 0.0) | (t > PHI_T_MAX)):
             raise ValueError(f"phi is computable for t in [0, {PHI_T_MAX}], got {t_values}")
-        alpha = 1.0 / (1.0 - t)
         top, shifted, u_conj = self._phi_terms
-        weights = np.exp(alpha[:, None, None] * shifted[None, :, :])  # (T, n, d)
-        inner = np.einsum("aij,taj,akj->tik", self._basis, weights, u_conj)
-        inner = (inner + np.conj(np.swapaxes(inner, 1, 2))) / 2
-        eta = np.maximum(np.linalg.eigvalsh(inner), 0.0)  # (T, d)
-        return top + np.log(np.sum(eta ** (1.0 - t)[:, None], axis=1))
+        log_w = (1.0 / (1.0 - t))[..., None, None] * shifted
+        weights = np.stack([log_w**k * np.exp(log_w) for k in log_powers])
+        inner = np.einsum("aij,...aj,akj->...ik", self._basis, weights, u_conj)
+        return t, top, (inner + np.conj(np.swapaxes(inner, -1, -2))) / 2
+
+    def _phi_spectrum(self, eta: np.ndarray) -> np.ndarray:
+        # X(t) has the support of rho^E, so its d - rank(rho^E) smallest eigenvalues
+        # are zeros, which rounding would turn into eps^(1-t) terms of phi
+        eta = np.maximum(eta, 0.0)
+        eta[..., : np.count_nonzero(~self.eve_support)] = 0.0
+        return eta
 
 
 # -- public operation surface ------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qpa import preset
+from qpa import make_cq_state, preset
 from qpa.verification import default_corpus
 
 # the same examples on every run, and no per-example deadline, which a
@@ -34,3 +34,9 @@ def random_kraus(rng, dim, n_ops=2):
     g = rng.normal(size=(dim * n_ops, dim)) + 1j * rng.normal(size=(dim * n_ops, dim))
     q, _ = np.linalg.qr(g)
     return [q[i * dim : (i + 1) * dim, :] for i in range(n_ops)]
+
+
+def pure_eve_state():
+    """Every rho_a the same pure state, so rho^E has rank one in d_E = 2."""
+    psi = np.array([0.6, 0.8j])
+    return make_cq_state([0.3, 0.7], [np.outer(psi, psi.conj())] * 2)

@@ -11,9 +11,11 @@ products and traces; nothing is shared with ``qpa.quantities``. ``T`` is
 each trace's own value at ``s -> 0``, the mass of the state, so the
 reference belongs to the state the float64 entries describe, normalised.
 ``psi_reference`` exposes the log-trace ``psi(s) = -s H_{1+s}(A|E)`` as an
-mpmath callable, from which the tests take the exponents' arguments. It
-covers states with a full-rank E marginal whose symbol states lie in the
-support of their sandwiches (up to 1e-10 of mass); it raises otherwise.
+mpmath callable, from which the tests take the exponents' arguments, and
+``phi_reference`` does the same for the smoothing-method functional
+``phi(t)``. The Renyi references cover states with a full-rank E marginal
+whose symbol states lie in the support of their sandwiches (up to 1e-10 of
+mass); they raise otherwise.
 """
 
 import mpmath
@@ -96,3 +98,25 @@ def psi_reference(state):
     with mpmath.workdps(DPS):
         h_trace, h_mass, _, _ = _traces(state)
     return lambda s: mpmath.log(h_trace(s) / h_mass)
+
+
+def phi_reference(state):
+    """``phi(t) = log Tr (sum_a (P(a) rho_a)^{1/(1-t)})^{1-t}``, unnormalised.
+
+    Built on ``mpmath.eighe`` eigensystems of each ``P(a) rho_a``, taken at
+    ``DPS`` digits, and of the inner operator, taken at the working precision
+    of the caller, so ``mpmath.diff`` may raise it. Any E marginal will do.
+    """
+    with mpmath.workdps(DPS):
+        pairs = zip(state.probs, state.rhos)
+        blocks = [mpmath.eighe(mpmath.mpf(float(p)) * _matrix(rho)) for p, rho in pairs if p > 0]
+
+    def phi(t):
+        alpha = 1 / (1 - t)
+        inner = mpmath.zeros(state.eve_dim)
+        for lam, u in blocks:
+            inner += _function(lam, u, lambda x: x**alpha if x > 0 else mpmath.mpf(0))
+        eta, _ = mpmath.eighe(inner)
+        return mpmath.log(sum(x ** (1 - t) for x in eta if x > 0))
+
+    return phi

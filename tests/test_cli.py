@@ -460,4 +460,4 @@ def test_exponents_evaluate_each_search_grid_once(monkeypatch, capsys):
         monkeypatch.setattr(StateDecomposition, attr, counted)
     assert main(["exponents", "--preset", "tilted-qubit", "--r", "0.1,0.2,0.3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
-    assert calls == ["phi_grid"]  # renyi_cond_grid sees one point at a time: e_H and e_H_q search no grid
+    assert calls == []  # renyi_cond_grid and phi_grid see one point at a time: no exponent searches a grid

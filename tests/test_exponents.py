@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from qpa.cqstate import preset, random_cq, tensor_power
+from qpa.cqstate import make_cq_state, preset, random_cq, tensor_power
 from qpa.exponents import (
     CSV_HEADER,
     exponent_curve,
@@ -21,7 +21,8 @@ from qpa.exponents import (
 )
 from qpa.quantities import StateDecomposition
 
-from renyi_oracle import DPS, psi_reference
+from conftest import pure_eve_state
+from renyi_oracle import DPS, phi_reference, psi_reference
 
 DATA = Path(__file__).parent / "data"
 LOG2 = math.log(2.0)
@@ -199,30 +200,48 @@ def test_curve_evaluates_each_search_grid_once(monkeypatch):
         monkeypatch.setattr(StateDecomposition, attr, counted)
     curve = exponent_curve(preset("tilted-qubit"), 0.0, 0.6, 7)
     assert len(curve.rows) == 7
-    assert calls == ["phi_grid"]  # renyi_cond_grid sees one point at a time: e_H and e_H_q search no grid
+    assert calls == []  # renyi_cond_grid and phi_grid see one point at a time: no exponent searches a grid
 
 
-def _reference_argmax(psi, rate: float, smoothed: bool):
-    """50-digit ``(s*, max)`` of ``-psi(s) - s R``, or of that over ``2 - s`` when ``smoothed``.
+def _reference_problems(st, rate: float):
+    """``(solver, value key, argument key, numerator, objective, hi, floor)`` per exponent, in mpmath.
 
-    ``s*`` is the root of the objective's stationarity numerator, which is
-    nondecreasing in s, clamped to ``[0, 1]``.
+    Each objective peaks at the root of its stationarity numerator, which is
+    nondecreasing, clamped to ``[0, hi]``. ``floor`` is the absolute rounding
+    of the computed value: ``phi = log Tr(...)`` is the log of a trace near
+    one, which carries about 1e-16 whatever the size of ``e_phi_q``.
     """
+    psi, phi, r, d = psi_reference(st), phi_reference(st), mpmath.mpf(rate), mpmath.diff
+    return (
+        (exponent_e_H, "e_H", "s_star_H", lambda s: d(psi, s) + r, lambda s: -psi(s) - s * r, 1, 0.0),
+        (
+            exponent_e_H_q,
+            "e_H_q",
+            "s_star_Hq",
+            lambda s: (2 - s) * d(psi, s) + psi(s) + 2 * r,
+            lambda s: -(psi(s) + s * r) / (2 - s),
+            1,
+            0.0,
+        ),
+        (
+            exponent_e_phi_q,
+            "e_phi_q",
+            "t_star",
+            lambda t: (1 - t) * (d(phi, t) + r) + phi(t) + t * r,
+            lambda t: -(phi(t) + t * r) / (2 * (1 - t)),
+            mpmath.mpf(0.5),
+            2 * 2.0**-52,
+        ),
+    )
+
+
+def _reference_argmax(numerator, objective, hi):
+    """50-digit ``(argument, max)`` of ``objective`` at the root of ``numerator`` clamped to ``[0, hi]``."""
     with mpmath.workdps(DPS):
-        r = mpmath.mpf(rate)
-        if smoothed:
-            numerator = lambda s: (2 - s) * mpmath.diff(psi, s) + psi(s) + 2 * r
-            objective = lambda s: -(psi(s) + s * r) / (2 - s)
-        else:
-            numerator = lambda s: mpmath.diff(psi, s) + r
-            objective = lambda s: -psi(s) - s * r
         if numerator(mpmath.mpf(0)) >= 0:
             return 0.0, 0.0
-        if numerator(mpmath.mpf(1)) <= 0:
-            s = mpmath.mpf(1)
-        else:
-            s = mpmath.findroot(numerator, (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
-        return float(s), objective(s)
+        x = hi if numerator(hi) <= 0 else mpmath.findroot(numerator, (mpmath.mpf(0), hi), solver="anderson")
+        return float(x), objective(x)
 
 
 def _golden_rows():
@@ -241,19 +260,15 @@ def _golden_rows():
 
 def test_golden_arguments_and_values_match_the_50_digit_argmax():
     st = preset("tilted-qubit")
-    psi = psi_reference(st)
     for rate, golden in _golden_rows():
-        for value_key, arg_key, solve, smoothed in (
-            ("e_H", "s_star_H", exponent_e_H, False),
-            ("e_H_q", "s_star_Hq", exponent_e_H_q, True),
-        ):
+        for solve, value_key, arg_key, numerator, objective, hi, floor in _reference_problems(st, rate):
             point = solve(st, rate)
             # the golden holds this point, in full (JSON) or as printed (CSV)
             as_stored = (lambda x: x) if isinstance(golden[arg_key], float) else fmt
             assert (golden[value_key], golden[arg_key]) == (as_stored(point.value), as_stored(point.arg)), rate
-            ref_arg, ref_value = _reference_argmax(psi, rate, smoothed)
+            ref_arg, ref_value = _reference_argmax(numerator, objective, hi)
             assert abs(point.arg - ref_arg) <= 1e-12, (rate, arg_key)
-            assert abs(point.value - ref_value) <= 1e-14 * abs(ref_value), (rate, value_key)
+            assert abs(point.value - ref_value) <= 1e-14 * abs(ref_value) + floor, (rate, value_key)
 
 
 @given(
@@ -267,10 +282,34 @@ def test_exponents_are_additive_and_bracketed_by_a_grid(seed, shape, fraction):
     doubled = tensor_power(st, 2)
     xs = np.linspace(0.0, 1.0, 2001)
     h = st.decomposition.renyi_cond_grid(xs)
-    objectives = (xs * (h - rate), xs / (2.0 - xs) * (h - rate))
-    for solve, values in zip((exponent_e_H, exponent_e_H_q), objectives):
+    ts = xs / 2.0
+    objectives = (
+        xs * (h - rate),
+        xs / (2.0 - xs) * (h - rate),
+        -(st.decomposition.phi_grid(ts) + ts * rate) / (2.0 * (1.0 - ts)),
+    )
+    for solve, values in zip((exponent_e_H, exponent_e_H_q, exponent_e_phi_q), objectives):
         one, two = solve(st, rate), solve(doubled, 2.0 * rate)
         assert two.value == pytest.approx(2.0 * one.value, rel=1e-12, abs=1e-14)
         assert abs(two.arg - one.arg) <= 1e-12
         grid_max = max(float(np.max(values)), 0.0)
         assert grid_max - 1e-12 <= one.value <= grid_max + 2e-6
+
+
+@pytest.mark.parametrize("name", ["pure-eve", "zero-probability", "bb84(0)", "depolarized(1.3333333333333333)", "copy"])
+def test_e_phi_q_on_edge_states_matches_a_fine_grid(name):
+    # a rank-one E marginal, an empty symbol, a state with a rank-one rho_a
+    # per symbol, the fully depolarized end of the preset, and zero exponents
+    if name == "pure-eve":
+        st = pure_eve_state()
+    elif name == "zero-probability":
+        base = random_cq(5, 3, 2)
+        st = make_cq_state([0.5, 0.0, 0.5], base.rhos)
+    else:
+        st = preset(name)
+    ts = np.linspace(0.0, 0.5, 20001)
+    phi = st.decomposition.phi_grid(ts)
+    for rate in np.linspace(0.0, math.log(st.alphabet_size), 9):
+        point = exponent_e_phi_q(st, float(rate))
+        grid_max = max(float(np.max(-(phi + ts * rate) / (2.0 * (1.0 - ts)))), 0.0)
+        assert grid_max - 1e-15 <= point.value <= grid_max + 2e-6, (name, rate)

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from qpa.cqstate import ClassicalFunction, apply_function, make_cq_state, preset, random_cq, tensor_power
+from qpa.cqstate import (
+    ClassicalFunction,
+    apply_eve_channel,
+    apply_function,
+    make_cq_state,
+    preset,
+    random_cq,
+    tensor_power,
+)
 from qpa.exponents import exponent_row, rates
 from qpa.hashing import make_family
 from qpa.hermitian import HermitianMatrix
@@ -35,7 +43,8 @@ from qpa.quantities import (
 from qpa.verification import verify_hashing_bounds
 
 from classical_oracle import classical_quantities
-from renyi_oracle import DPS, psi_reference, renyi_references
+from conftest import PRESET_NAMES, pure_eve_state, random_kraus
+from renyi_oracle import DPS, phi_reference, psi_reference, renyi_references
 
 LOG2 = math.log(2.0)
 
@@ -180,7 +189,7 @@ def test_renyi_matches_50_digit_reference(name):
 
 @pytest.mark.parametrize("name", ["tilted-qubit", "7:2,2", "11:4,3"])
 def test_renyi_moments_match_50_digit_derivatives(name):
-    # psi(s) = -s H_{1+s}(A|E) and its first two derivatives, which the exponent solvers use
+    # psi(s) = -s H_{1+s}(A|E) and its derivative, which the exponent solvers use
     if ":" in name:
         seed, shape = name.split(":")
         st = random_cq(int(seed), *(int(n) for n in shape.split(",")))
@@ -190,9 +199,48 @@ def test_renyi_moments_match_50_digit_derivatives(name):
     for s in (0.0, 1e-6, 0.5, 1.0, 4.0):
         got = st.decomposition.renyi_cond_moments(s)
         with mpmath.workdps(DPS):
-            want = [float(mpmath.diff(psi, mpmath.mpf(s), n)) for n in range(3)]
+            want = [float(mpmath.diff(psi, mpmath.mpf(s), n)) for n in range(2)]
+        assert len(got) == len(want)
         for k, (g, w) in enumerate(zip(got, want)):
             assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (name, s, k)
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "rank-deficient", "pure-eve"])
+def test_phi_and_slope_match_50_digit_derivatives(name):
+    # (phi, phi'), which the e_phi_q solver uses, against mpmath eigensystems and mpmath.diff;
+    # X(t) is rank-deficient for the last two, whose null space rounding must not reach phi
+    st = {"rank-deficient": _rank_deficient_state, "pure-eve": pure_eve_state}.get(name, lambda: preset(name))()
+    phi = phi_reference(st)
+    for t in (0.0, 1e-6, 0.25, 0.5):
+        got = st.decomposition.phi_and_slope(t)
+        with mpmath.workdps(DPS):
+            want = [float(mpmath.diff(phi, mpmath.mpf(t), n)) for n in range(2)]
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (name, t, k)
+        assert abs(st.decomposition.phi(t) - want[0]) <= 1e-13 * max(1.0, abs(want[0])), (name, t)
+
+
+@given(seed=hst.integers(0, 10_000), shape=hst.sampled_from([(2, 2), (4, 3), (3, 4)]), power=hst.sampled_from([1, 2]))
+def test_phi_is_convex(seed, shape, power):
+    # the e_phi_q objective is unimodal because phi is convex on [0, 1/2]; on this grid,
+    # second differences of -1e-9 would be a curvature of -1.6e-4
+    st = tensor_power(random_cq(seed, *shape), power)
+    values = st.decomposition.phi_grid(np.linspace(0.0, 0.5, 201))
+    assert np.min(values[:-2] - 2.0 * values[1:-1] + values[2:]) >= -1e-9
+
+
+@given(
+    seed=hst.integers(0, 10_000),
+    shape=hst.sampled_from([(2, 2), (3, 3), (4, 2), (2, 4)]),
+    n_ops=hst.integers(1, 3),
+    s=hst.floats(1e-9, 1.0),
+)
+def test_eve_channels_cannot_lower_the_conditional_entropies(seed, shape, n_ops, s):
+    # data processing for the Petz order 1 + s <= 2 and for the von Neumann limit
+    st = random_cq(seed, *shape)
+    out = apply_eve_channel(st, random_kraus(np.random.default_rng(seed), shape[1], n_ops))
+    assert renyi_cond(out, s) >= renyi_cond(st, s) - 1e-12
+    assert cond_entropy(out) >= cond_entropy(st) - 1e-12
 
 
 @given(

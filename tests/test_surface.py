@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qpa import cqstate
 
@@ -44,9 +45,10 @@ def test_traced_state_key_reads_the_eve_states(monkeypatch):
     assert state_key(tilted) != state_key(hashed)
 
 
-def test_benchmark_sweep_passes_its_correctness_gate(monkeypatch, tmp_path):
-    # the sweep workload's own check, with the stored seed-0 reference rows,
+@pytest.mark.parametrize("seed", [0, 1])  # 1 is perfbench/run.py's default seed
+def test_benchmark_sweep_passes_its_correctness_gate(monkeypatch, tmp_path, seed):
+    # the sweep workload's own check, with the stored reference rows of the seed,
     # so a drifted argument or value fails here before the benchmark runs
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    sweep = importlib.import_module("workloads").Sweep(0, tmp_path)
+    sweep = importlib.import_module("workloads").Sweep(seed, tmp_path)
     assert sweep._check_one(sweep.op()) is None
