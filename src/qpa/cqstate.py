@@ -43,6 +43,50 @@ class AlphabetMismatchError(ValueError):
     """A function or hash family does not act on this state's alphabet."""
 
 
+def checked_states(probs: np.ndarray, rhos: np.ndarray):
+    """The checks of :class:`CQState` on a stack of states: ``(p, stack, lam, vecs)``, all read-only.
+
+    ``probs`` is ``(n, |A|)``, one state per row, and ``rhos`` the matching
+    ``(n * |A|, d, d)`` stack. Each row must be a finite distribution (up to
+    1e-10); the stack passes :func:`qpa.hermitian.hermitian_entries` and is
+    held to unit trace and to positivity by one stacked eigenproblem, whose
+    ascending eigenvalues ``lam`` and eigenvectors ``vecs`` are returned with
+    the stack and the probabilities clipped at zero. Errors name the eve
+    state by its index in the stack.
+    """
+    if not np.all(np.isfinite(probs)):
+        raise StateValidationError(
+            "finite probabilities", f"P contains {float(probs[~np.isfinite(probs)][0])!r}"
+        )
+    if np.any(probs < -PROB_ATOL):
+        raise StateValidationError(
+            "negative probability", f"P contains {float(probs.min()):.3e} < 0"
+        )
+    for total in map(math.fsum, probs.tolist()):
+        if abs(total - 1.0) > PROB_ATOL:
+            raise StateValidationError(
+                "probabilities sum to 1", f"sum(P) = {total!r} differs from 1"
+            )
+    try:
+        stack = hermitian_entries(rhos, 3)
+    except HermitianError as exc:
+        raise StateValidationError("hermitian eve state", f"eve states: {exc}") from exc
+    traces = np.trace(stack, axis1=1, axis2=2).real
+    bad = np.flatnonzero(np.abs(traces - 1.0) > PROB_ATOL)
+    if bad.size:
+        raise StateValidationError("unit trace", f"eve state {bad[0]} has trace {float(traces[bad[0]])!r}")
+    lam, vecs = eigh_batch(stack)
+    bad = np.flatnonzero(lam[:, 0] < -PROB_ATOL)
+    if bad.size:
+        raise StateValidationError(
+            "positive semidefinite", f"eve state {bad[0]} has eigenvalue {float(lam[bad[0], 0]):.3e}"
+        )
+    p = np.maximum(probs, 0.0)
+    for arr in (p, lam, vecs):
+        arr.setflags(write=False)
+    return p, stack, lam, vecs
+
+
 @dataclasses.dataclass(frozen=True)
 class ClassicalFunction:
     """Table-backed map from ``{0..domain_size-1}`` to ``{0..range_size-1}``."""
@@ -73,12 +117,10 @@ class CQState:
     """Validated classical-quantum state; ``make_cq_state`` is the same constructor.
 
     ``probs`` is a finite distribution (up to 1e-10) and ``rhos`` an
-    ``(|A|, d, d)`` array or a list of ``d x d`` matrices. The stack is checked
-    and stored read-only by :func:`qpa.hermitian.hermitian_entries`, then held
-    to unit trace and to positivity by one stacked eigenproblem whose
-    eigensystems are kept (``eve_eigh``). Instances are immutable, so
-    ``decomposition`` is built once, on first use, and shared by everything
-    evaluated on the state.
+    ``(|A|, d, d)`` array or a list of ``d x d`` matrices, both checked by
+    :func:`checked_states`, whose eigensystems are kept (``eve_eigh``).
+    Instances are immutable, so ``decomposition`` is built once, on first
+    use, and shared by everything evaluated on the state.
     """
 
     __slots__ = ("_probs", "_rhos", "_eve_eigh", "_eve_states", "_decomposition")
@@ -97,36 +139,8 @@ class CQState:
             raise StateValidationError("length mismatch", f"{p.size} probabilities but {len(stack)} eve states")
         if p.size == 0:
             raise StateValidationError("empty alphabet", "state needs at least one symbol")
-        if not np.all(np.isfinite(p)):
-            raise StateValidationError(
-                "finite probabilities", f"P contains {float(p[~np.isfinite(p)][0])!r}"
-            )
-        if np.any(p < -PROB_ATOL):
-            raise StateValidationError(
-                "negative probability", f"P contains {float(p.min()):.3e} < 0"
-            )
-        total = math.fsum(p.tolist())
-        if abs(total - 1.0) > PROB_ATOL:
-            raise StateValidationError(
-                "probabilities sum to 1", f"sum(P) = {total!r} differs from 1"
-            )
-        try:
-            stack = hermitian_entries(stack, 3)
-        except HermitianError as exc:
-            raise StateValidationError("hermitian eve state", f"eve states: {exc}") from exc
-        traces = np.trace(stack, axis1=1, axis2=2).real
-        for a, tr in enumerate(traces.tolist()):
-            if abs(tr - 1.0) > PROB_ATOL:
-                raise StateValidationError("unit trace", f"eve state {a} has trace {tr!r}")
-        lam, vecs = eigh_batch(stack)
-        for a, low in enumerate(lam[:, 0].tolist()):
-            if low < -PROB_ATOL:
-                raise StateValidationError("positive semidefinite", f"eve state {a} has eigenvalue {low:.3e}")
-        p = np.maximum(p, 0.0)
-        p.setflags(write=False)
-        lam.setflags(write=False)
-        vecs.setflags(write=False)
-        self._probs = p
+        p, stack, lam, vecs = checked_states(p[None], stack)
+        self._probs = p[0]
         self._rhos = stack
         self._eve_eigh = (lam, vecs)
         self._eve_states = None
@@ -188,38 +202,55 @@ def joint_density(state: CQState) -> HermitianMatrix:
     return HermitianMatrix(out.reshape(n * d, n * d), atol=None)
 
 
-def eve_marginal_entries(state: CQState) -> np.ndarray:
-    """Partial trace over the classical register, ``sum_a P(a) rho_a``, as a read-only Hermitian array."""
-    out = np.zeros((state.eve_dim, state.eve_dim), dtype=np.complex128)
-    for a in range(state.alphabet_size):
-        out += state.probs[a] * state.rhos[a]
-    return hermitian_entries(out, atol=None)
+def eve_marginals(probs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """``sum_a P(a) rho_a`` per row of ``probs`` (n, |A|) and ``rhos`` (n, |A|, d, d), read-only and Hermitian."""
+    out = np.zeros(rhos.shape[:1] + rhos.shape[2:], dtype=np.complex128)
+    for a in range(probs.shape[1]):
+        out += probs[:, a, None, None] * rhos[:, a]
+    return hermitian_entries(out, 3, atol=None)
 
 
 def eve_marginal(state: CQState) -> HermitianMatrix:
-    """:func:`eve_marginal_entries` as a :class:`HermitianMatrix`, for the joint-matrix oracles."""
-    return HermitianMatrix(eve_marginal_entries(state), atol=None)
+    """The partial trace over the classical register as a :class:`HermitianMatrix`, for the joint-matrix oracles."""
+    return HermitianMatrix(eve_marginals(state.probs[None], state.rhos[None])[0], atol=None)
+
+
+def hashed_blocks(state: CQState, tables: np.ndarray, range_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The state's classical register pushed through each row of ``tables`` (n, |A|), merging symbol blocks.
+
+    Returns the output probabilities ``(n, M)``, each the ``math.fsum`` of its
+    inputs' probabilities, and the normalised blocks ``(n, M, d, d)``, each
+    accumulated in symbol order. Output symbols of probability zero carry a
+    maximally mixed placeholder density; every downstream quantity weights
+    them by zero.
+    """
+    d = state.eve_dim
+    rows = np.arange(len(tables))
+    probs = state.probs.tolist()
+    new_p = []
+    for table in tables.tolist():
+        inputs = [[] for _ in range(range_size)]
+        for p, i in zip(probs, table):
+            inputs[i].append(p)
+        new_p.append(list(map(math.fsum, inputs)))
+    new_p = np.array(new_p)
+    sums = np.zeros((len(tables), range_size, d, d), dtype=np.complex128)
+    for a in range(state.alphabet_size):  # np.add.at is ten times slower on 32 x 32 blocks
+        sums[rows, tables[:, a]] += state.probs[a] * state.rhos[a]
+    hit = new_p > 0.0
+    sums[hit] /= new_p[hit][:, None, None]
+    sums[~hit] = np.eye(d) / d
+    return new_p, sums
 
 
 def apply_function(state: CQState, f: ClassicalFunction) -> CQState:
-    """Push the classical register through ``f``, merging symbol blocks.
-
-    Output symbols of probability zero carry a maximally mixed placeholder
-    density; every downstream quantity weights them by zero.
-    """
+    """Push the classical register through ``f``: the one-table case of :func:`hashed_blocks`."""
     if f.domain_size != state.alphabet_size:
         raise AlphabetMismatchError(
             f"function domain {f.domain_size} != alphabet {state.alphabet_size}"
         )
-    d = state.eve_dim
-    new_p = np.array([math.fsum(state.probs[np.equal(f.table, i)].tolist()) for i in range(f.range_size)])
-    sums = np.zeros((f.range_size, d, d), dtype=np.complex128)
-    for a, i in enumerate(f.table):  # np.add.at is ten times slower on 32 x 32 blocks
-        sums[i] += state.probs[a] * state.rhos[a]
-    hit = new_p > 0.0
-    sums[hit] /= new_p[hit, None, None]
-    sums[~hit] = np.eye(d) / d
-    return CQState(new_p, sums)
+    new_p, sums = hashed_blocks(state, np.array([f.table]), f.range_size)
+    return CQState(new_p[0], sums[0])
 
 
 def apply_eve_channel(state: CQState, kraus) -> CQState:

@@ -121,30 +121,40 @@ def _toeplitz_block(family: HashFamily) -> tuple[int, int]:
     return width, family.m + width - 1
 
 
-def _member_matrix(family: HashFamily, index: int) -> np.ndarray:
-    """Member's m x k matrix over F_q: the Toeplitz block, then the identity block if any."""
+def _member_matrices(family: HashFamily, indices: np.ndarray) -> np.ndarray:
+    """Members' m x k matrices over F_q, one per index: the Toeplitz block, then the identity block if any."""
     m = family.m
     width, n_params = _toeplitz_block(family)
-    mat = np.zeros((m, family.k), dtype=np.int64)
+    mats = np.zeros((len(indices), m, family.k), dtype=np.int64)
     if width:  # a Toeplitz-identity family with k = m has no Toeplitz block
-        mat[:, :width] = _digits(index, family.q, n_params)[_toeplitz_index_grid(m, width)]
+        mats[:, :, :width] = _digits(indices, family.q, n_params)[:, _toeplitz_index_grid(m, width)]
     if family.kind == KIND_MODIFIED:
-        mat[:, width:] = np.eye(m, dtype=np.int64)
-    return mat
+        mats[:, :, width:] = np.eye(m, dtype=np.int64)
+    return mats
+
+
+def member_tables(family: HashFamily, start: int, stop: int) -> np.ndarray:
+    """Input-to-output tables of members ``start .. stop - 1`` at once, as a (members, |A|) array.
+
+    For the matrix kinds, row ``x`` holds the output indices of ``dom @ mat_x.T % q``
+    over the base-q digits of every input; explicit lists give their tables.
+    """
+    if not (0 <= start < stop <= family.member_count):
+        raise ValueError(f"member range {start}..{stop - 1} outside 0..{family.member_count - 1}")
+    if family.kind == KIND_EXPLICIT:
+        return np.array(family.tables[start:stop], dtype=np.int64)
+    q, k, m = family.q, family.k, family.m
+    mats = _member_matrices(family, np.arange(start, stop))
+    dom = _digits(np.arange(family.domain_size), q, k)  # (|A|, k)
+    out_digits = (dom @ mats.transpose(0, 2, 1)) % q  # (members, |A|, m)
+    return out_digits @ q ** np.arange(m, dtype=np.int64)
 
 
 def member_function(family: HashFamily, index: int) -> ClassicalFunction:
     """Materialize one member's full input-to-output table."""
     if not (0 <= index < family.member_count):
         raise ValueError(f"member index {index} outside 0..{family.member_count - 1}")
-    if family.kind == KIND_EXPLICIT:
-        return ClassicalFunction(family.domain_size, family.range_size, family.tables[index])
-    q, k, m = family.q, family.k, family.m
-    mat = _member_matrix(family, index)
-    dom = _digits(np.arange(family.domain_size), q, k)  # (|A|, k)
-    out_digits = (dom @ mat.T) % q  # (|A|, m)
-    weights = q ** np.arange(m, dtype=np.int64)
-    table = tuple(int(x) for x in out_digits @ weights)
+    table = tuple(member_tables(family, index, index + 1)[0].tolist())
     return ClassicalFunction(family.domain_size, family.range_size, table)
 
 

@@ -128,7 +128,8 @@ class Spectrum:
         return len(self.clusters)
 
 
-def _cluster_ranges(w: np.ndarray) -> tuple[tuple[int, int], ...]:
+def cluster_ranges(w: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The :class:`Spectrum` clusters of descending eigenvalues ``w``."""
     n = len(w)
     if n == 0:
         return ()
@@ -172,23 +173,18 @@ def eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def eigh_descending(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
-    """Descending eigenvalues, eigenvectors and :class:`Spectrum` clusters of one Hermitian array.
+def eig_hermitian(m: HermitianMatrix) -> Spectrum:
+    """Eigendecomposition of ``m`` with descending, clustered eigenvalues.
 
     Deterministic for identical input; the residual check of
     :func:`eigh_batch` applies. Both arrays are read-only.
     """
-    w, v = eigh_batch(mat[None])
+    w, v = eigh_batch(m.mat[None])
     w = w[0, ::-1].copy()
     v = v[0, :, ::-1].copy()
     w.setflags(write=False)
     v.setflags(write=False)
-    return w, v, _cluster_ranges(w)
-
-
-def eig_hermitian(m: HermitianMatrix) -> Spectrum:
-    """Eigendecomposition of ``m`` with descending, clustered eigenvalues."""
-    return Spectrum(*eigh_descending(m.mat))
+    return Spectrum(w, v, cluster_ranges(w))
 
 
 def _rebuild(v: np.ndarray, values: np.ndarray) -> HermitianMatrix:

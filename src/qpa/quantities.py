@@ -20,12 +20,12 @@ import math
 
 import numpy as np
 
-from .cqstate import CQState, eve_marginal, eve_marginal_entries, joint_density
+from .cqstate import CQState, eve_marginal, eve_marginals, joint_density
 from .hermitian import (
     SUPPORT_RTOL,
     HermitianMatrix,
+    cluster_ranges,
     eigh_batch,
-    eigh_descending,
     identity,
     matrix_log,
     matrix_power,
@@ -113,45 +113,100 @@ def _moments_from_terms(terms, s: float) -> tuple[float, float]:
     return log_mass + math.log1p(total), float(tilted @ slopes)
 
 
+class DecompositionStack:
+    """The spectral arrays of :class:`StateDecomposition` for a stack of states.
+
+    ``probs`` is ``(n, |A|)``, one state per row, ``rhos`` the matching
+    ``(n, |A|, d, d)`` eve states and ``lam``, ``basis`` their ascending
+    eigensystems from validation. Every array below has the row axis first,
+    then the axes of the one-state attribute of the same name; each row is
+    computed as if alone, so a one-row stack is a state's decomposition.
+    """
+
+    def __init__(self, probs: np.ndarray, rhos: np.ndarray, lam: np.ndarray, basis: np.ndarray):
+        self.probs = probs
+        self.eve_mat = eve_marginals(probs, rhos)
+        eve_values, vmat = eigh_batch(self.eve_mat)
+        self.eve_values = eve_values[:, ::-1].copy()  # descending
+        self.eve_vectors = vmat = vmat[:, :, ::-1].copy()
+        mu = np.maximum(self.eve_values, 0.0)
+        supp = mu > SUPPORT_RTOL * mu[:, :1]
+        self.mu = mu
+        self.eve_support = supp
+        inv_sqrt = np.where(supp, np.where(supp, mu, 1.0) ** -0.5, 0.0)
+        b = (vmat * inv_sqrt[:, None, :]) @ np.conj(vmat).swapaxes(-1, -2)  # (rho^E)^{-1/2} on the support
+
+        x = b[:, None] @ rhos @ b[:, None]
+        xi, w = eigh_batch((x + np.conj(np.swapaxes(x, -1, -2))) / 2)
+        xi = np.maximum(xi, 0.0)
+        # per state and symbol a, row [., a] of each array:
+        self.lam = np.maximum(lam, 0.0)  # eigenvalues of rho_a
+        self.basis = basis  # eigenvectors of rho_a, columnwise
+        self.overlap = np.abs(np.conj(np.swapaxes(basis, -1, -2)) @ vmat[:, None]) ** 2  # |<u_i^a | v_j>|^2
+        self.xi = xi  # eigenvalues of the sandwiched block
+        # <w_j| rho_a |w_j>
+        self.xi_weight = np.maximum(np.real(np.einsum("...aji,...ajk,...aki->...ai", w.conj(), rhos, w)), 0.0)
+        self.xi_support = xi > SUPPORT_RTOL * xi[..., -1:]
+
+    def mutual_info_variants(self) -> list[dict[str, float]]:
+        """:meth:`StateDecomposition.mutual_info_variants` of every row.
+
+        Masked array expressions over all rows, then one ``math.fsum`` per
+        row and quantity over the symbols of positive probability.
+        """
+        probs = self.probs
+        n_sym = probs.shape[1]
+        pos = probs > 0.0
+        supp = self.eve_support
+        # (1, d) @ (d, d) @ (d, 1) products per symbol, which round as per-row dots
+        lam_ov = self.lam[..., None, :] @ self.overlap
+        outside = np.sum(np.where(supp[:, None, None, :], 0.0, lam_ov), axis=-1)[..., 0]
+        leaks = np.any(pos & (outside > 1e-10), axis=1)  # weight outside supp(rho^E)
+        tr_log_self = np.sum(self.lam * _log_positive(self.lam), axis=-1)
+        log_mu = np.where(supp, _log_positive(self.mu), 0.0)
+        tr_log_eve = (lam_ov @ log_mu[:, None, :, None])[..., 0, 0]
+        w = np.where(self.xi_support, self.xi_weight, 0.0)
+        tr_log_xi = np.sum(w * _log_positive(self.xi), axis=-1)
+        # math.log, not np.log, which rounds some arguments differently
+        log_ap = np.array([[math.log(n_sym * x) if x > 0.0 else 0.0 for x in row] for row in probs.tolist()])
+        terms = (
+            probs * (tr_log_self - tr_log_eve),
+            probs * tr_log_xi,
+            probs * (log_ap * np.sum(w, axis=-1) + tr_log_xi),
+        )
+        out = []
+        for r, keep in enumerate(pos):
+            if leaks[r]:
+                out.append(dict.fromkeys(("I", "I_prime", "I_bar", "I_bar_prime"), math.inf))
+                continue
+            i_val, i_bar, i_bar_prime = (math.fsum(t[r][keep].tolist()) for t in terms)
+            i_prime = i_val + math.log(n_sym) - _entropy_of(probs[r])
+            out.append({"I": i_val, "I_prime": i_prime, "I_bar": i_bar, "I_bar_prime": i_bar_prime})
+        return out
+
+
 class StateDecomposition:
     """Spectral data of one state, shared by every blockwise formula.
 
     Holds the eigensystems of each ``rho_a`` and of the E marginal, the
     squared overlaps between them, and the eigensystem of each sandwiched
     block ``(rho^E)^{-1/2} rho_a (rho^E)^{-1/2}``, all as arrays with one
-    row per symbol. Each state builds one on first use
-    (``CQState.decomposition``), and every quantity, check and exponent on
-    the state reads it.
+    row per symbol: the one-row case of :class:`DecompositionStack`. Each
+    state builds one on first use (``CQState.decomposition``), and every
+    quantity, check and exponent on the state reads it.
     """
 
     def __init__(self, state: CQState):
         self.rhos = state.rhos  # not the state itself, which holds this decomposition
         self.alphabet_size = state.alphabet_size
         self.probs = state.probs
-        self.eve_mat = eve_marginal_entries(state)
-        eve_values, vmat, self.eve_clusters = eigh_descending(self.eve_mat)
-        self.eve_vectors = vmat
-        self.v_count = len(self.eve_clusters)
-        mu = np.maximum(eve_values, 0.0)
-        supp = mu > SUPPORT_RTOL * float(mu[0])
-        self.mu = mu
-        self.eve_support = supp
-        inv_sqrt = np.zeros_like(mu)
-        inv_sqrt[supp] = mu[supp] ** -0.5
-        b = (vmat * inv_sqrt) @ vmat.conj().T  # (rho^E)^{-1/2} on the support
-
         lam, u = state.eve_eigh  # from the state's validation
-        x = b @ self.rhos @ b
-        xi, w = eigh_batch((x + np.conj(np.swapaxes(x, 1, 2))) / 2)
-        xi = np.maximum(xi, 0.0)
-        # per symbol a, row a of each array:
-        self.lam = np.maximum(lam, 0.0)  # eigenvalues of rho_a
-        self._basis = u  # eigenvectors of rho_a, columnwise
-        self.overlap = np.abs(np.conj(np.swapaxes(u, 1, 2)) @ vmat) ** 2  # |<u_i^a | v_j>|^2
-        self.xi = xi  # eigenvalues of the sandwiched block
-        # <w_j| rho_a |w_j>
-        self.xi_weight = np.maximum(np.real(np.einsum("aji,ajk,aki->ai", w.conj(), self.rhos, w)), 0.0)
-        self.xi_support = xi > SUPPORT_RTOL * xi[:, -1:]
+        self._stack = rows = DecompositionStack(state.probs[None], state.rhos[None], lam[None], u[None])
+        for name in ("eve_mat", "eve_vectors", "mu", "eve_support", "lam", "overlap", "xi", "xi_weight", "xi_support"):
+            setattr(self, name, getattr(rows, name)[0])
+        self._basis = rows.basis[0]
+        self.eve_clusters = cluster_ranges(rows.eve_values[0])
+        self.v_count = len(self.eve_clusters)
 
     # positive terms exp(off + s * g) of the two Renyi traces, flattened in
     # (a, i, j) order and normalised by _normalised_terms
@@ -242,28 +297,7 @@ class StateDecomposition:
     # -- mutual information layer -------------------------------------------
 
     def mutual_info_variants(self) -> dict[str, float]:
-        pos = self.probs > 0.0
-        supp = self.eve_support
-        # (1, d) @ (d, d) @ (d, 1) products per symbol, which round as per-row dots
-        lam_ov = (self.lam[:, None, :] @ self.overlap)[pos]
-        if np.any(np.sum(lam_ov[:, 0, ~supp], axis=1) > 1e-10):  # weight outside supp(rho^E)
-            return {k: math.inf for k in ("I", "I_prime", "I_bar", "I_bar_prime")}
-        p = self.probs[pos]
-        lam = self.lam[pos]
-        tr_log_self = np.sum(lam * _log_positive(lam), axis=1)
-        tr_log_eve = (lam_ov @ np.where(supp, _log_positive(self.mu), 0.0)[:, None])[:, 0, 0]
-        keep = self.xi_support[pos]
-        w = np.where(keep, self.xi_weight[pos], 0.0)
-        tr_log_xi = np.sum(w * _log_positive(self.xi[pos]), axis=1)
-        # math.log, not np.log, which rounds some arguments differently
-        log_ap = np.array([math.log(self.alphabet_size * x) for x in p.tolist()])
-        i_val = math.fsum((p * (tr_log_self - tr_log_eve)).tolist())
-        return {
-            "I": i_val,
-            "I_prime": i_val + math.log(self.alphabet_size) - self.classical_entropy(),
-            "I_bar": math.fsum((p * tr_log_xi).tolist()),
-            "I_bar_prime": math.fsum((p * (log_ap * np.sum(w, axis=1) + tr_log_xi)).tolist()),
-        }
+        return self._stack.mutual_info_variants()[0]
 
     # -- distances and the phi functional ------------------------------------
 

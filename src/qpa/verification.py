@@ -16,13 +16,17 @@ import math
 
 import numpy as np
 
-from .cqstate import AlphabetMismatchError, CQState, apply_function, preset, random_cq, tensor_power
-from .hashing import HashFamily, enumerate_members, make_family
+from .cqstate import AlphabetMismatchError, CQState, checked_states, hashed_blocks, preset, random_cq, tensor_power
+from .hashing import HashFamily, make_family, member_tables
 from .hermitian import SUPPORT_RTOL, eigh_batch, hermitian_entries
 from .optimize import golden_max
-from .quantities import StateDecomposition
+from .quantities import DecompositionStack, StateDecomposition
 
 SLACK_TOL = 1e-9
+
+# entries of the largest array a chunk of the family pass stacks: its
+# (members * M, d, d) blocks and sandwiches, or its (members, |A|) tables
+_STACK_ENTRIES = 2**14
 
 DEFAULT_S_GRID = tuple(round(0.1 * i, 10) for i in range(1, 11))
 
@@ -68,12 +72,30 @@ def _check_s_grid(s_grid) -> tuple[float, ...]:
 
 
 def member_mutual_info(state: CQState, family: HashFamily) -> list[dict[str, float]]:
-    """``mutual_info_variants`` of the hashed state, per member in index order."""
+    """``mutual_info_variants`` of the hashed state, per member in index order.
+
+    One stacked pass per chunk of members, each array holding at most
+    ``_STACK_ENTRIES`` entries (one member if it alone is larger): the
+    chunk's tables at once, each distinct table hashed once, then the
+    checks of ``CQState`` and the spectra of ``StateDecomposition`` on the
+    whole stack of hashed states. Every value equals that of
+    ``apply_function(state, f).decomposition.mutual_info_variants()``.
+    """
     _require_matching_domain(state, family)
-    return [
-        apply_function(state, mem.function).decomposition.mutual_info_variants()
-        for mem in enumerate_members(family)
-    ]
+    big_m, d = family.range_size, state.eve_dim
+    step = max(1, _STACK_ENTRIES // max(big_m * d * d, family.domain_size))
+    out = []
+    for start in range(0, family.member_count, step):
+        distinct = {}  # table -> its row in the stack, in order of first appearance
+        tables = member_tables(family, start, min(start + step, family.member_count)).tolist()
+        table_of = [distinct.setdefault(t, len(distinct)) for t in map(tuple, tables)]
+        probs, blocks = hashed_blocks(state, np.array(list(distinct)), big_m)
+        shape = blocks.shape
+        probs, rhos, lam, basis = checked_states(probs, blocks.reshape(-1, d, d))
+        stack = DecompositionStack(probs, rhos.reshape(shape), lam.reshape(shape[:3]), basis.reshape(shape))
+        rows = stack.mutual_info_variants()
+        out.extend(dict(rows[i]) for i in table_of)
+    return out
 
 
 def _avg_leak_rhs(dec: StateDecomposition, big_m: int, s: float) -> float:

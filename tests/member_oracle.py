@@ -1,0 +1,18 @@
+"""Per-member reference for the stacked family pass of ``qpa.verification``.
+
+One member at a time: its table from ``member_function``, its hashed state
+from ``apply_function`` as a full ``CQState``, and its mutual information
+from that state's own ``StateDecomposition``; the oracle for
+``member_mutual_info``, which must equal it exactly.
+"""
+
+from qpa.cqstate import apply_function
+from qpa.hashing import enumerate_members
+
+
+def member_mutual_info_reference(state, family):
+    """``mutual_info_variants`` of every hashed member state, built one by one, in index order."""
+    return [
+        apply_function(state, mem.function).decomposition.mutual_info_variants()
+        for mem in enumerate_members(family)
+    ]

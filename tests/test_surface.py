@@ -52,3 +52,17 @@ def test_benchmark_sweep_passes_its_correctness_gate(monkeypatch, tmp_path, seed
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     sweep = importlib.import_module("workloads").Sweep(seed, tmp_path)
     assert sweep._check_one(sweep.op()) is None
+
+
+def test_benchmark_suite_passes_its_correctness_gate(monkeypatch, tmp_path):
+    # the suite workload's own check against its stored slacks; its inputs do not depend on the seed
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    suite = importlib.import_module("workloads").Suite(1, tmp_path)
+    assert suite._check_one(suite.op()) is None
+
+
+@pytest.mark.parametrize("seed", [0, 1])  # 1 is perfbench/run.py's default seed
+def test_benchmark_lifted_passes_its_correctness_gate(monkeypatch, tmp_path, seed):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    lifted = importlib.import_module("workloads").Lifted(seed, tmp_path)
+    assert lifted._check_one(lifted.op()) is None

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lemma_oracle import SUITE_SEEDS, lemma_min_eigenvalues, seeded_psd
 from qpa.cqstate import AlphabetMismatchError, CQState, eve_marginal, preset, random_cq, tensor_power
-from qpa.hashing import make_family
+from qpa.hashing import enumerate_members, make_family
 from qpa.hermitian import HermitianMatrix, matrix_log, matrix_power, pinch
 from qpa.quantities import StateDecomposition, mutual_info_variants, renyi_cond_joint
 import qpa.verification as vmod
@@ -173,20 +173,20 @@ def test_hashing_bounds_share_one_enumeration(monkeypatch):
         verify_avg_leak_bound(tilted2, family, name="tilted^2").to_json_dict(),
         verify_exp_leak_bound(tilted2, family, name="tilted^2").to_json_dict(),
     ]
-    calls = []
-    original = vmod.apply_function
+    passes = []
+    original = vmod.member_mutual_info
 
-    def counted(state, f):
-        calls.append(f)
-        return original(state, f)
+    def counted(state, fam):
+        passes.append(fam)
+        return original(state, fam)
 
-    monkeypatch.setattr(vmod, "apply_function", counted)
+    monkeypatch.setattr(vmod, "member_mutual_info", counted)
     together = verify_hashing_bounds(tilted2, family, name="tilted^2")
     assert [rep.to_json_dict() for rep in together] == separate
-    assert len(calls) == family.member_count
+    assert passes == [family]  # one family pass for both bounds
     with pytest.raises(ValueError):
         verify_hashing_bounds(tilted2, family, s_grid=(2.0,))
-    assert len(calls) == family.member_count  # a bad grid is rejected before hashing
+    assert passes == [family]  # a bad grid is rejected before hashing
 
 
 def test_report_json_schema():
@@ -342,26 +342,36 @@ def test_pinching_bound_corpus(corpus_states):
 
 
 def test_full_suite_hashes_each_member_once(monkeypatch):
-    members = sum(f.member_count for _, st in default_corpus() for f in families_for(st.alphabet_size))
-    assert members == 412
-    calls = []
-    original = vmod.apply_function
+    pairs = [(state, f) for _, state in default_corpus() for f in families_for(state.alphabet_size)]
+    assert len(pairs) == 108 and sum(f.member_count for _, f in pairs) == 412
+    # a table that repeats inside its own family is hashed once, e.g. every
+    # Toeplitz-identity member with k = m is the identity
+    distinct = sum(len({mem.function.table for mem in enumerate_members(f)}) for _, f in pairs)
+    assert distinct == 412 - 25
+    passes, hashed = [], []
+    original_pass, original_blocks = vmod.member_mutual_info, vmod.hashed_blocks
 
-    def counted(state, f):
-        calls.append(f)
-        return original(state, f)
+    def counted_pass(state, family):
+        out = original_pass(state, family)
+        passes.append((family, len(out)))
+        return out
 
-    monkeypatch.setattr(vmod, "apply_function", counted)
+    def counted_blocks(state, tables, range_size):
+        hashed.append(len(tables))
+        return original_blocks(state, tables, range_size)
+
+    monkeypatch.setattr(vmod, "member_mutual_info", counted_pass)
+    monkeypatch.setattr(vmod, "hashed_blocks", counted_blocks)
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
-    assert len(calls) == members
+    assert passes == [(f, f.member_count) for _, f in pairs]  # 108 family passes over 412 members
+    assert len(hashed) == 108 and sum(hashed) == distinct
 
 
 def test_full_suite_decomposes_each_state_once(monkeypatch):
-    # each corpus state, each hashed member state and each pinched state, once
+    # each corpus state and each pinched state, once; hashed members build no decomposition
     corpus = default_corpus()
-    members = sum(f.member_count for _, st in corpus for f in families_for(st.alphabet_size))
-    assert 2 * len(corpus) + members == 470
+    assert 2 * len(corpus) == 58
     decomposed = []
     original = StateDecomposition.__init__
 
@@ -372,4 +382,4 @@ def test_full_suite_decomposes_each_state_once(monkeypatch):
     monkeypatch.setattr(StateDecomposition, "__init__", counted)
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
-    assert len(decomposed) == 470
+    assert len(decomposed) == 58
