@@ -14,6 +14,7 @@ Neumann limit.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
@@ -38,6 +39,11 @@ S_MAX = 4.0
 # precision cannot carry the small inner eigenvalues back through the
 # 1/beta root without silent truncation
 PHI_T_MAX = 0.9375
+
+# entries of each state's memo (StateDecomposition.memo): the order
+# evaluations of a sweep over many rates are mostly distinct interior roots,
+# which an unbounded memo would all keep
+MEMO_ENTRIES = 1024
 
 # map from report keys to conventional symbols, used by the CLI
 QUANTITY_SYMBOLS = {
@@ -111,6 +117,51 @@ def _moments_from_terms(terms, s: float) -> tuple[float, float]:
     total = float(grow @ weights)
     tilted = weights * (1.0 + grow) / (1.0 + total)
     return log_mass + math.log1p(total), float(tilted @ slopes)
+
+
+class BoundedMemo:
+    """A least-recently-used map of at most ``MEMO_ENTRIES`` entries, none of them ``None``."""
+
+    def __init__(self):
+        self._entries = collections.OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        """The value stored under ``key``, which becomes the most recently used, or ``None``."""
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > MEMO_ENTRIES:
+            self._entries.popitem(last=False)
+
+
+def _memoised(method):
+    """``method(self, order)``, kept in ``self.memo`` under ``(method name, float(order))``.
+
+    A miss runs ``method``, which validates the order, and stores only a
+    returned value, so a hit always comes from an order that passed. The key
+    is taken through ``np.asarray``, as validation reads the order, so an
+    ``int``, a numpy scalar or a 0-d array of the same value share one key.
+    """
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoised(self, order):
+        key = (name, float(np.asarray(order, dtype=float)))
+        value = self.memo.get(key)
+        if value is None:
+            value = method(self, order)
+            self.memo.put(key, value)
+        return value
+
+    return memoised
 
 
 class DecompositionStack:
@@ -194,6 +245,13 @@ class StateDecomposition:
     row per symbol: the one-row case of :class:`DecompositionStack`. Each
     state builds one on first use (``CQState.decomposition``), and every
     quantity, check and exponent on the state reads it.
+
+    ``memo`` is the state's :class:`BoundedMemo`. The scalar order
+    evaluations ``renyi_cond``, ``renyi_cond_bar_star``,
+    ``renyi_cond_moments``, ``phi`` and ``phi_and_slope`` keep their values
+    in it, keyed by method and order, so the families and rates evaluated on
+    one state compute each order once; ``verification.member_mutual_info``
+    keeps each hashed member's mutual information in it too.
     """
 
     def __init__(self, state: CQState):
@@ -207,6 +265,7 @@ class StateDecomposition:
         self._basis = rows.basis[0]
         self.eve_clusters = cluster_ranges(rows.eve_values[0])
         self.v_count = len(self.eve_clusters)
+        self.memo = BoundedMemo()
 
     # positive terms exp(off + s * g) of the two Renyi traces, flattened in
     # (a, i, j) order and normalised by _normalised_terms
@@ -267,9 +326,11 @@ class StateDecomposition:
 
     # -- Renyi layer -------------------------------------------------------
 
+    @_memoised
     def renyi_cond(self, s: float) -> float:
         return float(self.renyi_cond_grid([s])[0])
 
+    @_memoised
     def renyi_cond_bar_star(self, s: float) -> float:
         return float(self.renyi_cond_bar_star_grid([s])[0])
 
@@ -283,6 +344,7 @@ class StateDecomposition:
             out = np.where(pos, out, self.cond_entropy())
         return out
 
+    @_memoised
     def renyi_cond_moments(self, s: float) -> tuple[float, float]:
         """``(psi, psi')`` of the convex ``psi(s) = -s H_{1+s}(A|E)`` at one order s."""
         return _moments_from_terms(self._renyi_terms, float(_check_order(s, allow_zero=True)))
@@ -309,6 +371,7 @@ class StateDecomposition:
         norms = np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=1).tolist()
         return {"d1": math.fsum(norms[:n]), "d1_prime": math.fsum(norms[n:])}
 
+    @_memoised
     def phi(self, t: float) -> float:
         return float(self.phi_grid([t])[0])
 
@@ -325,6 +388,7 @@ class StateDecomposition:
         eta = self._phi_spectrum(np.linalg.eigvalsh(y))  # (T, d)
         return top + np.log(np.sum(eta ** (1.0 - t)[:, None], axis=1))
 
+    @_memoised
     def phi_and_slope(self, t: float) -> tuple[float, float]:
         """``(phi(t), phi'(t))`` at one t in ``[0, PHI_T_MAX]``, from one eigenproblem.
 

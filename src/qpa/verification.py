@@ -74,27 +74,35 @@ def _check_s_grid(s_grid) -> tuple[float, ...]:
 def member_mutual_info(state: CQState, family: HashFamily) -> list[dict[str, float]]:
     """``mutual_info_variants`` of the hashed state, per member in index order.
 
-    One stacked pass per chunk of members, each array holding at most
-    ``_STACK_ENTRIES`` entries (one member if it alone is larger): the
-    chunk's tables at once, each distinct table hashed once, then the
-    checks of ``CQState`` and the spectra of ``StateDecomposition`` on the
-    whole stack of hashed states. Every value equals that of
-    ``apply_function(state, f).decomposition.mutual_info_variants()``.
+    Each member's values are kept in the state's bounded memo
+    (``StateDecomposition.memo``) under ``(M, table)``, so a table that an
+    earlier family or chunk of the same state hashed is looked up, not
+    hashed again. The rest go through one stacked pass per chunk of
+    members, each array holding at most ``_STACK_ENTRIES`` entries (one
+    member if it alone is larger): the chunk's new tables, each hashed once,
+    then the checks of ``CQState`` and the spectra of ``StateDecomposition``
+    on the whole stack of hashed states. Every value equals that of
+    ``apply_function(state, f).decomposition.mutual_info_variants()``, and
+    every member gets its own dict.
     """
     _require_matching_domain(state, family)
+    memo = state.decomposition.memo
     big_m, d = family.range_size, state.eve_dim
     step = max(1, _STACK_ENTRIES // max(big_m * d * d, family.domain_size))
     out = []
     for start in range(0, family.member_count, step):
-        distinct = {}  # table -> its row in the stack, in order of first appearance
-        tables = member_tables(family, start, min(start + step, family.member_count)).tolist()
-        table_of = [distinct.setdefault(t, len(distinct)) for t in map(tuple, tables)]
-        probs, blocks = hashed_blocks(state, np.array(list(distinct)), big_m)
-        shape = blocks.shape
-        probs, rhos, lam, basis = checked_states(probs, blocks.reshape(-1, d, d))
-        stack = DecompositionStack(probs, rhos.reshape(shape), lam.reshape(shape[:3]), basis.reshape(shape))
-        rows = stack.mutual_info_variants()
-        out.extend(dict(rows[i]) for i in table_of)
+        tables = list(map(tuple, member_tables(family, start, min(start + step, family.member_count)).tolist()))
+        rows = {t: memo.get((big_m, t)) for t in tables}  # in order of first appearance
+        new = [t for t, row in rows.items() if row is None]
+        if new:
+            probs, blocks = hashed_blocks(state, np.array(new), big_m)
+            shape = blocks.shape
+            probs, rhos, lam, basis = checked_states(probs, blocks.reshape(-1, d, d))
+            stack = DecompositionStack(probs, rhos.reshape(shape), lam.reshape(shape[:3]), basis.reshape(shape))
+            for t, row in zip(new, stack.mutual_info_variants()):
+                rows[t] = row
+                memo.put((big_m, t), row)
+        out.extend(dict(rows[t]) for t in tables)
     return out
 
 

@@ -127,6 +127,8 @@ def test_family_pass_runs_in_bounded_chunks(monkeypatch):
     for module in (cqstate, quantities):
         monkeypatch.setattr(module, "eigh_batch", recorded)
     assert member_mutual_info(state, family) == reference
-    # per chunk: the blocks' validation, the 16 marginals and the sandwiches
-    assert stacks == [(64, 16, 16), (16, 16, 16), (16, 4, 16, 16)] * 2
+    # first the state's own decomposition, which holds the memo of member
+    # results: its marginal and its 16 sandwiches; then per chunk: the
+    # blocks' validation, the 16 marginals and the sandwiches
+    assert stacks == [(1, 16, 16), (1, 16, 16, 16)] + [(64, 16, 16), (16, 16, 16), (16, 4, 16, 16)] * 2
     assert max(math.prod(shape) for shape in stacks) == vmod._STACK_ENTRIES

@@ -11,6 +11,7 @@ from lemma_oracle import SUITE_SEEDS, lemma_min_eigenvalues, seeded_psd
 from qpa.cqstate import AlphabetMismatchError, CQState, eve_marginal, preset, random_cq, tensor_power
 from qpa.hashing import enumerate_members, make_family
 from qpa.hermitian import HermitianMatrix, matrix_log, matrix_power, pinch
+import qpa.quantities as qmod
 from qpa.quantities import StateDecomposition, mutual_info_variants, renyi_cond_joint
 import qpa.verification as vmod
 from qpa.verification import (
@@ -346,8 +347,12 @@ def test_full_suite_hashes_each_member_once(monkeypatch):
     assert len(pairs) == 108 and sum(f.member_count for _, f in pairs) == 412
     # a table that repeats inside its own family is hashed once, e.g. every
     # Toeplitz-identity member with k = m is the identity
-    distinct = sum(len({mem.function.table for mem in enumerate_members(f)}) for _, f in pairs)
-    assert distinct == 412 - 25
+    per_family = sum(len({mem.function.table for mem in enumerate_members(f)}) for _, f in pairs)
+    assert per_family == 412 - 25
+    # and so is one that an earlier family of the same state and M hashed:
+    # toeplitz and modified_toeplitz of one (state, M) share tables
+    distinct = len({(id(state), f.range_size, mem.function.table) for state, f in pairs for mem in enumerate_members(f)})
+    assert distinct == 308
     passes, hashed = [], []
     original_pass, original_blocks = vmod.member_mutual_info, vmod.hashed_blocks
 
@@ -365,7 +370,27 @@ def test_full_suite_hashes_each_member_once(monkeypatch):
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
     assert passes == [(f, f.member_count) for _, f in pairs]  # 108 family passes over 412 members
-    assert len(hashed) == 108 and sum(hashed) == distinct
+    # one stacked pass per toeplitz family: every modified_toeplitz table of
+    # the same (state, M) is also a toeplitz table, so those passes hash nothing
+    assert len(hashed) == 54 and sum(hashed) == distinct
+
+
+def test_full_suite_evaluates_each_order_once(monkeypatch):
+    # toeplitz and modified_toeplitz of one (state, M) search the same orders,
+    # and the state's memo answers the second family
+    evaluated = []
+    original = qmod._renyi_from_terms
+
+    def counted(terms, s):
+        evaluated.append((terms, tuple(np.ravel(s).tolist())))  # the terms stay alive, so ids stay distinct
+        return original(terms, s)
+
+    monkeypatch.setattr(qmod, "_renyi_from_terms", counted)
+    reports = run_full_suite()
+    assert all(rep.passed for rep in reports)
+    # one evaluation per distinct (state, kind, order): a state's Renyi and
+    # Hbar* terms are each one object
+    assert len(evaluated) == len({(id(terms), s) for terms, s in evaluated}) == 1571
 
 
 def test_full_suite_decomposes_each_state_once(monkeypatch):
