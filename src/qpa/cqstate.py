@@ -157,9 +157,9 @@ class CQState:
 
     @property
     def eve_states(self) -> tuple[HermitianMatrix, ...]:
-        """The rows of ``rhos`` as :class:`HermitianMatrix` objects, built on first use."""
+        """The rows of ``rhos`` as :class:`HermitianMatrix` objects, built on first use, for the benchmark's tracer."""
         if self._eve_states is None:
-            self._eve_states = tuple(HermitianMatrix(r, atol=None) for r in self._rhos)
+            self._eve_states = tuple(map(HermitianMatrix, self._rhos))
         return self._eve_states
 
     @property
@@ -191,15 +191,15 @@ class CQState:
 make_cq_state = CQState
 
 
-def joint_density(state: CQState) -> HermitianMatrix:
-    """Block-diagonal joint operator with blocks ``P(a) * rho_a``."""
+def joint_density(state: CQState) -> np.ndarray:
+    """Block-diagonal joint operator with blocks ``P(a) * rho_a``, read-only, for the joint-matrix oracles."""
     d = state.eve_dim
     n = state.alphabet_size
     if n * d > DEFAULT_DIM_CAP:
         raise SizeCapError(f"joint dimension {n * d} exceeds cap {DEFAULT_DIM_CAP}")
     out = np.zeros((n, d, n, d), dtype=np.complex128)
     out[range(n), :, range(n), :] = state.probs[:, None, None] * state.rhos  # block a at (a, a)
-    return HermitianMatrix(out.reshape(n * d, n * d), atol=None)
+    return hermitian_entries(out.reshape(n * d, n * d), atol=None)
 
 
 def eve_marginals(probs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -210,9 +210,9 @@ def eve_marginals(probs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return hermitian_entries(out, 3, atol=None)
 
 
-def eve_marginal(state: CQState) -> HermitianMatrix:
-    """The partial trace over the classical register as a :class:`HermitianMatrix`, for the joint-matrix oracles."""
-    return HermitianMatrix(eve_marginals(state.probs[None], state.rhos[None])[0], atol=None)
+def eve_marginal(state: CQState) -> np.ndarray:
+    """The partial trace over the classical register, read-only, for the joint-matrix oracles."""
+    return eve_marginals(state.probs[None], state.rhos[None])[0]
 
 
 def hashed_blocks(state: CQState, tables: np.ndarray, range_size: int) -> tuple[np.ndarray, np.ndarray]:

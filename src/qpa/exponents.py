@@ -185,6 +185,8 @@ def exponent_curve(state: CQState, r_min: float, r_max: float, steps: int) -> Ex
         raise ValueError(f"need 0 <= r_min < r_max < inf, got [{r_min}, {r_max}]")
     if steps < 2:
         raise ValueError("need at least 2 steps")
+    if not math.isfinite((r_max - r_min) * (steps - 1)):
+        raise ValueError(f"rate grid r_min={r_min}, r_max={r_max}, steps={steps} overflows a double")
     rates_list = [r_min + (r_max - r_min) * i / (steps - 1) for i in range(steps)]
     return ExponentCurve(tuple(exponent_row(state, r) for r in rates_list))
 

@@ -3,7 +3,9 @@
 Eigendecompositions with eigenvalue clustering, spectral matrix functions
 under a pseudo-inverse convention on rank-deficient inputs, Kronecker
 products, and pinching (dephasing into another operator's eigenbasis).
-All logarithms are natural; conversion to bits is presentation-only.
+Each takes Hermitian arrays through ``hermitian_entries(m, atol=None)`` and
+returns read-only arrays. All logarithms are natural; conversion to bits is
+presentation-only.
 """
 
 from __future__ import annotations
@@ -67,45 +69,17 @@ def hermitian_entries(entries, ndim: int = 2, *, atol: float | None = 1e-12) -> 
 
 
 class HermitianMatrix:
-    """Immutable dense Hermitian matrix with a lazily cached spectrum.
+    """A read-only Hermitian array ``mat``: a row of :attr:`qpa.cqstate.CQState.eve_states`.
 
-    The entries pass :func:`hermitian_entries`: non-finite entries and
-    (unless ``atol=None``) an asymmetry above ``atol`` are rejected, and the
-    stored matrix is the exact Hermitian average ``(M + M^dag)/2``. Instances
-    are safe to share across threads: the entry array is read-only and the
-    spectrum cache is either populated once or recomputed idempotently.
+    That property is its one use, kept because the benchmark's tracer reads
+    it; it goes with ``eve_states`` once the tracer reads ``CQState.rhos``.
+    Everything else in qpa computes on plain arrays.
     """
 
-    __slots__ = ("_mat", "_spectrum")
+    __slots__ = ("mat",)
 
-    def __init__(self, entries, *, atol: float | None = 1e-12):
-        self._mat = hermitian_entries(entries, atol=atol)
-        self._spectrum = None
-
-    @property
-    def mat(self) -> np.ndarray:
-        """Read-only complex entry array."""
-        return self._mat
-
-    @property
-    def dim(self) -> int:
-        return self._mat.shape[0]
-
-    @property
-    def spectrum(self) -> "Spectrum":
-        if self._spectrum is None:
-            self._spectrum = eig_hermitian(self)
-        return self._spectrum
-
-    def trace(self) -> float:
-        return float(np.trace(self._mat).real)
-
-    def operator_norm(self) -> float:
-        w = self.spectrum.eigenvalues
-        return float(np.max(np.abs(w))) if w.size else 0.0
-
-    def __repr__(self) -> str:
-        return f"HermitianMatrix(dim={self.dim})"
+    def __init__(self, entries):
+        self.mat = hermitian_entries(entries, atol=None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,13 +147,13 @@ def eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def eig_hermitian(m: HermitianMatrix) -> Spectrum:
-    """Eigendecomposition of ``m`` with descending, clustered eigenvalues.
+def eig_hermitian(m) -> Spectrum:
+    """Eigendecomposition of the Hermitian array ``m`` with descending, clustered eigenvalues.
 
     Deterministic for identical input; the residual check of
     :func:`eigh_batch` applies. Both arrays are read-only.
     """
-    w, v = eigh_batch(m.mat[None])
+    w, v = eigh_batch(hermitian_entries(m, atol=None)[None])
     w = w[0, ::-1].copy()
     v = v[0, :, ::-1].copy()
     w.setflags(write=False)
@@ -187,22 +161,25 @@ def eig_hermitian(m: HermitianMatrix) -> Spectrum:
     return Spectrum(w, v, cluster_ranges(w))
 
 
-def _rebuild(v: np.ndarray, values: np.ndarray) -> HermitianMatrix:
-    return HermitianMatrix((v * values) @ v.conj().T, atol=None)
+def _spectral(m) -> tuple[np.ndarray, np.ndarray, float]:
+    """Descending eigenvalues and eigenvectors of ``m`` and its support cut ``SUPPORT_RTOL * max|eigenvalue|``."""
+    spec = eig_hermitian(m)
+    w = spec.eigenvalues
+    return w, spec.eigenvectors, SUPPORT_RTOL * float(np.max(np.abs(w), initial=0.0))
 
 
-def matrix_power(m: HermitianMatrix, p: float) -> HermitianMatrix:
+def _rebuild(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return hermitian_entries((v * values) @ v.conj().T, atol=None)
+
+
+def matrix_power(m, p: float) -> np.ndarray:
     """Spectral power ``m^p`` with zeros kept at zero (pseudo-inverse style).
 
     Eigenvalues within ``SUPPORT_RTOL * max|eigenvalue|`` of zero map to zero.
     A fractional ``p`` on an eigenvalue decisively below zero is a domain
     error; integer powers act on the full spectrum.
     """
-    spec = m.spectrum
-    w = spec.eigenvalues
-    if w.size == 0:
-        return m
-    cut = SUPPORT_RTOL * float(np.max(np.abs(w)))
+    w, v, cut = _spectral(m)
     out = np.zeros_like(w)
     if float(p).is_integer():
         ip = int(p)
@@ -218,47 +195,42 @@ def matrix_power(m: HermitianMatrix, p: float) -> HermitianMatrix:
             )
         keep = w > cut
         out[keep] = w[keep] ** p
-    return _rebuild(spec.eigenvectors, out)
+    return _rebuild(v, out)
 
 
-def matrix_log(m: HermitianMatrix) -> HermitianMatrix:
+def matrix_log(m) -> np.ndarray:
     """Spectral natural log on the support of ``m``; the kernel maps to zero."""
-    spec = m.spectrum
-    w = spec.eigenvalues
-    if w.size == 0:
-        return m
-    cut = SUPPORT_RTOL * float(np.max(np.abs(w)))
+    w, v, cut = _spectral(m)
     if np.any(w < -cut):
         raise HermitianError(f"log of a matrix with negative eigenvalue {w[-1]:.3e}")
     out = np.zeros_like(w)
     keep = w > cut
     out[keep] = np.log(w[keep])
-    return _rebuild(spec.eigenvectors, out)
+    return _rebuild(v, out)
 
 
-def tensor(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
+def tensor(a, b) -> np.ndarray:
     """Kronecker product ``a (x) b``."""
-    new_dim = a.dim * b.dim
+    a, b = hermitian_entries(a, atol=None), hermitian_entries(b, atol=None)
+    new_dim = len(a) * len(b)
     if new_dim > DEFAULT_DIM_CAP:
         raise SizeCapError(f"tensor dimension {new_dim} exceeds cap {DEFAULT_DIM_CAP}")
-    return HermitianMatrix(np.kron(a.mat, b.mat), atol=None)
+    return hermitian_entries(np.kron(a, b), atol=None)
 
 
-def identity(dim: int) -> HermitianMatrix:
-    return HermitianMatrix(np.eye(dim), atol=None)
-
-
-def pinch(sigma: HermitianMatrix, rho: HermitianMatrix) -> HermitianMatrix:
+def pinch(sigma, rho) -> np.ndarray:
     """Dephase ``rho`` into the eigenbasis of ``sigma``.
 
     Sums ``E_i rho E_i`` over sigma's eigenvalue-cluster projectors; trace
     preserving, and the result commutes with sigma up to the cluster widths.
     """
-    if sigma.dim != rho.dim:
-        raise HermitianError(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
-    vs = sigma.spectrum.eigenvectors
-    out = np.zeros_like(rho.mat)
-    for a, b in sigma.spectrum.clusters:
+    spec = eig_hermitian(sigma)
+    rho = hermitian_entries(rho, atol=None)
+    if len(spec.eigenvalues) != len(rho):
+        raise HermitianError(f"dimension mismatch: {len(spec.eigenvalues)} vs {len(rho)}")
+    vs = spec.eigenvectors
+    out = np.zeros_like(rho)
+    for a, b in spec.clusters:
         block = vs[:, a:b]
-        out += block @ (block.conj().T @ rho.mat @ block) @ block.conj().T
-    return HermitianMatrix(out, atol=None)
+        out += block @ (block.conj().T @ rho @ block) @ block.conj().T
+    return hermitian_entries(out, atol=None)

@@ -3,13 +3,14 @@
 Every quantity decomposes over the block structure of the joint operator
 (one stacked eigenproblem over the symbol blocks plus one for the E
 marginal), which is the default evaluation path. The ``*_joint`` variants
-evaluate the same formulas on the full joint matrix and are kept as
-cross-check oracles.
+evaluate the same formulas on the full joint matrix, a plain array, with the
+spectral functions of ``qpa.hermitian``; they are kept as cross-check oracles
+independent of ``StateDecomposition``.
 
 Conventions: natural logarithms throughout; functions of rank-deficient
 operators act on the support only (pseudo-inverse / pseudo-log); the Renyi
-order parameter ``s`` means order ``1+s`` and ``s = 0`` denotes the von
-Neumann limit.
+order parameter ``s`` means order ``1+s``, ``s = 0`` denotes the von
+Neumann limit, and a subnormal ``s`` (below ``S_MIN``) is rejected.
 """
 
 from __future__ import annotations
@@ -18,22 +19,26 @@ import collections
 import dataclasses
 import functools
 import math
+import sys
 
 import numpy as np
 
 from .cqstate import CQState, eve_marginal, eve_marginals, joint_density
 from .hermitian import (
     SUPPORT_RTOL,
-    HermitianMatrix,
     cluster_ranges,
+    eig_hermitian,
     eigh_batch,
-    identity,
+    hermitian_entries,
     matrix_log,
     matrix_power,
     tensor,
 )
 
 S_MAX = 4.0
+
+# smallest positive order: below it orders are subnormal and lose their precision
+S_MIN = sys.float_info.min
 
 # largest phi argument evaluated: beta = 1/(1-t) = 16; beyond this, double
 # precision cannot carry the small inner eigenvalues back through the
@@ -73,11 +78,14 @@ def _entropy_of(values: np.ndarray) -> float:
 
 
 def _check_order(s, *, allow_zero: bool) -> np.ndarray:
-    """The order parameters as a float array, each checked to lie in ``[0, S_MAX]``."""
+    """The order parameters as a float array, each checked to be 0 or to lie in ``[S_MIN, S_MAX]``."""
     s = np.asarray(s, dtype=float)
     bad = ~((s >= 0.0) & (s <= S_MAX))
     if bad.any():
         raise ValueError(f"Renyi order parameter s={float(s[bad][0])} outside [0, {S_MAX}]")
+    tiny = (s > 0.0) & (s < S_MIN)
+    if tiny.any():
+        raise ValueError(f"Renyi order parameter s={float(s[tiny][0])} is subnormal, below {S_MIN}")
     if not allow_zero and (s == 0.0).any():
         raise ValueError("s = 0 is the von Neumann limit; call cond_entropy_bar instead")
     return s
@@ -411,7 +419,7 @@ class StateDecomposition:
         eigenbasis of each ``rho_a``, where ``Y_a = (P(a) rho_a / exp(top))^alpha`` and
         ``alpha = 1/(1-t)``, so that ``sum_a Y_a = X(t) / exp(alpha top)``."""
         t = np.asarray(t_values, dtype=float)
-        if np.any((t < 0.0) | (t > PHI_T_MAX)):
+        if not np.all((t >= 0.0) & (t <= PHI_T_MAX)):
             raise ValueError(f"phi is computable for t in [0, {PHI_T_MAX}], got {t_values}")
         top, shifted, u_conj = self._phi_terms
         log_w = (1.0 / (1.0 - t))[..., None, None] * shifted
@@ -481,16 +489,17 @@ def phi_quantity(state: CQState, t: float) -> float:
     return state.decomposition.phi(t)
 
 
-def relative_entropies(rho: HermitianMatrix, sigma: HermitianMatrix) -> dict[str, float]:
-    """Both relative entropies ``D`` and ``Dbar`` of ``rho`` from ``sigma``.
+def relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> dict[str, float]:
+    """Both relative entropies ``D`` and ``Dbar`` of the Hermitian array ``rho`` from ``sigma``.
 
     Returns infinities when ``rho`` has more than 1e-10 mass outside the
     support of ``sigma``.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    rspec = rho.spectrum
-    sspec = sigma.spectrum
+    rho, sigma = hermitian_entries(rho, atol=None), hermitian_entries(sigma, atol=None)
+    if rho.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch: {len(rho)} vs {len(sigma)}")
+    rspec = eig_hermitian(rho)
+    sspec = eig_hermitian(sigma)
     lam = np.maximum(rspec.eigenvalues, 0.0)
     mu = np.maximum(sspec.eigenvalues, 0.0)
     cut = SUPPORT_RTOL * (float(mu[0]) if mu.size else 0.0)
@@ -507,12 +516,12 @@ def relative_entropies(rho: HermitianMatrix, sigma: HermitianMatrix) -> dict[str
     inv_sqrt = np.zeros_like(mu)
     inv_sqrt[supp] = mu[supp] ** -0.5
     b = (sspec.eigenvectors * inv_sqrt) @ sspec.eigenvectors.conj().T
-    x = b @ rho.mat @ b
+    x = b @ rho @ b
     x = (x + x.conj().T) / 2
     xi, w = np.linalg.eigh(x)
     xi = np.maximum(xi, 0.0)
     keep = xi > SUPPORT_RTOL * (float(xi[-1]) if xi.size else 0.0)
-    weights = np.maximum(np.real(np.einsum("ji,jk,ki->i", w.conj(), rho.mat, w)), 0.0)
+    weights = np.maximum(np.real(np.einsum("ji,jk,ki->i", w.conj(), rho, w)), 0.0)
     dbar = float(np.sum(weights[keep] * np.log(xi[keep])))
     return {"D": d_val, "D_bar": dbar}
 
@@ -520,70 +529,55 @@ def relative_entropies(rho: HermitianMatrix, sigma: HermitianMatrix) -> dict[str
 # -- joint-matrix cross-check oracle ------------------------------------------
 
 
-def _sandwich(state: CQState) -> HermitianMatrix:
-    rho = joint_density(state)
-    eve_inv_sqrt = matrix_power(eve_marginal(state), -0.5)
-    op = tensor(identity(state.alphabet_size), eve_inv_sqrt)
-    return HermitianMatrix(op.mat @ rho.mat @ op.mat, atol=None)
+def _sandwich(state: CQState) -> np.ndarray:
+    op = tensor(np.eye(state.alphabet_size), matrix_power(eve_marginal(state), -0.5))
+    return hermitian_entries(op @ joint_density(state) @ op, atol=None)
 
 
 def renyi_cond_joint(state: CQState, s: float) -> float:
     """``H_{1+s}(A|E)`` evaluated on the full joint matrix."""
     _check_order(s, allow_zero=True)
-    if s == 0.0:
-        rho = joint_density(state)
-        eve = eve_marginal(state)
-        return _entropy_of(rho.spectrum.eigenvalues) - _entropy_of(eve.spectrum.eigenvalues)
     rho = joint_density(state)
-    rho_pow = matrix_power(rho, 1.0 + s)
-    eve_pow = matrix_power(eve_marginal(state), -s)
-    op = tensor(identity(state.alphabet_size), eve_pow)
-    return -math.log(float(np.trace(rho_pow.mat @ op.mat).real)) / s
+    if s == 0.0:
+        return _entropy_of(eig_hermitian(rho).eigenvalues) - _entropy_of(eig_hermitian(eve_marginal(state)).eigenvalues)
+    op = tensor(np.eye(state.alphabet_size), matrix_power(eve_marginal(state), -s))
+    return -math.log(float(np.trace(matrix_power(rho, 1.0 + s) @ op).real)) / s
 
 
 def renyi_cond_bar_star_joint(state: CQState, s: float) -> float:
     """``Hbar*_{1+s}(A|E)`` evaluated on the full joint matrix."""
     _check_order(s, allow_zero=False)
-    rho = joint_density(state)
-    sand_pow = matrix_power(_sandwich(state), s)
-    return -math.log(float(np.trace(rho.mat @ sand_pow.mat).real)) / s
+    return -math.log(float(np.trace(joint_density(state) @ matrix_power(_sandwich(state), s)).real)) / s
 
 
 def cond_entropy_bar_joint(state: CQState) -> float:
     """``Hbar(A|E)`` evaluated on the full joint matrix."""
-    rho = joint_density(state)
-    return -float(np.trace(rho.mat @ matrix_log(_sandwich(state)).mat).real)
+    return -float(np.trace(joint_density(state) @ matrix_log(_sandwich(state))).real)
 
 
 def min_entropy_joint(state: CQState) -> float:
     """``H_min(A|E)`` evaluated on the full joint matrix."""
-    return -math.log(_sandwich(state).operator_norm())
+    return -math.log(float(np.max(np.abs(eig_hermitian(_sandwich(state)).eigenvalues))))
+
+
+def _product_operators(state: CQState) -> tuple[np.ndarray, np.ndarray]:
+    """``P_A (x) rho^E`` and ``(I / |A|) (x) rho^E``."""
+    eve = eve_marginal(state)
+    n = state.alphabet_size
+    return tensor(np.diag(state.probs), eve), tensor(np.eye(n) / n, eve)
 
 
 def mutual_info_variants_joint(state: CQState) -> dict[str, float]:
     """Mutual-information variants via relative entropies of joint operators."""
     rho = joint_density(state)
-    eve = eve_marginal(state)
-    n = state.alphabet_size
-    marg_a = HermitianMatrix(np.diag(state.probs.astype(complex)), atol=None)
-    mix_a = HermitianMatrix(np.eye(n) / n, atol=None)
-    prod = tensor(marg_a, eve)
-    prod_mix = tensor(mix_a, eve)
-    d = relative_entropies(rho, prod)
-    dp = relative_entropies(rho, prod_mix)
+    d, dp = (relative_entropies(rho, prod) for prod in _product_operators(state))
     return {"I": d["D"], "I_prime": dp["D"], "I_bar": d["D_bar"], "I_bar_prime": dp["D_bar"]}
 
 
 def trace_distances_joint(state: CQState) -> dict[str, float]:
     """Trace distances via eigenvalues of the joint difference operators."""
-    rho = joint_density(state).mat
-    eve = eve_marginal(state)
-    n = state.alphabet_size
-    marg_a = HermitianMatrix(np.diag(state.probs.astype(complex)), atol=None)
-    prod = tensor(marg_a, eve).mat
-    prod_mix = tensor(HermitianMatrix(np.eye(n) / n, atol=None), eve).mat
-    d1 = float(np.sum(np.abs(np.linalg.eigvalsh(rho - prod))))
-    d1p = float(np.sum(np.abs(np.linalg.eigvalsh(rho - prod_mix))))
+    rho = joint_density(state)
+    d1, d1p = (float(np.sum(np.abs(np.linalg.eigvalsh(rho - prod)))) for prod in _product_operators(state))
     return {"d1": d1, "d1_prime": d1p}
 
 
@@ -592,7 +586,7 @@ def phi_quantity_joint(state: CQState, t: float) -> float:
     if not (0.0 <= t <= 0.5):
         raise ValueError(f"phi is defined for t in [0, 1/2], got {t}")
     alpha = 1.0 / (1.0 - t)
-    rho_pow = matrix_power(joint_density(state), alpha).mat
+    rho_pow = matrix_power(joint_density(state), alpha)
     d = state.eve_dim
     traced = np.zeros((d, d), dtype=np.complex128)
     for a in range(state.alphabet_size):

@@ -20,7 +20,7 @@ from .cqstate import AlphabetMismatchError, CQState, checked_states, hashed_bloc
 from .hashing import HashFamily, make_family, member_tables
 from .hermitian import SUPPORT_RTOL, eigh_batch, hermitian_entries
 from .optimize import golden_max
-from .quantities import DecompositionStack, StateDecomposition
+from .quantities import S_MIN, DecompositionStack, StateDecomposition, _check_order
 
 SLACK_TOL = 1e-9
 
@@ -68,6 +68,7 @@ def _check_s_grid(s_grid) -> tuple[float, ...]:
     grid = tuple(float(s) for s in s_grid)
     if not grid or any(not (0.0 < s <= 1.0) for s in grid):
         raise ValueError(f"the hashing bounds hold for s in (0, 1]; got grid {s_grid}")
+    _check_order(grid, allow_zero=False)  # rejects subnormal orders
     return grid
 
 
@@ -138,7 +139,7 @@ def verify_avg_leak_bound(
 
     rhs_by_s = {float(s): rhs(float(s)) for s in s_grid}
     coarse_best = min(rhs_by_s, key=rhs_by_s.get)
-    lo = max(min(s_grid) / 10.0, coarse_best - 0.1)
+    lo = max(min(s_grid) / 10.0, coarse_best - 0.1, S_MIN)  # no subnormal order
     hi = min(1.0, coarse_best + 0.1)
     best_s, neg_min = golden_max(lambda s: -rhs(s), lo, hi, tol=1e-4)
     rhs_min = -neg_min

@@ -9,7 +9,7 @@ independent oracle for the shared-eigenbasis scalars in
 
 import numpy as np
 
-from qpa.hermitian import HermitianMatrix, eigh_batch, identity, matrix_log, matrix_power
+from qpa.hermitian import eigh_batch, hermitian_entries, matrix_log, matrix_power
 
 # (seed, dim) of the 200 matrices ``run_full_suite`` checks: 40 per dimension 2..6
 SUITE_SEEDS = [(idx, 2 + idx // 40) for idx in range(200)]
@@ -19,7 +19,7 @@ def seeded_psd(seed, dim):
     """The PSD ``X = G G^dag`` that ``matrix_lemma_checks`` draws for ``seed``."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianMatrix(g @ g.conj().T, atol=None)
+    return hermitian_entries(g @ g.conj().T, atol=None)
 
 
 def lemma_min_eigenvalues(seed, dim, s_grid):
@@ -29,14 +29,14 @@ def lemma_min_eigenvalues(seed, dim, s_grid):
     ``(I + X^s) - (I + X)^s`` and ``X^s / s - log(I + X)``.
     """
     x = seeded_psd(seed, dim)
-    eye = identity(dim)
-    one_plus_x = HermitianMatrix(eye.mat + x.mat, atol=None)
+    eye = np.eye(dim)
+    one_plus_x = hermitian_entries(eye + x, atol=None)
     log_one_plus_x = matrix_log(one_plus_x)
     diffs = []
     for s in s_grid:
         s = float(s)
         x_s = matrix_power(x, s)
-        diffs.append(HermitianMatrix(eye.mat + x_s.mat - matrix_power(one_plus_x, s).mat, atol=None).mat)
-        diffs.append(HermitianMatrix(x_s.mat / s - log_one_plus_x.mat, atol=None).mat)
+        diffs.append(hermitian_entries(eye + x_s - matrix_power(one_plus_x, s), atol=None))
+        diffs.append(hermitian_entries(x_s / s - log_one_plus_x, atol=None))
     low = eigh_batch(np.stack(diffs))[0][:, 0]
     return low[0::2], low[1::2]

@@ -18,7 +18,7 @@ import pytest
 from qpa.cqstate import make_cq_state, preset, random_cq, tensor_power
 from qpa.exponents import exponent_curve, rates
 from qpa.hashing import collision_stats, make_family
-from qpa.hermitian import pinch
+from qpa.hermitian import eig_hermitian, pinch
 from qpa.quantities import PHI_T_MAX, StateDecomposition, phi_quantity, quantity_report
 from qpa.verification import (
     default_corpus,
@@ -181,10 +181,10 @@ def test_acceptance_10_pinching():
 
     for name, st in default_corpus():
         eve = eve_marginal(st)
-        v = eve.spectrum.distinct_count
+        v = eig_hermitian(eve).distinct_count
         for a in range(st.alphabet_size):
-            rho = st.eve_states[a]
-            diff = v * pinch(eve, rho).mat - rho.mat
+            rho = st.rhos[a]
+            diff = v * pinch(eve, rho) - rho
             assert np.linalg.eigvalsh(diff).min() >= -1e-9, (name, a)
         report = pinching_bound_check(st, name=name)
         assert report.passed, name

@@ -161,6 +161,42 @@ def test_nonfinite_rate_exit_2(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quantities", "--preset", "tilted-qubit", "--s", "5e-324"],
+        ["quantities", "--preset", "tilted-qubit", "--s", "0.5,1e-320"],
+        ["verify", "--preset", "copy", "--family", "toeplitz:q=2,k=1,m=1", "--s", "5e-324"],
+    ],
+    ids=["quantities", "quantities-grid", "verify"],
+)
+def test_subnormal_order_exit_2(capsys, argv):
+    # below 2.2e-308 the Renyi evaluations lose their precision: quantities printed 0
+    # and verify divided by an order that underflowed to 0
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: Renyi order parameter s=") and "is subnormal" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_smallest_normal_order_is_accepted(capsys):
+    # the binding-order search starts no lower than the smallest order the grid check accepts
+    argv = ["verify", "--preset", "copy", "--family", "toeplitz:q=2,k=1,m=1", "--s", str(sys.float_info.min)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("2/2 checks passed\n")
+
+
+def test_sweep_rate_grid_overflow_exit_2(capsys):
+    # (r_max - r_min) * i overflowed to inf, reported as a rate the user never passed
+    code = main(["sweep", "--preset", "tilted-qubit", "--steps", "3", "--r-max", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: rate grid r_min=0.0, r_max=1e+308, steps=3 overflows a double\n"
+
+
 def test_io_error_exit_5(tmp_path):
     res = run_cli(
         "sweep", "--preset", "product", "--steps", "3", "-o", str(tmp_path / "no_dir" / "x.csv")
@@ -325,8 +361,8 @@ def test_complex_lifted_verify_matches_golden(monkeypatch, capsys):
 
 
 def test_commands_take_one_spectral_path(monkeypatch, capsys):
-    # every command below reads the arrays of StateDecomposition; HermitianMatrix and
-    # eig_hermitian serve only the joint oracles, selftest and CQState.eve_states
+    # every command below reads the arrays of StateDecomposition; eig_hermitian serves
+    # only the joint oracles and selftest, and HermitianMatrix only CQState.eve_states
     from qpa import hermitian
 
     counts = {"HermitianMatrix": 0, "eig_hermitian": 0}
@@ -347,6 +383,38 @@ def test_commands_take_one_spectral_path(monkeypatch, capsys):
         assert main(argv) == 0, argv
         assert counts == {"HermitianMatrix": 0, "eig_hermitian": 0}, argv
     capsys.readouterr()
+
+
+def test_selftest_and_joint_oracles_build_no_hermitian_matrix(monkeypatch, capsys, corpus_states):
+    # selftest, the joint oracles and relative_entropies compute on plain arrays;
+    # HermitianMatrix is left to CQState.eve_states
+    from qpa import hermitian
+    from qpa import quantities as qmod
+    from qpa.cqstate import CQState, eve_marginal, joint_density
+
+    built = []
+    init = hermitian.HermitianMatrix.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hermitian.HermitianMatrix, "__init__", counted_init)
+    assert main(["selftest"]) == 0
+    capsys.readouterr()
+    assert built == [], "selftest"
+    for name, st in corpus_states.items():
+        st = CQState(st.probs, st.rhos)  # a fresh state, whose eve_states nothing has built
+        for s in (0.0, 0.5):
+            qmod.renyi_cond_joint(st, s)
+        qmod.renyi_cond_bar_star_joint(st, 0.5)
+        qmod.cond_entropy_bar_joint(st)
+        qmod.min_entropy_joint(st)
+        qmod.mutual_info_variants_joint(st)
+        qmod.trace_distances_joint(st)
+        qmod.phi_quantity_joint(st, 0.25)
+        qmod.relative_entropies(joint_density(st), hermitian.tensor(np.diag(st.probs), eve_marginal(st)))
+        assert built == [], name
 
 
 def test_size_cap_exit_6(capsys):

@@ -39,7 +39,7 @@ def test_presets_valid():
     for name in ("copy", "product", "tilted-qubit", "bb84(0.5)", "depolarized(0.3)"):
         st = preset(name)
         assert abs(float(st.probs.sum()) - 1.0) <= 1e-12
-    assert preset("copy").eve_states[0].mat[0, 0] == pytest.approx(1.0)
+    assert preset("copy").rhos[0][0, 0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         preset("nonsense")
     with pytest.raises(ValueError):
@@ -75,27 +75,27 @@ def test_make_cq_state_diagnostics():
 
 
 def test_joint_density_presets():
-    assert np.allclose(joint_density(preset("copy")).mat, np.diag([0.5, 0, 0, 0.5]))
-    assert np.allclose(joint_density(preset("product")).mat, np.eye(4) / 4)
+    assert np.allclose(joint_density(preset("copy")), np.diag([0.5, 0, 0, 0.5]))
+    assert np.allclose(joint_density(preset("product")), np.eye(4) / 4)
     tilted = joint_density(preset("tilted-qubit"))
-    assert tilted.trace() == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.matrix_rank(tilted.mat) == 4
+    assert np.trace(tilted).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.matrix_rank(tilted) == 4
 
 
 def test_eve_marginal():
-    assert np.allclose(eve_marginal(preset("copy")).mat, np.eye(2) / 2)
-    assert np.allclose(eve_marginal(preset("product")).mat, np.eye(2) / 2)
-    assert np.allclose(eve_marginal(preset("tilted-qubit")).mat, TILTED_EVE, atol=1e-15)
+    assert np.allclose(eve_marginal(preset("copy")), np.eye(2) / 2)
+    assert np.allclose(eve_marginal(preset("product")), np.eye(2) / 2)
+    assert np.allclose(eve_marginal(preset("tilted-qubit")), TILTED_EVE, atol=1e-15)
 
 
 def test_eve_marginal_matches_partial_trace_of_joint(corpus_states):
     for name, st in corpus_states.items():
-        joint = joint_density(st).mat
+        joint = joint_density(st)
         d = st.eve_dim
         traced = sum(
             joint[a * d : (a + 1) * d, a * d : (a + 1) * d] for a in range(st.alphabet_size)
         )
-        assert np.max(np.abs(traced - eve_marginal(st).mat)) <= 1e-12, name
+        assert np.max(np.abs(traced - eve_marginal(st))) <= 1e-12, name
 
 
 def test_apply_function_identity_and_constant():
@@ -103,11 +103,11 @@ def test_apply_function_identity_and_constant():
     same = apply_function(st, ClassicalFunction.identity(2))
     assert np.allclose(same.probs, st.probs)
     for a in range(2):
-        assert np.allclose(same.eve_states[a].mat, st.eve_states[a].mat)
+        assert np.allclose(same.rhos[a], st.rhos[a])
 
     collapsed = apply_function(preset("copy"), ClassicalFunction.constant(2))
     assert collapsed.alphabet_size == 1
-    assert np.allclose(collapsed.eve_states[0].mat, np.eye(2) / 2)
+    assert np.allclose(collapsed.rhos[0], np.eye(2) / 2)
     # with M = 1 the key is trivially uniform and carries nothing
     assert StateDecomposition(collapsed).mutual_info_variants()["I_prime"] == pytest.approx(
         0.0, abs=1e-12
@@ -129,7 +129,7 @@ def test_apply_function_preserves_eve_marginal(corpus_states):
     for name, st in corpus_states.items():
         table = tuple(int(x) for x in rng.integers(0, 2, size=st.alphabet_size))
         hashed = apply_function(st, ClassicalFunction(st.alphabet_size, 2, table))
-        assert np.max(np.abs(eve_marginal(hashed).mat - eve_marginal(st).mat)) <= 1e-14, name
+        assert np.max(np.abs(eve_marginal(hashed) - eve_marginal(st))) <= 1e-14, name
 
 
 def test_data_processing_seeded():
@@ -147,11 +147,11 @@ def test_apply_eve_channel_identity_and_depolarizing():
     st = preset("tilted-qubit")
     same = apply_eve_channel(st, [np.eye(2)])
     for a in range(2):
-        assert np.allclose(same.eve_states[a].mat, st.eve_states[a].mat)
+        assert np.allclose(same.rhos[a], st.rhos[a])
 
     flat = apply_eve_channel(st, depolarizing_kraus(1.0))
     for a in range(2):
-        assert np.allclose(flat.eve_states[a].mat, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(flat.rhos[a], np.eye(2) / 2, atol=1e-12)
     assert cond_entropy(flat) == pytest.approx(StateDecomposition(st).classical_entropy(), abs=1e-10)
 
     with pytest.raises(ValueError):
@@ -176,7 +176,7 @@ def test_tensor_power():
     st = preset("product")
     assert tensor_power(st, 1) is st
     sq = tensor_power(st, 2)
-    assert np.allclose(joint_density(sq).mat, np.eye(16) / 16)
+    assert np.allclose(joint_density(sq), np.eye(16) / 16)
     tilted = preset("tilted-qubit")
     doubled = tensor_power(tilted, 2)
     for s in (0.25, 0.5, 1.0):
@@ -189,8 +189,8 @@ def test_random_cq_reproducible():
     a = random_cq(7, 2, 2)
     b = random_cq(7, 2, 2)
     assert np.array_equal(a.probs, b.probs)
-    for x, y in zip(a.eve_states, b.eve_states):
-        assert np.array_equal(x.mat, y.mat)
+    for x, y in zip(a.rhos, b.rhos):
+        assert np.array_equal(x, y)
     c = random_cq(8, 2, 2)
     assert not np.allclose(a.probs, c.probs)
 
@@ -199,8 +199,8 @@ def test_json_round_trip():
     st = preset("tilted-qubit")
     loaded = load_state_json(dump_state_json(st))
     assert np.allclose(loaded.probs, st.probs)
-    for x, y in zip(loaded.eve_states, st.eve_states):
-        assert np.allclose(x.mat, y.mat)
+    for x, y in zip(loaded.rhos, st.rhos):
+        assert np.allclose(x, y)
     viapreset = load_state_json('{"preset": "product"}')
     assert np.allclose(viapreset.probs, [0.5, 0.5])
 
@@ -228,8 +228,8 @@ def test_validation_eigensystems_are_kept():
     st = random_cq(5, 3, 3)
     lam, vecs = st.eve_eigh
     assert lam.shape == (3, 3) and vecs.shape == (3, 3, 3)
-    for a, rho in enumerate(st.eve_states):
-        w, v = np.linalg.eigh(rho.mat)
+    for a, rho in enumerate(st.rhos):
+        w, v = np.linalg.eigh(rho)
         assert np.array_equal(lam[a], w)
         assert np.array_equal(vecs[a], v)
 

@@ -100,7 +100,9 @@ def test_memoised_scalars_equal_fresh_unmemoised_evaluations(index, calls):
         ("renyi_cond_bar_star", np.array(0.0)),
         ("renyi_cond_bar_star", math.nan),
         ("phi", 0.95),
+        ("phi", math.nan),
         ("phi_and_slope", -0.1),
+        ("phi_and_slope", math.nan),
     ],
 )
 def test_invalid_orders_raise_on_every_call(method, order):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lemma_oracle import SUITE_SEEDS, lemma_min_eigenvalues, seeded_psd
 from qpa.cqstate import AlphabetMismatchError, CQState, eve_marginal, preset, random_cq, tensor_power
 from qpa.hashing import enumerate_members, make_family
-from qpa.hermitian import HermitianMatrix, matrix_log, matrix_power, pinch
+from qpa.hermitian import matrix_log, matrix_power, pinch
 import qpa.quantities as qmod
 from qpa.quantities import StateDecomposition, mutual_info_variants, renyi_cond_joint
 import qpa.verification as vmod
@@ -236,12 +236,12 @@ def test_finite_size_bound_values():
 
 
 def test_matrix_lemma_scalar_case():
-    x = HermitianMatrix(np.diag([1.0, 4.0]))
+    x = np.diag([1.0, 4.0])
     eye = np.eye(2)
-    diff = eye + matrix_power(x, 0.5).mat - matrix_power(HermitianMatrix(eye + x.mat), 0.5).mat
+    diff = eye + matrix_power(x, 0.5) - matrix_power(eye + x, 0.5)
     assert np.allclose(np.diag(diff), [2 - math.sqrt(2), 3 - math.sqrt(5)])
     assert np.linalg.eigvalsh(diff).min() >= -1e-12
-    log_diff = matrix_power(x, 0.5).mat / 0.5 - matrix_log(HermitianMatrix(eye + x.mat)).mat
+    log_diff = matrix_power(x, 0.5) / 0.5 - matrix_log(eye + x)
     assert np.linalg.eigvalsh(log_diff).min() >= -1e-12
 
 
@@ -262,7 +262,7 @@ def test_matrix_lemma_grid_validated(s_grid):
 def test_matrix_lemma_scalars_match_matrix_oracle():
     for seed, dim in SUITE_SEEDS:
         power, log = lemma_min_eigenvalues(seed, dim, DEFAULT_S_GRID)
-        power_gap, log_gap = vmod._lemma_gaps(np.linalg.eigh(seeded_psd(seed, dim).mat)[0], DEFAULT_S_GRID)
+        power_gap, log_gap = vmod._lemma_gaps(np.linalg.eigh(seeded_psd(seed, dim))[0], DEFAULT_S_GRID)
         np.testing.assert_allclose(power_gap.min(axis=1), power, rtol=0, atol=1e-12)
         np.testing.assert_allclose(log_gap.min(axis=1), log, rtol=0, atol=1e-12)
         rep = matrix_lemma_checks(seed=seed, dim=dim)
@@ -276,7 +276,7 @@ def test_matrix_lemma_scalars_match_matrix_oracle():
 def test_matrix_lemma_scalars_match_mpmath(seed):
     # 50-digit eigenvalues of the same X; seed 194 is where the matrix route reads -5.09e-14
     dim = dict(SUITE_SEEDS)[seed]
-    x = seeded_psd(seed, dim).mat
+    x = seeded_psd(seed, dim)
     power_gap, log_gap = vmod._lemma_gaps(np.linalg.eigh(x)[0], DEFAULT_S_GRID)
     with mpmath.workdps(50):
         lam = [mpmath.re(e) for e in mpmath.eighe(mpmath.matrix(x.tolist()), eigvals_only=True)]
@@ -317,7 +317,7 @@ def test_lemma_gaps_cut_the_kernel():
 def test_pinching_sandwich_matches_per_symbol_pinch(corpus_states):
     for name, state in corpus_states.items():
         eve = eve_marginal(state)
-        reference = CQState(state.probs, [pinch(eve, HermitianMatrix(rho)).mat for rho in state.rhos])
+        reference = CQState(state.probs, [pinch(eve, rho) for rho in state.rhos])
         info = reference.decomposition.mutual_info_variants()
         rep = pinching_bound_check(state, name=name)
         assert rep.i_pinched == pytest.approx(info["I"], abs=1e-12), name
