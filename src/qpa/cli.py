@@ -56,7 +56,8 @@ def _load_state(args):
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    # + 0.0 turns a parsed -0 into 0, which every output then prints and keys as 0
+    return [float(part) + 0.0 for part in text.split(",") if part.strip()]
 
 
 def _parse_rates(text: str) -> list[float]:
@@ -64,6 +65,20 @@ def _parse_rates(text: str) -> list[float]:
     if not rates:
         raise ValueError(f"--r needs at least one key rate, got {text!r}")
     return rates
+
+
+def _scale(args) -> float:
+    """Divisor from nats to the ``--log-base`` unit of the text display."""
+    return LOG2 if args.log_base == "bits" else 1.0
+
+
+def _emit(args, doc, lines) -> None:
+    """Write ``doc`` as key-sorted JSON under ``--format json`` (listing a ``map``), else the text ``lines``."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True, default=list)
+    else:
+        text = "\n".join(lines)
+    _write_output(args.output, text + "\n")
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -100,27 +115,12 @@ def _display_symbol(key: str) -> str:
 
 
 def cmd_quantities(args) -> int:
-    state = _load_state(args)
-    s_values = _parse_floats(args.s)
-    report = qmod.quantity_report(state, s_values)
-    if args.format == "json":
-        doc = {"units": report.units, "values": report.values}
-        _write_output(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
-    scale = LOG2 if args.log_base == "bits" else 1.0
-    unit = args.log_base
-    lines = [f"{'quantity':36s} value [{unit}]"]
-    for key, val in report.values.items():
-        lines.append(f"{_display_symbol(key):36s} {fmt(val / scale)}")
-    _write_output(args.output, "\n".join(lines) + "\n")
+    report = qmod.quantity_report(_load_state(args), _parse_floats(args.s))
+    scale = _scale(args)
+    lines = [f"{'quantity':36s} value [{args.log_base}]"]
+    lines += (f"{_display_symbol(key):36s} {fmt(val / scale)}" for key, val in report.items())
+    _emit(args, {"units": "nats", "values": report}, lines)
     return EXIT_OK
-
-
-def _report_lines(rep) -> str:
-    status = "PASS" if rep.passed else "FAIL"
-    who = rep.metadata.get("state", "")
-    fam = rep.metadata.get("family", "")
-    return f"{status}  {rep.check:28s} slack={fmt(rep.slack):>18s}  state={who} family={fam}"
 
 
 def _lift_to_domain(state, domain: int):
@@ -155,35 +155,30 @@ def cmd_verify(args) -> int:
         state = _lift_to_domain(state, family.domain_size)
         s_grid = tuple(_parse_floats(args.s)) if args.s is not None else vmod.DEFAULT_S_GRID
         reports = vmod.verify_hashing_bounds(state, family, s_grid, name=args.preset or args.state)
-        coll = collision_stats(family)
-        if not coll.is_universal2:
+        if not collision_stats(family).is_universal2:
             print(f"warning: family {family.describe()} is not universal_2", file=sys.stderr)
-    if args.format == "json":
-        doc = [rep.to_json_dict() for rep in reports]
-        _write_output(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        body = "\n".join(_report_lines(rep) for rep in reports)
-        summary = f"{sum(r.passed for r in reports)}/{len(reports)} checks passed"
-        _write_output(args.output, body + "\n" + summary + "\n")
+    lines = [
+        f"{'PASS' if rep.passed else 'FAIL'}  {rep.check:28s} slack={fmt(rep.slack):>18s}  "
+        f"state={rep.metadata.get('state', '')} family={rep.metadata.get('family', '')}"
+        for rep in reports
+    ]
+    lines.append(f"{sum(r.passed for r in reports)}/{len(reports)} checks passed")
+    _emit(args, map(vmod.BoundReport.to_json_dict, reports), lines)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
 def cmd_exponents(args) -> int:
     state = _load_state(args)
     rows = [expmod.exponent_row(state, r) for r in _parse_rates(args.r)]
-    if args.format == "json":
-        doc = {"units": "nats", "rows": [vars(row) for row in rows]}
-        _write_output(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
-    scale = LOG2 if args.log_base == "bits" else 1.0
+    scale = _scale(args)
     lines = [f"{'R':>14s} {'e_H':>14s} {'s*':>8s} {'e_H_q':>14s} {'s*':>8s} {'e_phi_q':>14s} {'t*':>8s} {'e_d_lower':>14s}"]
-    for row in rows:
-        lines.append(
-            f"{fmt(row.R / scale):>14s} {fmt(row.e_H / scale):>14s} {fmt(row.s_star_H):>8s} "
-            f"{fmt(row.e_H_q / scale):>14s} {fmt(row.s_star_Hq):>8s} "
-            f"{fmt(row.e_phi_q / scale):>14s} {fmt(row.t_star):>8s} {fmt(row.e_d_lower / scale):>14s}"
-        )
-    _write_output(args.output, "\n".join(lines) + "\n")
+    lines += (
+        f"{fmt(row.R / scale):>14s} {fmt(row.e_H / scale):>14s} {fmt(row.s_star_H):>8s} "
+        f"{fmt(row.e_H_q / scale):>14s} {fmt(row.s_star_Hq):>8s} "
+        f"{fmt(row.e_phi_q / scale):>14s} {fmt(row.t_star):>8s} {fmt(row.e_d_lower / scale):>14s}"
+        for row in rows
+    )
+    _emit(args, {"units": "nats", "rows": [vars(row) for row in rows]}, lines)
     return EXIT_OK
 
 
@@ -198,18 +193,10 @@ def cmd_sweep(args) -> int:
 def cmd_rates(args) -> int:
     state = _load_state(args)
     points = [expmod.rates(state, r) for r in _parse_rates(args.r)]
-    if args.format == "json":
-        doc = {"units": "nats", "rows": [vars(p) for p in points]}
-        _write_output(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
-    scale = LOG2 if args.log_base == "bits" else 1.0
+    scale = _scale(args)
     lines = [f"{'R':>14s} {'equivocation':>14s} {'min_leak_rate':>14s} {'optimal_rate':>14s}"]
-    for p in points:
-        lines.append(
-            f"{fmt(p.R / scale):>14s} {fmt(p.equivocation / scale):>14s} "
-            f"{fmt(p.min_leak_rate / scale):>14s} {fmt(p.optimal_rate / scale):>14s}"
-        )
-    _write_output(args.output, "\n".join(lines) + "\n")
+    lines += (" ".join(f"{fmt(v / scale):>14s}" for v in vars(p).values()) for p in points)
+    _emit(args, {"units": "nats", "rows": [vars(p) for p in points]}, lines)
     return EXIT_OK
 
 
@@ -221,9 +208,9 @@ def _selftest_checks():
         return abs(x - y) <= t
 
     # spectral layer
-    yield "eig of diag(3,1)", np.allclose(eig_hermitian(np.diag([3.0, 1.0])).eigenvalues, [3.0, 1.0])
+    yield "eig of diag(3,1)", np.allclose(eig_hermitian(np.diag([3.0, 1.0]))[0], [3.0, 1.0])
     pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    yield "eig of Pauli X", np.allclose(eig_hermitian(pauli_x).eigenvalues, [1.0, -1.0])
+    yield "eig of Pauli X", np.allclose(eig_hermitian(pauli_x)[0], [1.0, -1.0])
     inv_sqrt = matrix_power(np.diag([4.0, 0.0]), -0.5)
     yield "pseudo inverse sqrt of diag(4,0)", np.allclose(inv_sqrt, np.diag([0.5, 0.0]))
     yield "log of identity", np.allclose(matrix_log(np.eye(3)), 0.0)

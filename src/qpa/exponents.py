@@ -136,7 +136,7 @@ class CurveRow:
     e_d_lower: float
 
 
-CSV_HEADER = "R,e_H,s_star_H,e_H_q,s_star_Hq,e_phi_q,t_star,e_d_lower"
+CSV_HEADER = ",".join(field.name for field in dataclasses.fields(CurveRow))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,14 +144,8 @@ class ExponentCurve:
     rows: tuple[CurveRow, ...]
 
     def to_csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    fmt(v)
-                    for v in (r.R, r.e_H, r.s_star_H, r.e_H_q, r.s_star_Hq, r.e_phi_q, r.t_star, r.e_d_lower)
-                )
-            )
+        # a row's __dict__ holds its fields in declaration order; astuple would deep-copy every value
+        lines = [CSV_HEADER] + [",".join(fmt(v) for v in vars(r).values()) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 

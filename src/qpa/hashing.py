@@ -6,6 +6,8 @@ only ``k - 1`` field elements of randomness for input length ``k``. Domain
 symbols are identified with ``{0 .. q^k - 1}`` through little-endian base-q
 digits (digit 0 is least significant), and output digit vectors combine the
 same way; classical alphabets must use the same indexing.
+``member_tables`` enumerates members by parameter index as one
+``(members, |A|)`` array; ``member_function`` is its one-member case.
 
 Collision probabilities are certified with exact integer counting; the
 universal_2 property is a combinatorial claim, so no floating tolerance is
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -55,14 +56,6 @@ class HashFamily:
         if self.kind == KIND_EXPLICIT:
             return f"{self.kind}:|A|={self.domain_size},M={self.range_size},n={self.member_count}"
         return f"{self.kind}:q={self.q},k={self.k},m={self.m}"
-
-
-@dataclasses.dataclass(frozen=True)
-class FamilyMember:
-    """One enumerated member: its parameter index and materialized table."""
-
-    index: int
-    function: ClassicalFunction
 
 
 def _digits(x, q: int, width: int) -> np.ndarray:
@@ -158,12 +151,6 @@ def member_function(family: HashFamily, index: int) -> ClassicalFunction:
     return ClassicalFunction(family.domain_size, family.range_size, table)
 
 
-def enumerate_members(family: HashFamily) -> Iterator[FamilyMember]:
-    """All members in parameter-index order."""
-    for index in range(family.member_count):
-        yield FamilyMember(index, member_function(family, index))
-
-
 @dataclasses.dataclass(frozen=True)
 class CollisionReport:
     max_collision_prob: Fraction
@@ -253,7 +240,7 @@ def collision_stats(family: HashFamily) -> CollisionReport:
 
 
 def parse_family(descriptor: str) -> HashFamily:
-    """Parse a CLI descriptor such as ``toeplitz:q=2,k=4,m=2``."""
+    """Parse a CLI descriptor such as ``toeplitz:q=2,k=4,m=2``; each of q, k, m exactly once."""
     kind, _, rest = descriptor.partition(":")
     kind = kind.strip()
     if kind not in (KIND_TOEPLITZ, KIND_MODIFIED):
@@ -264,8 +251,11 @@ def parse_family(descriptor: str) -> HashFamily:
         if not part:
             continue
         key, _, val = part.partition("=")
+        key = key.strip()
+        if key not in ("q", "k", "m") or key in fields:
+            raise ValueError(f"{'repeated' if key in fields else 'unknown'} family field {key!r} in {descriptor!r}")
         try:
-            fields[key.strip()] = int(val)
+            fields[key] = int(val)
         except ValueError as exc:
             raise ValueError(f"bad family field {part!r} in {descriptor!r}") from exc
     missing = {"q", "k", "m"} - fields.keys()

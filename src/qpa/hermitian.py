@@ -1,16 +1,14 @@
 """Dense complex Hermitian linear algebra for small operators.
 
-Eigendecompositions with eigenvalue clustering, spectral matrix functions
-under a pseudo-inverse convention on rank-deficient inputs, Kronecker
-products, and pinching (dephasing into another operator's eigenbasis).
-Each takes Hermitian arrays through ``hermitian_entries(m, atol=None)`` and
-returns read-only arrays. All logarithms are natural; conversion to bits is
-presentation-only.
+Eigendecompositions as descending ``(w, v)`` arrays, spectral matrix
+functions under a pseudo-inverse convention on rank-deficient inputs,
+Kronecker products, and pinching (dephasing into the eigenvalue clusters of
+another operator). Each takes Hermitian arrays through
+``hermitian_entries(m, atol=None)`` and returns read-only arrays. All
+logarithms are natural; conversion to bits is presentation-only.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -82,28 +80,14 @@ class HermitianMatrix:
         self.mat = hermitian_entries(entries, atol=None)
 
 
-@dataclasses.dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition with descending eigenvalues and gap clusters.
-
-    ``clusters`` is a tuple of half-open index ranges ``(start, stop)`` into
-    the descending eigenvalue array; members of one cluster differ by at most
-    ``CLUSTER_RTOL * max|eigenvalue|`` and a near-degenerate run longer than
-    that span is split rather than merged, so the cluster count can only
-    overestimate the number of distinct eigenvalues.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    clusters: tuple[tuple[int, int], ...]
-
-    @property
-    def distinct_count(self) -> int:
-        return len(self.clusters)
-
-
 def cluster_ranges(w: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """The :class:`Spectrum` clusters of descending eigenvalues ``w``."""
+    """Half-open index ranges ``(start, stop)`` of the gap clusters of descending eigenvalues ``w``.
+
+    Members of one cluster differ by at most ``CLUSTER_RTOL * max|eigenvalue|``;
+    a near-degenerate run longer than that span is split rather than merged,
+    so the cluster count can only overestimate the number of distinct
+    eigenvalues.
+    """
     n = len(w)
     if n == 0:
         return ()
@@ -147,8 +131,8 @@ def eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def eig_hermitian(m) -> Spectrum:
-    """Eigendecomposition of the Hermitian array ``m`` with descending, clustered eigenvalues.
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues ``w`` and eigenvectors ``v`` (columns) of the Hermitian array ``m``.
 
     Deterministic for identical input; the residual check of
     :func:`eigh_batch` applies. Both arrays are read-only.
@@ -158,14 +142,13 @@ def eig_hermitian(m) -> Spectrum:
     v = v[0, :, ::-1].copy()
     w.setflags(write=False)
     v.setflags(write=False)
-    return Spectrum(w, v, cluster_ranges(w))
+    return w, v
 
 
 def _spectral(m) -> tuple[np.ndarray, np.ndarray, float]:
     """Descending eigenvalues and eigenvectors of ``m`` and its support cut ``SUPPORT_RTOL * max|eigenvalue|``."""
-    spec = eig_hermitian(m)
-    w = spec.eigenvalues
-    return w, spec.eigenvectors, SUPPORT_RTOL * float(np.max(np.abs(w), initial=0.0))
+    w, v = eig_hermitian(m)
+    return w, v, SUPPORT_RTOL * float(np.max(np.abs(w), initial=0.0))
 
 
 def _rebuild(v: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -224,13 +207,12 @@ def pinch(sigma, rho) -> np.ndarray:
     Sums ``E_i rho E_i`` over sigma's eigenvalue-cluster projectors; trace
     preserving, and the result commutes with sigma up to the cluster widths.
     """
-    spec = eig_hermitian(sigma)
+    w, vs = eig_hermitian(sigma)
     rho = hermitian_entries(rho, atol=None)
-    if len(spec.eigenvalues) != len(rho):
-        raise HermitianError(f"dimension mismatch: {len(spec.eigenvalues)} vs {len(rho)}")
-    vs = spec.eigenvectors
+    if len(w) != len(rho):
+        raise HermitianError(f"dimension mismatch: {len(w)} vs {len(rho)}")
     out = np.zeros_like(rho)
-    for a, b in spec.clusters:
+    for a, b in cluster_ranges(w):
         block = vs[:, a:b]
         out += block @ (block.conj().T @ rho @ block) @ block.conj().T
     return hermitian_entries(out, atol=None)

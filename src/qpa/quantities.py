@@ -16,7 +16,6 @@ Neumann limit, and a subnormal ``s`` (below ``S_MIN``) is rejected.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import math
 import sys
@@ -498,13 +497,12 @@ def relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> dict[str, float]:
     rho, sigma = hermitian_entries(rho, atol=None), hermitian_entries(sigma, atol=None)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {len(rho)} vs {len(sigma)}")
-    rspec = eig_hermitian(rho)
-    sspec = eig_hermitian(sigma)
-    lam = np.maximum(rspec.eigenvalues, 0.0)
-    mu = np.maximum(sspec.eigenvalues, 0.0)
+    lam, rvecs = eig_hermitian(rho)
+    mu, svecs = eig_hermitian(sigma)
+    lam, mu = np.maximum(lam, 0.0), np.maximum(mu, 0.0)
     cut = SUPPORT_RTOL * (float(mu[0]) if mu.size else 0.0)
     supp = mu > cut
-    ov = np.abs(rspec.eigenvectors.conj().T @ sspec.eigenvectors) ** 2
+    ov = np.abs(rvecs.conj().T @ svecs) ** 2
     out_mass = float(np.sum(lam @ ov[:, ~supp])) if np.any(~supp) else 0.0
     if out_mass > 1e-10:
         return {"D": math.inf, "D_bar": math.inf}
@@ -515,7 +513,7 @@ def relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> dict[str, float]:
 
     inv_sqrt = np.zeros_like(mu)
     inv_sqrt[supp] = mu[supp] ** -0.5
-    b = (sspec.eigenvectors * inv_sqrt) @ sspec.eigenvectors.conj().T
+    b = (svecs * inv_sqrt) @ svecs.conj().T
     x = b @ rho @ b
     x = (x + x.conj().T) / 2
     xi, w = np.linalg.eigh(x)
@@ -539,7 +537,7 @@ def renyi_cond_joint(state: CQState, s: float) -> float:
     _check_order(s, allow_zero=True)
     rho = joint_density(state)
     if s == 0.0:
-        return _entropy_of(eig_hermitian(rho).eigenvalues) - _entropy_of(eig_hermitian(eve_marginal(state)).eigenvalues)
+        return _entropy_of(eig_hermitian(rho)[0]) - _entropy_of(eig_hermitian(eve_marginal(state))[0])
     op = tensor(np.eye(state.alphabet_size), matrix_power(eve_marginal(state), -s))
     return -math.log(float(np.trace(matrix_power(rho, 1.0 + s) @ op).real)) / s
 
@@ -557,7 +555,7 @@ def cond_entropy_bar_joint(state: CQState) -> float:
 
 def min_entropy_joint(state: CQState) -> float:
     """``H_min(A|E)`` evaluated on the full joint matrix."""
-    return -math.log(float(np.max(np.abs(eig_hermitian(_sandwich(state)).eigenvalues))))
+    return -math.log(float(np.max(np.abs(eig_hermitian(_sandwich(state))[0]))))
 
 
 def _product_operators(state: CQState) -> tuple[np.ndarray, np.ndarray]:
@@ -598,16 +596,8 @@ def phi_quantity_joint(state: CQState, t: float) -> float:
 # -- report ---------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class QuantityReport:
-    """Named quantity values at the requested orders, in nats."""
-
-    values: dict[str, float]
-    units: str = "nats"
-
-
-def quantity_report(state: CQState, s_values=(0.5,)) -> QuantityReport:
-    """Compute the full quantity roster at the given order parameters."""
+def quantity_report(state: CQState, s_values=(0.5,)) -> dict[str, float]:
+    """The full quantity roster at the given order parameters, in nats, sorted by key."""
     dec = state.decomposition
     out: dict[str, float] = {
         "H_AE": dec.joint_entropy(),
@@ -634,4 +624,4 @@ def quantity_report(state: CQState, s_values=(0.5,)) -> QuantityReport:
             raise ValueError(f"quantity {key} is not finite")
         if key.startswith(capped) and val > cap:
             raise ValueError(f"conditional entropy {key}={val} exceeds log|A|")
-    return QuantityReport(dict(sorted(out.items())))
+    return dict(sorted(out.items()))

@@ -7,12 +7,12 @@ from that state's own ``StateDecomposition``; the oracle for
 """
 
 from qpa.cqstate import apply_function
-from qpa.hashing import enumerate_members
+from qpa.hashing import member_function
 
 
 def member_mutual_info_reference(state, family):
     """``mutual_info_variants`` of every hashed member state, built one by one, in index order."""
     return [
-        apply_function(state, mem.function).decomposition.mutual_info_variants()
-        for mem in enumerate_members(family)
+        apply_function(state, member_function(family, i)).decomposition.mutual_info_variants()
+        for i in range(family.member_count)
     ]

@@ -212,6 +212,42 @@ def test_verify_single_pair(capsys):
     assert "2/2 checks passed" in out
 
 
+@pytest.mark.parametrize(
+    "family, field",
+    [
+        ("toeplitz:q=2,k=1,m=1,zz=7", "unknown family field 'zz'"),
+        ("toeplitz:q=2,k=1,m=1,m=5", "repeated family field 'm'"),
+    ],
+    ids=["unknown", "repeated"],
+)
+def test_family_descriptor_field_errors_exit_2(capsys, family, field):
+    # zz=7 was ignored (2/2 checks passed, exit 0), and of m=1,m=5 the last value won
+    code = main(["verify", "--preset", "tilted-qubit", "--family", family])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {field} in {family!r}\n"
+
+
+def test_negative_zero_parses_as_zero(capsys):
+    # a parsed -0 reached the outputs: "R": -0.0 and "equivocation": -0.0 in the rates and
+    # exponents JSON, the label s=-0 and the keys H_renyi(-0) and phi(-0) in quantities
+    def run(*argv):
+        assert main([*argv, "--preset", "product"]) == 0
+        return capsys.readouterr().out
+
+    rates = json.loads(run("rates", "--r", "-0", "--format", "json"))["rows"][0]
+    exponents = json.loads(run("exponents", "--r", "-0", "--format", "json"))["rows"][0]
+    for value in (rates["R"], rates["equivocation"], exponents["R"]):
+        assert math.copysign(1.0, value) == 1.0 and value == 0.0
+    values = json.loads(run("quantities", "--s", "-0", "--format", "json"))["values"]
+    assert "H_renyi(0)" in values and "phi(0)" in values
+    assert not any("(-" in key for key in values)
+    labels = [line[:36].rstrip() for line in run("quantities", "--s", "-0").splitlines()]
+    assert "H_(1+s)(A|E), s=0" in labels and "phi(t), t=0" in labels
+    assert not any("=-" in label for label in labels)
+
+
 def test_verify_copy_trivial_family(capsys):
     code = main(["verify", "--preset", "copy", "--family", "toeplitz:q=2,k=1,m=1", "--s", "1.0"])
     out = capsys.readouterr().out
@@ -506,11 +542,30 @@ def test_preset_parameter_out_of_range_exit_2(capsys, name, allowed):
     [
         (["exponents", "--r", "0.1,0.2,0.3"], "tilted_exponents_golden.json"),
         (["verify", "--family", "toeplitz:q=2,k=2,m=1"], "tilted_lifted_verify_golden.json"),
+        (["rates", "--r", "0.1,0.5"], "tilted_rates_golden.json"),
     ],
-    ids=["exponents", "lifted-verify"],
+    ids=["exponents", "lifted-verify", "rates"],
 )
 def test_tilted_json_matches_golden(capsys, argv, golden):
     code = main([*argv, "--preset", "tilted-qubit", "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["quantities", "--s", "0,0.25,0.5,1"], "tilted_quantities_golden.txt"),
+        (["quantities", "--s", "0,0.25,0.5,1", "--log-base", "bits"], "tilted_quantities_bits_golden.txt"),
+        (["exponents", "--r", "0.1,0.2,0.3"], "tilted_exponents_golden.txt"),
+        (["exponents", "--r", "0.1,0.2,0.3", "--log-base", "bits"], "tilted_exponents_bits_golden.txt"),
+        (["rates", "--r", "0.1,0.5"], "tilted_rates_golden.txt"),
+        (["verify", "--family", "toeplitz:q=2,k=2,m=1"], "tilted_lifted_verify_golden.txt"),
+    ],
+    ids=["quantities", "quantities-bits", "exponents", "exponents-bits", "rates", "lifted-verify"],
+)
+def test_tilted_text_matches_golden(capsys, argv, golden):
+    code = main([*argv, "--preset", "tilted-qubit"])
     assert code == 0
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
 

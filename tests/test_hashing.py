@@ -9,10 +9,10 @@ from qpa.hashing import (
     SUPPORTED_PRIMES,
     _solution_dims,
     collision_stats,
-    enumerate_members,
     make_explicit_family,
     make_family,
     member_function,
+    member_tables,
     parse_family,
 )
 from qpa.hermitian import SizeCapError
@@ -20,7 +20,7 @@ from qpa.hermitian import SizeCapError
 
 def brute_force_collision_max(family):
     """All-pairs, all-members counting; the independent oracle."""
-    tables = [m.function.table for m in enumerate_members(family)]
+    tables = [member_function(family, i).table for i in range(family.member_count)]
     worst = 0
     for a1 in range(family.domain_size):
         for a2 in range(a1 + 1, family.domain_size):
@@ -52,16 +52,15 @@ def test_make_family_validation():
 
 def test_toeplitz_members_match_matrix_oracle():
     family = make_family("toeplitz", 2, 2, 1)
-    members = list(enumerate_members(family))
-    assert len(members) == 4
-    assert [m.index for m in members] == [0, 1, 2, 3]
+    assert family.member_count == 4
     # parameters (d0, d1) little-endian; row is [d1 d0] since T[0,j] = d[1-j]
-    for idx, member in enumerate(members):
+    for idx in range(4):
+        f = member_function(family, idx)
         d0, d1 = idx % 2, idx // 2
         row = np.array([d1, d0])
         for a in range(4):
             avec = np.array([a % 2, a // 2])
-            assert member.function(a) == int(row @ avec) % 2, (idx, a)
+            assert f(a) == int(row @ avec) % 2, (idx, a)
 
 
 def test_modified_member_hand_oracle():
@@ -78,15 +77,15 @@ def test_identity_block_when_m_equals_k():
     family = make_family("modified_toeplitz", 2, 2, 2)
     # the Toeplitz block is empty; every parameter choice is the identity map
     assert family.member_count == 2
-    for member in enumerate_members(family):
-        assert member.function.table == (0, 1, 2, 3)
+    for idx in range(family.member_count):
+        assert member_function(family, idx).table == (0, 1, 2, 3)
 
 
 def test_member_linearity():
     for family in (make_family("toeplitz", 3, 2, 2), make_family("modified_toeplitz", 3, 3, 2)):
         q, k = family.q, family.k
-        for member in enumerate_members(family):
-            f = member.function
+        for idx in range(family.member_count):
+            f = member_function(family, idx)
             for a in range(family.domain_size):
                 for b in range(family.domain_size):
                     da = np.array([(a // q**i) % q for i in range(k)])
@@ -95,7 +94,7 @@ def test_member_linearity():
                     fa = np.array([(f(a) // q**i) % q for i in range(family.m)])
                     fb = np.array([(f(b) // q**i) % q for i in range(family.m)])
                     fc = int(np.sum((fa + fb) % q * q ** np.arange(family.m)))
-                    assert f(c) == fc, (family.kind, member.index, a, b)
+                    assert f(c) == fc, (family.kind, idx, a, b)
 
 
 @pytest.mark.parametrize(
@@ -144,13 +143,12 @@ def test_explicit_family_validation():
 
 def test_enumeration_is_parameter_bijection():
     family = make_family("toeplitz", 2, 3, 1)
-    members = list(enumerate_members(family))
-    assert len(members) == family.member_count
-    assert members[0].index == 0
-    assert members[-1].index == family.member_count - 1
-    # distinct parameters give distinct matrices, hence distinct tables here
-    tables = {m.function.table for m in members}
+    tables = [tuple(row) for row in member_tables(family, 0, family.member_count).tolist()]
     assert len(tables) == family.member_count
+    # the batch equals its one-member case, member by member
+    assert tables == [member_function(family, i).table for i in range(family.member_count)]
+    # distinct parameters give distinct matrices, hence distinct tables here
+    assert len(set(tables)) == family.member_count
 
 
 def test_parse_family():
@@ -158,6 +156,13 @@ def test_parse_family():
     assert (fam.kind, fam.q, fam.k, fam.m) == ("toeplitz", 2, 4, 2)
     with pytest.raises(ValueError):
         parse_family("toeplitz:q=2,k=4")
+    # an unknown field was ignored, and of a repeated one the last value won
+    with pytest.raises(ValueError, match="unknown family field 'zz'"):
+        parse_family("toeplitz:q=2,k=1,m=1,zz=7")
+    with pytest.raises(ValueError, match="repeated family field 'm'"):
+        parse_family("toeplitz:q=2,k=1,m=1,m=5")
+    with pytest.raises(ValueError, match="repeated family field 'q'"):
+        parse_family("modified_toeplitz:q=2,q=2,k=2,m=1")
     with pytest.raises(ValueError):
         parse_family("bogus:q=2,k=4,m=2")
     with pytest.raises(ValueError):

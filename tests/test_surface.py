@@ -2,6 +2,7 @@
 
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,3 +67,34 @@ def test_benchmark_lifted_passes_its_correctness_gate(monkeypatch, tmp_path, see
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     lifted = importlib.import_module("workloads").Lifted(seed, tmp_path)
     assert lifted._check_one(lifted.op()) is None
+
+
+def _bindings(tracing) -> dict:
+    """Every name bound in a qpa module, a traced class and numpy.linalg, by (owner, name)."""
+    for modname in {entry[0] for entry in tracing.FUNCTIONS + tracing.METHODS}:
+        importlib.import_module(modname)
+    owners = [m for n, m in sorted(sys.modules.items()) if n == "qpa" or n.startswith("qpa.")]
+    owners += [getattr(sys.modules[mod], cls) for mod, cls, _, _ in tracing.METHODS]
+    owners.append(np.linalg)
+    return {(repr(owner), key): value for owner in owners for key, value in vars(owner).items()}
+
+
+def test_benchmark_tracer_changes_no_output_and_restores_every_binding(monkeypatch, tmp_path):
+    # perfbench/run.py --trace 1 rebinds every traced name, and its hooks read arguments
+    # by position (StateDecomposition.__init__'s state, golden_max's objective), so a
+    # signature change breaks a traced run unseen unless one operation runs under it
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    ops = {name: cls(1, tmp_path).op for name, cls in workloads.WORKLOADS.items()}
+    ops["selftest"] = lambda: workloads.run_cli(["selftest"])
+    before = _bindings(tracing)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        traced = {name: op() for name, op in ops.items()}
+    after = _bindings(tracing)
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+    assert tracer.calls["cli.main"] == 4 and tracer.calls["hashing.collision"] > 0
+    for name, op in ops.items():
+        assert op() == traced[name], name

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lemma_oracle import SUITE_SEEDS, lemma_min_eigenvalues, seeded_psd
 from qpa.cqstate import AlphabetMismatchError, CQState, eve_marginal, preset, random_cq, tensor_power
-from qpa.hashing import enumerate_members, make_family
+from qpa.hashing import make_family, member_function, member_tables
 from qpa.hermitian import matrix_log, matrix_power, pinch
 import qpa.quantities as qmod
 from qpa.quantities import StateDecomposition, mutual_info_variants, renyi_cond_joint
@@ -64,11 +64,10 @@ def test_ensemble_avg_matches_frozen_enumeration():
     got = verify_avg_leak_bound(tilted2, family).lhs
     assert got == pytest.approx(TILTED_SQ_AVG_I_PRIME, abs=1e-12)
     from qpa.cqstate import apply_function
-    from qpa.hashing import enumerate_members
 
     per_member = [
-        mutual_info_variants(apply_function(tilted2, m.function))["I_prime"]
-        for m in enumerate_members(family)
+        mutual_info_variants(apply_function(tilted2, member_function(family, i)))["I_prime"]
+        for i in range(family.member_count)
     ]
     assert per_member == pytest.approx(list(TILTED_SQ_MEMBER_I_PRIMES), abs=1e-12)
 
@@ -347,11 +346,12 @@ def test_full_suite_hashes_each_member_once(monkeypatch):
     assert len(pairs) == 108 and sum(f.member_count for _, f in pairs) == 412
     # a table that repeats inside its own family is hashed once, e.g. every
     # Toeplitz-identity member with k = m is the identity
-    per_family = sum(len({mem.function.table for mem in enumerate_members(f)}) for _, f in pairs)
+    tables = [(state, f, member_tables(f, 0, f.member_count).tolist()) for state, f in pairs]
+    per_family = sum(len({tuple(t) for t in family_tables}) for _, _, family_tables in tables)
     assert per_family == 412 - 25
     # and so is one that an earlier family of the same state and M hashed:
     # toeplitz and modified_toeplitz of one (state, M) share tables
-    distinct = len({(id(state), f.range_size, mem.function.table) for state, f in pairs for mem in enumerate_members(f)})
+    distinct = len({(id(state), f.range_size, tuple(t)) for state, f, family_tables in tables for t in family_tables})
     assert distinct == 308
     passes, hashed = [], []
     original_pass, original_blocks = vmod.member_mutual_info, vmod.hashed_blocks
