@@ -1,7 +1,6 @@
-"""Scalar optimisers: golden-section maximisation of a unimodal function, and
-the root of a nondecreasing function by regula falsi safeguarded by
-bisection, which locates the maximum of an objective whose derivative is a
-negative multiple of it (a stationarity condition).
+"""Scalar optimisers. ``increasing_root``, the root of a nondecreasing function by
+regula falsi safeguarded by bisection, serves every qpa search, each a stationarity
+condition. ``golden_max`` has no qpa caller; the benchmark harness wraps it by name.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ _ROOT_STEPS = 200  # a cap: bisection alone reaches the few-ulp stop at x in abo
 
 
 def golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Maximize a unimodal ``f`` on ``[lo, hi]`` to width ``tol``.
+    """Maximize a unimodal ``f`` on ``[lo, hi]`` to width ``tol``; no qpa code calls it.
 
     Endpoints are always candidates, so weakly monotone objectives resolve
     to an exact boundary argument instead of a point just inside it.

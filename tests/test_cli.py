@@ -369,7 +369,7 @@ def test_suite_full_json_matches_golden_digest(capsys):
     code = main(["verify", "--suite", "full", "--format", "json"])
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "d07b543ffa9ef3736169b82e4b678eb6634d4353a031d344e8da265f5b4ad649"
+    assert digest == "c5bfcbaf8a675cf2923f6db57761be5d19e4779be75a4105bd72a97eeec39954"
 
 
 @pytest.mark.parametrize(

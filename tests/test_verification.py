@@ -1,5 +1,7 @@
+import json
 import math
 import os
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lemma_oracle import SUITE_SEEDS, lemma_min_eigenvalues, seeded_psd
-from qpa.cqstate import AlphabetMismatchError, CQState, eve_marginal, preset, random_cq, tensor_power
+from qpa.cli import main
+from qpa.cqstate import AlphabetMismatchError, CQState, eve_marginal, load_state_json, preset, random_cq, tensor_power
 from qpa.hashing import make_family, member_function, member_tables
 from qpa.hermitian import matrix_log, matrix_power, pinch
 import qpa.quantities as qmod
@@ -27,7 +30,9 @@ from qpa.verification import (
     verify_exp_leak_bound,
     verify_hashing_bounds,
 )
+from renyi_oracle import DPS, psi_reference
 
+DATA = Path(__file__).parent / "data"
 LOG2 = math.log(2.0)
 
 # frozen from an independent enumeration over the two parity-or-projection members
@@ -119,6 +124,97 @@ def test_verify_avg_leak_bound_random_states():
             # an explicit member witnesses the existence claim
             best = rep.metadata["best_member_I_prime"]
             assert best <= min(rep.rhs_by_s.values()) + 1e-9
+
+
+def _avg_leak_json(capsys, argv):
+    assert main(["verify", *argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)[0]
+
+
+def test_avg_leak_minimum_does_not_depend_on_the_grid(capsys):
+    # the grid is reported, not searched: one order alone, the default grid
+    # and the reversed default grid all find the same minimum over (0, 1]
+    argv = ["--preset", "tilted-qubit", "--family", "toeplitz:q=2,k=1,m=1"]
+    reversed_grid = ",".join(map(str, reversed(DEFAULT_S_GRID)))
+    docs = [_avg_leak_json(capsys, [*argv, *grid]) for grid in ([], ["--s", "1.0"], ["--s", "0.1"], ["--s", reversed_grid])]
+    assert {(doc["best_s"], doc["slack"]) for doc in docs} == {(docs[0]["best_s"], docs[0]["slack"])}
+    assert docs[0]["rhs_by_s"] == docs[3]["rhs_by_s"]
+    assert 0.7 < docs[0]["best_s"] < 0.8  # not the best order of any of the grids
+
+
+def test_report_json_keeps_the_minimum_on_a_key_collision():
+    # the minimiser sits within 5e-7 below the grid order 0.8, so both print as "0.8"
+    rep = verify_avg_leak_bound(preset("depolarized(0.07302913394638641)"), make_family("toeplitz", 2, 1, 1))
+    assert 0.8 - 5e-7 < rep.best_s < 0.8
+    doc = rep.to_json_dict()
+    assert min(doc["rhs_by_s"].values()) == min(rep.rhs_by_s.values()) == rep.rhs_by_s[round(rep.best_s, 12)]
+    assert doc["rhs_by_s"]["0.8"] < rep.rhs_by_s[0.8]
+
+
+def _reference_minimum(psi, log_vm: float) -> tuple[float, float]:
+    """50-digit ``(argument, minimum)`` of ``exp(s log(vM) + psi(s)) / s`` on ``(0, 1]``.
+
+    Its log is convex, and its derivative ``log(vM) + psi'(s) - 1/s`` runs
+    from ``-inf`` at 0; the minimum sits at that derivative's root, clamped to 1.
+    """
+    with mpmath.workdps(DPS):
+        a = mpmath.mpf(log_vm)
+
+        def slope(s):
+            return a + mpmath.diff(psi, s) - 1 / s
+
+        one = mpmath.mpf(1)
+        s = one if slope(one) <= 0 else mpmath.findroot(slope, (mpmath.mpf("1e-6"), one), solver="anderson")
+        return float(s), float(mpmath.exp(s * a + psi(s)) / s)
+
+
+def _assert_at_reference_minimum(best_s, rhs_by_s, reference, label):
+    ref_s, ref_min = reference
+    assert abs(best_s - ref_s) <= 1e-12, label
+    assert abs(min(rhs_by_s.values()) - ref_min) <= 1e-14 * ref_min, label
+
+
+def test_avg_leak_minima_match_the_50_digit_root():
+    psis = {name: psi_reference(state) for name, state in default_corpus()}  # all have a full-rank E marginal
+    references = {}  # toeplitz and modified_toeplitz of one (state, M) share the minimum
+    reports = [rep for rep in run_full_suite() if rep.check == "hashing-bound-I-prime"]
+    assert len(reports) == 108
+    for rep in reports:
+        name, v, big_m = rep.metadata["state"], rep.metadata["v"], rep.metadata["M"]
+        if (name, big_m) not in references:
+            references[name, big_m] = _reference_minimum(psis[name], math.log(v * big_m))
+        _assert_at_reference_minimum(rep.best_s, rep.rhs_by_s, references[name, big_m], (name, rep.metadata["family"]))
+
+    # the lifted goldens, as stored: tilted-qubit^2, and a complex qubit state
+    # to the 5th power, whose psi is 5 times the one-copy psi (d_E = 32)
+    one_copy = psi_reference(load_state_json((DATA / "complex_qubit_state.json").read_text(encoding="utf-8")))
+    lifted = (
+        ("tilted_lifted_verify_golden.json", psi_reference(tensor_power(preset("tilted-qubit"), 2))),
+        ("complex_lifted_verify_golden.json", lambda s: 5 * one_copy(s)),
+    )
+    for golden, psi in lifted:
+        doc = json.loads((DATA / golden).read_text(encoding="utf-8"))[0]
+        reference = _reference_minimum(psi, math.log(doc["metadata"]["v"] * doc["metadata"]["M"]))
+        _assert_at_reference_minimum(doc["best_s"], doc["rhs_by_s"], reference, golden)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from([(2, 2), (2, 3), (4, 2), (4, 3)]),
+    index=st.integers(0, 3),
+)
+def test_avg_leak_minimum_is_below_a_fine_grid(seed, shape, index):
+    state = random_cq(seed, *shape)
+    families = families_for(state.alphabet_size)
+    family = families[index % len(families)]
+    rep = verify_avg_leak_bound(state, family)
+    dec = state.decomposition
+    s = np.arange(1, 2002) / 2001.0
+    grid = dec.v_count**s * np.exp(s * (math.log(family.range_size) - dec.renyi_cond_grid(s))) / s
+    minimum = min(rep.rhs_by_s.values())
+    assert minimum == rep.rhs_by_s[round(rep.best_s, 12)]
+    assert minimum <= float(np.min(grid)) * (1.0 + 1e-12)
+    assert minimum >= float(np.min(grid)) * (1.0 - 1e-6)
 
 
 def test_verify_exp_leak_bound_closed_forms_and_enumeration():
@@ -378,19 +474,26 @@ def test_full_suite_hashes_each_member_once(monkeypatch):
 def test_full_suite_evaluates_each_order_once(monkeypatch):
     # toeplitz and modified_toeplitz of one (state, M) search the same orders,
     # and the state's memo answers the second family
-    evaluated = []
-    original = qmod._renyi_from_terms
+    evaluated, moments = [], []
+    original, original_moments = qmod._renyi_from_terms, qmod._moments_from_terms
 
     def counted(terms, s):
         evaluated.append((terms, tuple(np.ravel(s).tolist())))  # the terms stay alive, so ids stay distinct
         return original(terms, s)
 
+    def counted_moments(terms, s):
+        moments.append((terms, s))
+        return original_moments(terms, s)
+
     monkeypatch.setattr(qmod, "_renyi_from_terms", counted)
+    monkeypatch.setattr(qmod, "_moments_from_terms", counted_moments)
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
     # one evaluation per distinct (state, kind, order): a state's Renyi and
     # Hbar* terms are each one object
-    assert len(evaluated) == len({(id(terms), s) for terms, s in evaluated}) == 1571
+    assert len(evaluated) == len({(id(terms), s) for terms, s in evaluated}) == 619
+    # and one moment evaluation per distinct (state, order) of the root searches
+    assert len(moments) == len({(id(terms), s) for terms, s in moments}) == 420
 
 
 def test_full_suite_decomposes_each_state_once(monkeypatch):
