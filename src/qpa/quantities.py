@@ -90,6 +90,14 @@ def _check_order(s, *, allow_zero: bool) -> np.ndarray:
     return s
 
 
+def _check_order_keys(orders) -> None:
+    """Reject two distinct orders that print as one ``f"{s:g}"`` key, under which one value would hide the other."""
+    first = {}
+    for s in orders:
+        if first.setdefault(key := f"{s:g}", s) != s:
+            raise ValueError(f"orders {first[key]!r} and {s!r} share the printed key {key!r}")
+
+
 def _normalised_terms(offs: np.ndarray, slopes: np.ndarray, log_mass: float = 0.0):
     """``(w, g, log_mass)`` with ``w_k = exp(off_k) / sum_j exp(off_j)``, for ``_renyi_from_terms``."""
     weights = np.exp(offs - offs.max())
@@ -615,6 +623,7 @@ def quantity_report(state: CQState, s_values=(0.5,)) -> dict[str, float]:
             out[f"H_renyi_bar_star({s:g})"] = dec.renyi_cond_bar_star(s)
         if 0.0 <= s <= 0.5:
             out[f"phi({s:g})"] = dec.phi(s)
+    _check_order_keys(s_values)  # after the evaluations, which name an invalid order first
     cap = math.log(state.alphabet_size) + 1e-9
     capped = ("H_cond", "H_renyi(", "H_min")
     if dec._bar_terms[2] == 0.0:  # a shortfall (nonzero log_mass) rightly lifts Hbar*_{1+s} above log|A|

@@ -12,6 +12,7 @@ eigenproblem their eigenvalues over the whole order grid are closed-form.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from .cqstate import AlphabetMismatchError, CQState, checked_states, hashed_bloc
 from .hashing import HashFamily, make_family, member_tables
 from .hermitian import SUPPORT_RTOL, eigh_batch, hermitian_entries
 from .optimize import increasing_root
-from .quantities import S_MIN, DecompositionStack, StateDecomposition, _check_order
+from .quantities import S_MIN, DecompositionStack, StateDecomposition, _check_order, _check_order_keys
 
 SLACK_TOL = 1e-9
 
@@ -70,42 +71,61 @@ def _check_s_grid(s_grid) -> tuple[float, ...]:
     if not grid or any(not (0.0 < s <= 1.0) for s in grid):
         raise ValueError(f"the hashing bounds hold for s in (0, 1]; got grid {s_grid}")
     _check_order(grid, allow_zero=False)  # rejects subnormal orders
+    _check_order_keys(grid)
     return grid
 
 
-def member_mutual_info(state: CQState, family: HashFamily) -> list[dict[str, float]]:
-    """``mutual_info_variants`` of the hashed state, per member in index order.
+def _checked_stack(probs: np.ndarray, blocks: np.ndarray) -> DecompositionStack:
+    """``checked_states`` and ``DecompositionStack`` of ``(n, |A|)`` probabilities and ``(n, |A|, d, d)`` eve states."""
+    shape = blocks.shape
+    probs, rhos, lam, basis = checked_states(probs, blocks.reshape(-1, *shape[2:]))
+    return DecompositionStack(probs, rhos.reshape(shape), lam.reshape(shape[:3]), basis.reshape(shape))
 
-    Each member's values are kept in the state's bounded memo
-    (``StateDecomposition.memo``) under ``(M, table)``, so a table that an
-    earlier family or chunk of the same state hashed is looked up, not
-    hashed again. The rest go through one stacked pass per chunk of
-    members, each array holding at most ``_STACK_ENTRIES`` entries (one
-    member if it alone is larger): the chunk's new tables, each hashed once,
-    then the checks of ``CQState`` and the spectra of ``StateDecomposition``
-    on the whole stack of hashed states. Every value equals that of
-    ``apply_function(state, f).decomposition.mutual_info_variants()``, and
-    every member gets its own dict.
+
+def grouped_member_mutual_info(pairs) -> list[list[dict[str, float]]]:
+    """``mutual_info_variants`` of the hashed state, per member in index order, for each ``(state, family)`` pair.
+
+    Per ``(M, d)`` group, each table of a state that is not in its memo (``StateDecomposition.memo``,
+    keyed by ``(M, table)``) is hashed once, in chunks whose arrays hold at most ``_STACK_ENTRIES``
+    entries at the group's largest domain (one table if it alone is larger): one ``hashed_blocks`` per
+    state's run, one ``_checked_stack`` per chunk. Results fill the memos and this pass's own map, the
+    only one read back, since a pass may hash more tables than a memo keeps. Every value equals that of
+    ``apply_function(state, f).decomposition.mutual_info_variants()``; each member gets its own dict.
     """
-    _require_matching_domain(state, family)
-    memo = state.decomposition.memo
-    big_m, d = family.range_size, state.eve_dim
-    step = max(1, _STACK_ENTRIES // max(big_m * d * d, family.domain_size))
-    out = []
-    for start in range(0, family.member_count, step):
-        tables = list(map(tuple, member_tables(family, start, min(start + step, family.member_count)).tolist()))
-        rows = {t: memo.get((big_m, t)) for t in tables}  # in order of first appearance
-        new = [t for t, row in rows.items() if row is None]
-        if new:
-            probs, blocks = hashed_blocks(state, np.array(new), big_m)
-            shape = blocks.shape
-            probs, rhos, lam, basis = checked_states(probs, blocks.reshape(-1, d, d))
-            stack = DecompositionStack(probs, rhos.reshape(shape), lam.reshape(shape[:3]), basis.reshape(shape))
-            for t, row in zip(new, stack.mutual_info_variants()):
-                rows[t] = row
-                memo.put((big_m, t), row)
-        out.extend(dict(rows[t]) for t in tables)
-    return out
+    groups = {}
+    for i, (state, family) in enumerate(pairs):
+        _require_matching_domain(state, family)
+        groups.setdefault((family.range_size, state.eve_dim), []).append(i)
+    tables = [[] for _ in pairs]  # per pair, its members' tables
+    found = {}  # (state, M, table) -> row for every table of the pass; None until its chunk runs
+    for (big_m, d), group in groups.items():
+        step = max(1, _STACK_ENTRIES // max(big_m * d * d, max(pairs[i][1].domain_size for i in group)))
+        new = {}  # state -> its tables in neither its memo nor found, in order of first appearance
+        for i in group:
+            state, family = pairs[i]
+            for start in range(0, family.member_count, step):
+                tables[i] += map(tuple, member_tables(family, start, min(start + step, family.member_count)).tolist())
+            for t in tables[i]:
+                if (state, big_m, t) not in found:
+                    found[state, big_m, t] = row = state.decomposition.memo.get((big_m, t))
+                    if row is None:
+                        new.setdefault(state, []).append(t)
+        entries = [(state, t) for state, ts in new.items() for t in ts]
+        for start in range(0, len(entries), step):
+            chunk = entries[start : start + step]
+            runs = itertools.groupby(chunk, key=lambda entry: entry[0])  # one run per state
+            parts = [hashed_blocks(state, np.array([t for _, t in run]), big_m) for state, run in runs]
+            arrays = [np.concatenate(a) if len(parts) > 1 else a[0] for a in zip(*parts)]  # a lone run, uncopied
+            stack = _checked_stack(*arrays)
+            for (state, t), row in zip(chunk, stack.mutual_info_variants()):
+                found[state, big_m, t] = row
+                state.decomposition.memo.put((big_m, t), row)
+    return [[dict(found[state, family.range_size, t]) for t in ts] for (state, family), ts in zip(pairs, tables)]
+
+
+def member_mutual_info(state: CQState, family: HashFamily) -> list[dict[str, float]]:
+    """The one-pair case of :func:`grouped_member_mutual_info`."""
+    return grouped_member_mutual_info([(state, family)])[0]
 
 
 def _avg_leak_rhs(dec: StateDecomposition, big_m: int, s: float) -> float:
@@ -260,33 +280,39 @@ class LemmaReport:
 
 
 def _lemma_gaps(lam: np.ndarray, s_grid) -> tuple[np.ndarray, np.ndarray]:
-    """``1 + lam^s - (1 + lam)^s`` and ``lam^s / s - log1p(lam)``, one row per order.
+    """``1 + lam^s - (1 + lam)^s`` and ``lam^s / s - log1p(lam)``, shaped ``(..., order, d)``.
 
-    ``lam`` are X's eigenvalues; as in ``matrix_power``, those at or below
-    ``SUPPORT_RTOL * max(lam)`` count as exact zeros.
+    ``lam`` are the eigenvalues of X, or of a stack of X along its leading axes; as in ``matrix_power``,
+    those at or below ``SUPPORT_RTOL`` times their row's maximum count as exact zeros.
     """
-    lam = np.where(lam > SUPPORT_RTOL * np.max(lam), lam, 0.0)
+    lam = np.where(lam > SUPPORT_RTOL * np.max(lam, axis=-1, keepdims=True), lam, 0.0)[..., None, :]
     s = np.asarray(s_grid, dtype=float)[:, None]
     lam_s = lam**s
     return 1.0 + lam_s - (1.0 + lam) ** s, lam_s / s - np.log1p(lam)
 
 
-def matrix_lemma_checks(seed: int, dim: int, s_grid=DEFAULT_S_GRID) -> LemmaReport:
-    """Check ``(I+X)^s <= I + X^s`` and ``log(I+X) <= X^s / s`` on a seeded PSD X.
+def stacked_matrix_lemma_checks(seeds, dim: int, s_grid=DEFAULT_S_GRID) -> list[LemmaReport]:
+    """Check ``(I+X)^s <= I + X^s`` and ``log(I+X) <= X^s / s`` on the seeded PSD X of each seed.
 
     X, I + X and their spectral functions share X's eigenvectors, so the
     difference matrices' eigenvalues are :func:`_lemma_gaps` at X's
-    eigenvalues (exactly 0 for the power lemma at ``s = 1``). Raises
-    ``ValueError`` for a grid that is empty or leaves ``(0, 1]``.
+    eigenvalues (exactly 0 for the power lemma at ``s = 1``), from one
+    eigenproblem over the stack of every seed's X. Raises ``ValueError`` for
+    a grid that is empty or leaves ``(0, 1]``.
     """
     grid = _check_s_grid(s_grid)
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    x = hermitian_entries(g @ g.conj().T, atol=None)
-    power_gap, log_gap = _lemma_gaps(eigh_batch(x[None])[0][0], grid)
-    min_pow = float(np.min(power_gap))
-    min_log = float(np.min(log_gap))
-    return LemmaReport(min_pow, min_log, bool(min_pow >= -SLACK_TOL and min_log >= -SLACK_TOL))
+    gs = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for rng in map(np.random.default_rng, seeds)]
+    xs = hermitian_entries([g @ g.conj().T for g in gs], 3, atol=None)
+    power_gap, log_gap = _lemma_gaps(eigh_batch(xs)[0], grid)
+    return [
+        LemmaReport(p, q, p >= -SLACK_TOL and q >= -SLACK_TOL)
+        for p, q in zip(power_gap.min(axis=(1, 2)).tolist(), log_gap.min(axis=(1, 2)).tolist())
+    ]
+
+
+def matrix_lemma_checks(seed: int, dim: int, s_grid=DEFAULT_S_GRID) -> LemmaReport:
+    """The one-seed case of :func:`stacked_matrix_lemma_checks`."""
+    return stacked_matrix_lemma_checks([seed], dim, s_grid)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -300,24 +326,35 @@ class PinchReport:
     passed: bool
 
 
-def pinching_bound_check(state: CQState, *, name: str = "") -> PinchReport:
-    """Check ``I <= I(pinched) + log v`` and ``I = Ibar`` on the pinched state.
+def grouped_pinching_checks(states) -> list[PinchReport]:
+    """Check ``I <= I(pinched) + log v`` and ``I = Ibar`` on each pinched state.
 
-    Pinching is one sandwich ``sum_k P_k rho_a P_k`` of the whole stack by
-    the E marginal's eigenvalue-cluster projectors ``P_k``.
+    Pinching is one sandwich ``sum_k P_k rho_a P_k`` of a state's stack by its
+    E marginal's eigenvalue-cluster projectors ``P_k``. The pinched states of
+    one ``(|A|, d)`` shape are checked and decomposed as one stack, whose rows
+    equal the decompositions of the pinched ``CQState`` objects.
     """
-    dec = state.decomposition
-    v = dec.eve_vectors
-    projectors = [v[:, a:b] @ v[:, a:b].conj().T for a, b in dec.eve_clusters]
-    pinched = CQState(state.probs, sum(p @ state.rhos @ p for p in projectors))
-    i_orig = dec.mutual_info_variants()["I"]
-    pinched_info = pinched.decomposition.mutual_info_variants()
-    log_v = math.log(dec.v_count)
-    ok = (
-        i_orig <= pinched_info["I"] + log_v + SLACK_TOL
-        and abs(pinched_info["I"] - pinched_info["I_bar"]) <= SLACK_TOL
-    )
-    return PinchReport(i_orig, pinched_info["I"], pinched_info["I_bar"], log_v, bool(ok))
+    groups = {}
+    for state in states:
+        groups.setdefault((state.alphabet_size, state.eve_dim), []).append(state)
+    reports = {}
+    for group in groups.values():
+        pinched = []
+        for state in group:
+            v = state.decomposition.eve_vectors
+            projectors = [v[:, a:b] @ v[:, a:b].conj().T for a, b in state.decomposition.eve_clusters]
+            pinched.append(sum(p @ state.rhos @ p for p in projectors))
+        stack = _checked_stack(np.stack([state.probs for state in group]), np.stack(pinched))
+        for state, info in zip(group, stack.mutual_info_variants()):
+            i_orig, log_v = state.decomposition.mutual_info_variants()["I"], math.log(state.decomposition.v_count)
+            ok = i_orig <= info["I"] + log_v + SLACK_TOL and abs(info["I"] - info["I_bar"]) <= SLACK_TOL
+            reports[state] = PinchReport(i_orig, info["I"], info["I_bar"], log_v, bool(ok))
+    return [reports[state] for state in states]
+
+
+def pinching_bound_check(state: CQState, *, name: str = "") -> PinchReport:
+    """The one-state case of :func:`grouped_pinching_checks`."""
+    return grouped_pinching_checks([state])[0]
 
 
 # -- standard corpus ----------------------------------------------------------
@@ -357,47 +394,40 @@ def families_for(alphabet_size: int, big_ms=(2, 4), q: int = 2) -> list[HashFami
 
 def run_full_suite(s_grid=DEFAULT_S_GRID) -> list[BoundReport]:
     """Both hashing bounds over the whole corpus, plus lemma and pinching checks."""
+    s_grid = _check_s_grid(s_grid)  # before the family pass, which is the expensive part
     corpus = default_corpus()
+    pairs = [(name, state, family) for name, state in corpus for family in families_for(state.alphabet_size)]
+    members = grouped_member_mutual_info([(state, family) for _, state, family in pairs])
     reports: list[BoundReport] = []
-    for name, state in corpus:
-        for family in families_for(state.alphabet_size):
-            reports.extend(verify_hashing_bounds(state, family, s_grid, name=name))
+    for (name, state, family), rows in zip(pairs, members):
+        for verify in (verify_avg_leak_bound, verify_exp_leak_bound):
+            reports.append(verify(state, family, s_grid, name=name, _members=rows))
 
-    lemma_mins = ([], [])
-    idx = 0
-    for dim in (2, 3, 4, 5, 6):
-        for _ in range(40):
-            rep = matrix_lemma_checks(seed=idx, dim=dim, s_grid=s_grid)
-            lemma_mins[0].append(rep.min_eig_power)
-            lemma_mins[1].append(rep.min_eig_log)
-            idx += 1
-    lemma_pass = min(lemma_mins[0]) >= -SLACK_TOL and min(lemma_mins[1]) >= -SLACK_TOL
+    lemmas = []
+    for dim in range(2, 7):  # seeds 0-39 in dimension 2, up to seeds 160-199 in dimension 6
+        lemmas += stacked_matrix_lemma_checks(range(40 * (dim - 2), 40 * (dim - 1)), dim, s_grid)
+    lemma_min = min(min(rep.min_eig_power for rep in lemmas), min(rep.min_eig_log for rep in lemmas))
     reports.append(
         BoundReport(
             check="matrix-lemmas",
-            lhs=min(min(lemma_mins[0]), min(lemma_mins[1])),
+            lhs=lemma_min,
             rhs_by_s={},
             best_s=0.0,
-            slack=min(min(lemma_mins[0]), min(lemma_mins[1])),
-            passed=bool(lemma_pass),
+            slack=lemma_min,
+            passed=all(rep.passed for rep in lemmas),
             metadata={"state": "200 seeded PSD matrices, dims 2-6", "family": ""},
         )
     )
 
-    pinch_slack = math.inf
-    pinch_ok = True
-    for name, state in corpus:
-        rep = pinching_bound_check(state, name=name)
-        pinch_slack = min(pinch_slack, rep.i_pinched + rep.log_v - rep.i_original)
-        pinch_ok = pinch_ok and rep.passed
+    pinches = grouped_pinching_checks([state for _, state in corpus])
     reports.append(
         BoundReport(
             check="pinching-bound",
             lhs=0.0,
             rhs_by_s={},
             best_s=0.0,
-            slack=pinch_slack,
-            passed=bool(pinch_ok),
+            slack=min(rep.i_pinched + rep.log_v - rep.i_original for rep in pinches),
+            passed=all(rep.passed for rep in pinches),
             metadata={"state": "corpus", "family": ""},
         )
     )

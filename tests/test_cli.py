@@ -11,7 +11,8 @@ import pytest
 
 from qpa import exponents as expmod
 from qpa.cli import main
-from qpa.quantities import StateDecomposition
+from qpa.cqstate import preset
+from qpa.quantities import StateDecomposition, quantity_report
 
 DATA = Path(__file__).parent / "data"
 LOG2 = math.log(2.0)
@@ -246,6 +247,32 @@ def test_negative_zero_parses_as_zero(capsys):
     labels = [line[:36].rstrip() for line in run("quantities", "--s", "-0").splitlines()]
     assert "H_(1+s)(A|E), s=0" in labels and "phi(t), t=0" in labels
     assert not any("=-" in label for label in labels)
+
+
+def test_verify_rejects_orders_that_share_a_printed_key(capsys):
+    # lhs_by_s and rhs_by_s are keyed by f"{s:g}": 0.8 and 0.8000001 both print as
+    # "0.8", and lhs_by_s["0.8"] held the value at 0.8000001 beside best_s 0.8
+    argv = ["verify", "--preset", "tilted-qubit", "--family", "toeplitz:q=2,k=1,m=1", "--format", "json"]
+    assert main([*argv, "--s", "0.8,0.8000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: orders 0.8 and 0.8000001 share the printed key '0.8'\n"
+    # an exact repeat is one order, as before
+    assert main([*argv, "--s", "0.8,0.8"]) == 0
+    repeated = capsys.readouterr().out
+    assert main([*argv, "--s", "0.8"]) == 0
+    assert repeated == capsys.readouterr().out
+
+
+def test_quantities_rejects_orders_that_share_a_printed_key(capsys):
+    # the report is keyed by f"{s:g}": H_renyi(0.5) held the value at 0.5000001
+    with pytest.raises(ValueError, match=r"orders 0\.5 and 0\.5000001 share the printed key '0\.5'"):
+        quantity_report(preset("tilted-qubit"), (0.5, 0.5000001))
+    assert main(["quantities", "--preset", "tilted-qubit", "--s", "0.5,0.5000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: orders 0.5 and 0.5000001 share the printed key '0.5'\n"
+    assert quantity_report(preset("tilted-qubit"), (0.5, 0.5)) == quantity_report(preset("tilted-qubit"), (0.5,))
 
 
 def test_verify_copy_trivial_family(capsys):

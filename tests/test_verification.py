@@ -450,25 +450,27 @@ def test_full_suite_hashes_each_member_once(monkeypatch):
     distinct = len({(id(state), f.range_size, tuple(t)) for state, f, family_tables in tables for t in family_tables})
     assert distinct == 308
     passes, hashed = [], []
-    original_pass, original_blocks = vmod.member_mutual_info, vmod.hashed_blocks
+    original_pass, original_blocks = vmod.grouped_member_mutual_info, vmod.hashed_blocks
 
-    def counted_pass(state, family):
-        out = original_pass(state, family)
-        passes.append((family, len(out)))
+    def counted_pass(pass_pairs):
+        out = original_pass(pass_pairs)
+        passes.append([(f, len(rows)) for (_, f), rows in zip(pass_pairs, out)])
         return out
 
     def counted_blocks(state, tables, range_size):
-        hashed.append(len(tables))
+        hashed.append((id(state), range_size, len(tables)))
         return original_blocks(state, tables, range_size)
 
-    monkeypatch.setattr(vmod, "member_mutual_info", counted_pass)
+    monkeypatch.setattr(vmod, "grouped_member_mutual_info", counted_pass)
     monkeypatch.setattr(vmod, "hashed_blocks", counted_blocks)
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
-    assert passes == [(f, f.member_count) for _, f in pairs]  # 108 family passes over 412 members
-    # one stacked pass per toeplitz family: every modified_toeplitz table of
-    # the same (state, M) is also a toeplitz table, so those passes hash nothing
-    assert len(hashed) == 54 and sum(hashed) == distinct
+    assert passes == [[(f, f.member_count) for _, f in pairs]]  # one grouped pass: 108 pairs, 412 members
+    # one hashed_blocks call per (state, M), 54 in all: each (M, d) group of the
+    # suite fits one chunk, and every modified_toeplitz table of a (state, M)
+    # is also a toeplitz table, which the pass hashed already
+    assert len(hashed) == len({(state, big_m) for state, big_m, _ in hashed}) == 54
+    assert sum(n for _, _, n in hashed) == distinct
 
 
 def test_full_suite_evaluates_each_order_once(monkeypatch):
@@ -497,9 +499,9 @@ def test_full_suite_evaluates_each_order_once(monkeypatch):
 
 
 def test_full_suite_decomposes_each_state_once(monkeypatch):
-    # each corpus state and each pinched state, once; hashed members build no decomposition
+    # each corpus state, once; hashed members and pinched states build no decomposition
     corpus = default_corpus()
-    assert 2 * len(corpus) == 58
+    assert len(corpus) == 29
     decomposed = []
     original = StateDecomposition.__init__
 
@@ -510,4 +512,22 @@ def test_full_suite_decomposes_each_state_once(monkeypatch):
     monkeypatch.setattr(StateDecomposition, "__init__", counted)
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
-    assert len(decomposed) == 58
+    assert len(decomposed) == 29
+
+
+def test_full_suite_eigenproblem_count(monkeypatch):
+    # 30 validations building the corpus (depolarized(0.3) validates its tilted
+    # base too), 2 per corpus decomposition, and 3 per stack of the family pass
+    # (one per (M, d): 6) and of the pinching checks (one per (|A|, d): 4), plus
+    # one per lemma dimension (5): 30 + 58 + 18 + 12 + 5
+    shapes = []
+    original = np.linalg.eigh
+
+    def counted(mats, *args, **kwargs):
+        shapes.append(np.shape(mats))
+        return original(mats, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    reports = run_full_suite()
+    assert all(rep.passed for rep in reports)
+    assert len(shapes) == 123
