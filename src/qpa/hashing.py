@@ -13,6 +13,10 @@ Collision probabilities are certified with exact integer counting; the
 universal_2 property is a combinatorial claim, so no floating tolerance is
 acceptable there; for the matrix kinds each nonzero input difference is one
 linear system over F_q, and all of them are row-reduced together mod q.
+The elimination walks the m rows, not the parameter columns, since a
+system has far fewer rows: each row, scaled to a leading 1 at its first
+nonzero left entry, clears that column from the rows below it, and a row
+left zero on the left with a nonzero rhs makes its system inconsistent.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ MEMBER_CAP = 2**20
 PAIRWISE_DOMAIN_CAP = 2**10  # explicit member lists, true all-pairs scan
 MATRIX_DOMAIN_CAP = 2**13  # matrix kinds: one linear system per nonzero difference
 _CHUNK = 1024  # systems row-reduced together, so the stack holds _CHUNK * m * (n_params + 1) entries
-# entries stay in 0..q-1 and an elimination step forms at most (q - 1)**2 + q, which must fit the dtype
+# entries stay in 0..q-1 and an elimination step adds a product of two of them to one, so it forms
+# at most (q - 1) + (q - 1)**2, which must fit the dtype
 _KERNEL_DTYPE = np.uint8
 
 KIND_TOEPLITZ = "toeplitz"
@@ -175,25 +180,34 @@ def _difference_systems(family: HashFamily, diffs: np.ndarray) -> np.ndarray:
 
 
 def _solution_dims(aug: np.ndarray, q: int) -> np.ndarray:
-    """Solution-space dimension over F_q of each system in ``aug`` (n_params + 1, rows, N), -1 if none; in place."""
+    """Solution-space dimension over F_q of each system in ``aug`` (n_params + 1, rows, N), -1 if none; in place.
+
+    Forward elimination row by row, all N systems at once: a row's pivot is
+    its first nonzero left entry, and the row, scaled to a leading 1, clears
+    that column from every later row. A row left zero on the left adds no
+    rank; a nonzero rhs there makes its system inconsistent.
+    """
+    n_params, rows, n = aug.shape[0] - 1, aug.shape[1], aug.shape[2]
     inverse = np.array([0] + [pow(v, q - 2, q) for v in range(1, q)], dtype=_KERNEL_DTYPE)
-    systems = np.arange(aug.shape[2])
-    used = np.zeros(aug.shape[1:], dtype=bool)  # rows that already hold a pivot
-    for col in range(len(aug) - 1):
-        column = aug[col]
-        candidates = (column != 0) & ~used
-        has_pivot = candidates.any(axis=0)
-        pivot = candidates.argmax(axis=0)
-        # the pivot row right of this column, scaled to a leading 1; zero (a no-op) without a pivot.
-        # Clearing the column zeroes the pivot row too: only rows without a pivot are read again.
-        scale = inverse[column[pivot, systems]] * has_pivot
-        pivot_row = aug[col + 1 :, pivot, systems] * scale % q
-        aug[col + 1 :] += (q - column) % q * pivot_row[:, None]
-        aug[col + 1 :] %= q
-        used[pivot, systems] |= has_pivot
-    # rows without a pivot are zero on the left, so a nonzero rhs there has no solution
-    consistent = ~((aug[-1] != 0) & ~used).any(axis=0)
-    return np.where(consistent, len(aug) - 1 - used.sum(axis=0), -1)
+    systems = np.arange(n)
+    rank = np.zeros(n, dtype=np.int64)
+    inconsistent = np.zeros(n, dtype=bool)
+    for r in range(rows):
+        row = aug[:, r]  # (n_params + 1, N)
+        nonzero = row[:-1] != 0
+        has_pivot = nonzero.any(axis=0)
+        rank += has_pivot
+        inconsistent |= ~has_pivot & (row[-1] != 0)
+        if r + 1 == rows or not n_params:  # no later row to clear, or no column to clear
+            continue
+        pivot = nonzero.argmax(axis=0)
+        # the row scaled to a leading 1; zero (a no-op) without a pivot
+        pivot_row = row * (inverse[row[pivot, systems]] * has_pivot) % q
+        below = aug[:, r + 1 :]  # (n_params + 1, rows - r - 1, N), a view
+        factor = below[pivot, :, systems].T  # (rows - r - 1, N): each later row's entry in the pivot column
+        below += (q - factor) % q * pivot_row[:, None]
+        below %= q
+    return np.where(inconsistent, -1, n_params - rank)
 
 
 def collision_stats(family: HashFamily) -> CollisionReport:

@@ -21,7 +21,7 @@ from .cqstate import AlphabetMismatchError, CQState, checked_states, hashed_bloc
 from .hashing import HashFamily, make_family, member_tables
 from .hermitian import SUPPORT_RTOL, eigh_batch, hermitian_entries
 from .optimize import increasing_root
-from .quantities import S_MIN, DecompositionStack, StateDecomposition, _check_order, _check_order_keys
+from .quantities import S_MIN, DecompositionStack, StateDecomposition, _check_order_keys
 
 SLACK_TOL = 1e-9
 
@@ -70,7 +70,9 @@ def _check_s_grid(s_grid) -> tuple[float, ...]:
     grid = tuple(float(s) for s in s_grid)
     if not grid or any(not (0.0 < s <= 1.0) for s in grid):
         raise ValueError(f"the hashing bounds hold for s in (0, 1]; got grid {s_grid}")
-    _check_order(grid, allow_zero=False)  # rejects subnormal orders
+    subnormal = next((s for s in grid if s < S_MIN), None)
+    if subnormal is not None:
+        raise ValueError(f"Renyi order parameter s={subnormal} is subnormal, below {S_MIN}")
     _check_order_keys(grid)
     return grid
 
@@ -352,7 +354,7 @@ def grouped_pinching_checks(states) -> list[PinchReport]:
     return [reports[state] for state in states]
 
 
-def pinching_bound_check(state: CQState, *, name: str = "") -> PinchReport:
+def pinching_bound_check(state: CQState) -> PinchReport:
     """The one-state case of :func:`grouped_pinching_checks`."""
     return grouped_pinching_checks([state])[0]
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,6 +15,7 @@ from qpa.verification import default_corpus
 settings.register_profile("qpa", deadline=None, derandomize=True)
 settings.load_profile("qpa")
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 PRESET_NAMES = ["copy", "product", "tilted-qubit", "bb84(0.39269908169872414)", "depolarized(0.3)"]
 
 
@@ -40,3 +46,19 @@ def pure_eve_state():
     """Every rho_a the same pure state, so rho^E has rank one in d_E = 2."""
     psi = np.array([0.6, 0.8j])
     return make_cq_state([0.3, 0.7], [np.outer(psi, psi.conj())] * 2)
+
+
+def run_cli(*argv, env_extra=None):
+    """``python -m qpa.cli`` in a child process, with the checkout's ``src`` first on its ``PYTHONPATH`` and no ``QPA_THREADS``."""
+    env = dict(os.environ)
+    env.pop("QPA_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env["PYTHONPATH"]]) if env.get("PYTHONPATH") else SRC
+    if env_extra:
+        env.update(env_extra)
+    return subprocess.run(
+        [sys.executable, "-m", "qpa.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=330,
+    )

@@ -6,9 +6,6 @@ is sampled.
 """
 
 import math
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -30,6 +27,7 @@ from qpa.verification import (
 )
 
 from classical_oracle import classical_quantities
+from conftest import run_cli
 
 LOG2 = math.log(2.0)
 S_GRID = tuple(round(0.1 * k, 10) for k in range(1, 11))
@@ -186,7 +184,7 @@ def test_acceptance_10_pinching():
             rho = st.rhos[a]
             diff = v * pinch(eve, rho) - rho
             assert np.linalg.eigvalsh(diff).min() >= -1e-9, (name, a)
-        report = pinching_bound_check(st, name=name)
+        report = pinching_bound_check(st)
         assert report.passed, name
     _announce(10, "pinching operator inequality and leaked-information bound")
 
@@ -214,25 +212,12 @@ def test_acceptance_12_rates():
     assert abs(point.min_leak_rate - 0.5) <= 1e-10
     _announce(12, "equivocation and leak rates at the anchor points")
 
-def _run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.pop("QPA_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "qpa.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=330,
-    )
-
 def test_acceptance_13_cli_end_to_end(tmp_path):
-    res = _run_cli("selftest")
+    res = run_cli("selftest")
     assert res.returncode == 0, res.stdout + res.stderr
 
     start = time.monotonic()
-    res = _run_cli("verify", "--suite", "full")
+    res = run_cli("verify", "--suite", "full")
     elapsed = time.monotonic() - start
     assert res.returncode == 0, res.stdout + res.stderr
     assert elapsed < 300.0, f"full verify took {elapsed:.1f}s"
@@ -240,7 +225,7 @@ def test_acceptance_13_cli_end_to_end(tmp_path):
     blobs = []
     for threads, name in (("1", "s1.csv"), ("4", "s4.csv"), ("1", "s1b.csv")):
         path = tmp_path / name
-        res = _run_cli(
+        res = run_cli(
             "sweep", "--preset", "tilted-qubit", "--steps", "21", "-o", str(path),
             env_extra={"QPA_THREADS": threads},
         )

@@ -1,8 +1,6 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -14,22 +12,10 @@ from qpa.cli import main
 from qpa.cqstate import preset
 from qpa.quantities import StateDecomposition, quantity_report
 
+from conftest import run_cli
+
 DATA = Path(__file__).parent / "data"
 LOG2 = math.log(2.0)
-
-
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.pop("QPA_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "qpa.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
 
 
 def test_quantities_text(capsys):

@@ -245,6 +245,56 @@ def test_row_reduction_matches_scalar_solver(q):
             assert [q ** int(d) if d >= 0 else 0 for d in dims] == expected, (n_rows, n_params)
 
 
+def structured_system(rng, q, n_rows, n_params, mode):
+    """Coefficients and rhs whose leading rows are zero or dependent, as ``mode`` says; half with a perturbed rhs."""
+    coeffs = rng.integers(0, q, size=(n_rows, n_params))
+    lead = int(rng.integers(1, n_rows + 1))
+    if mode == "zero":
+        coeffs[:] = 0
+    elif mode == "zero_lead":
+        coeffs[:lead] = 0
+    elif mode == "dependent_lead":
+        for j in range(1, lead):  # each leading row a combination of the rows above it
+            coeffs[j] = rng.integers(0, q, j) @ coeffs[:j] % q
+    rhs = coeffs @ rng.integers(0, q, n_params) % q
+    if rng.random() < 0.5:  # inconsistent when the perturbed row lies in the span of the others
+        row = rng.integers(n_rows)
+        rhs[row] = (rhs[row] + rng.integers(1, q)) % q
+    return coeffs, rhs
+
+
+@pytest.mark.parametrize("q", SUPPORTED_PRIMES)
+def test_row_reduction_matches_scalar_solver_at_benchmark_shapes(q):
+    # up to the 16 parameters and 4 rows of toeplitz:q=2,k=13,m=4, and one beyond each
+    rng = np.random.default_rng(100 + q)
+    modes = ("zero", "zero_lead", "dependent_lead", "random")
+    for n_rows in range(1, 6):
+        for n_params in (1, 4, 10, 12, 16, 17):
+            systems = [structured_system(rng, q, n_rows, n_params, modes[i % 4]) for i in range(96)]
+            coeffs = np.array([c for c, _ in systems])
+            rhs = np.array([r for _, r in systems])
+            stack = np.concatenate([coeffs, rhs[:, :, None]], axis=2).transpose(2, 1, 0)
+            dims = _solution_dims(np.ascontiguousarray(stack, dtype=hashing._KERNEL_DTYPE), q)
+            expected = [
+                hashing_oracle.solution_count_mod_prime(c.tolist(), r.tolist(), q, n_params)
+                for c, r in zip(coeffs, rhs)
+            ]
+            assert [q ** int(d) if d >= 0 else 0 for d in dims] == expected, (n_rows, n_params)
+            # all-zero systems solved by everything, and inconsistent ones solved by nothing
+            assert q**n_params in expected and 0 in expected, (n_rows, n_params)
+
+
+@pytest.mark.parametrize("kind,q,k,m", [
+    ("toeplitz", 2, 13, 4),
+    ("modified_toeplitz", 2, 13, 4),
+    ("toeplitz", 3, 8, 3),
+    ("modified_toeplitz", 5, 5, 2),
+])
+def test_benchmark_families_are_universal2(kind, q, k, m):
+    # the perfbench certify families: each worst difference meets the 1 / q**m bound, first at difference 1
+    assert collision_stats(make_family(kind, q, k, m)) == hashing.CollisionReport(Fraction(1, q**m), True, 1)
+
+
 @pytest.mark.parametrize("q,k", [(2, 1), (2, 4), (3, 3), (5, 2)])
 def test_full_toeplitz_square(q, k):
     # at m = k the band of a nonzero difference has full rank m, leaving k - 1 free parameters
@@ -254,6 +304,6 @@ def test_full_toeplitz_square(q, k):
 
 
 def test_kernel_dtype_holds_an_elimination_step():
-    # entries stay below q and one step forms at most (q - 1)**2 + q; a larger prime must widen the dtype
+    # entries stay below q and one step adds at most (q - 1)**2 to one; a larger prime must widen the dtype
     q = max(SUPPORTED_PRIMES)
-    assert (q - 1) ** 2 + q <= np.iinfo(hashing._KERNEL_DTYPE).max
+    assert (q - 1) + (q - 1) ** 2 <= np.iinfo(hashing._KERNEL_DTYPE).max

@@ -414,7 +414,7 @@ def test_pinching_sandwich_matches_per_symbol_pinch(corpus_states):
         eve = eve_marginal(state)
         reference = CQState(state.probs, [pinch(eve, rho) for rho in state.rhos])
         info = reference.decomposition.mutual_info_variants()
-        rep = pinching_bound_check(state, name=name)
+        rep = pinching_bound_check(state)
         assert rep.i_pinched == pytest.approx(info["I"], abs=1e-12), name
         assert rep.i_bar_pinched == pytest.approx(info["I_bar"], abs=1e-12), name
 
@@ -423,7 +423,7 @@ def test_pinching_bound_commuting_state():
     from qpa.cqstate import make_cq_state
 
     st = make_cq_state([0.6, 0.4], [np.diag([0.9, 0.1]), np.diag([0.2, 0.8])])
-    rep = pinching_bound_check(st, name="diag")
+    rep = pinching_bound_check(st)
     assert rep.passed
     # pinching by the diagonal marginal leaves diagonal states alone
     assert rep.i_pinched == pytest.approx(rep.i_original, abs=1e-12)
@@ -432,7 +432,7 @@ def test_pinching_bound_commuting_state():
 
 def test_pinching_bound_corpus(corpus_states):
     for name, st in corpus_states.items():
-        rep = pinching_bound_check(st, name=name)
+        rep = pinching_bound_check(st)
         assert rep.passed, name
         assert rep.i_original <= rep.i_pinched + rep.log_v + 1e-9, name
 
