@@ -154,8 +154,9 @@ def cmd_verify(args) -> int:
         family = parse_family(args.family)
         state = _lift_to_domain(state, family.domain_size)
         s_grid = tuple(_parse_floats(args.s)) if args.s is not None else vmod.DEFAULT_S_GRID
+        universal2 = collision_stats(family).is_universal2  # its cap fails at once, before the enumeration
         reports = vmod.verify_hashing_bounds(state, family, s_grid, name=args.preset or args.state)
-        if not collision_stats(family).is_universal2:
+        if not universal2:
             print(f"warning: family {family.describe()} is not universal_2", file=sys.stderr)
     lines = [
         f"{'PASS' if rep.passed else 'FAIL'}  {rep.check:28s} slack={fmt(rep.slack):>18s}  "

@@ -12,11 +12,14 @@ same way; classical alphabets must use the same indexing.
 Collision probabilities are certified with exact integer counting; the
 universal_2 property is a combinatorial claim, so no floating tolerance is
 acceptable there; for the matrix kinds each nonzero input difference is one
-linear system over F_q, and all of them are row-reduced together mod q.
-The elimination walks the m rows, not the parameter columns, since a
-system has far fewer rows: each row, scaled to a leading 1 at its first
-nonzero left entry, clears that column from the rows below it, and a row
-left zero on the left with a nonzero rhs makes its system inconsistent.
+linear system over F_q, sliced from one uint8 digit table per family, and
+all of them are row-reduced together mod q. The elimination walks the m
+rows, not the parameter columns, since a system has far fewer rows: each
+row, scaled to a leading 1 at its first nonzero left entry, clears that
+column from the rows below it, and a row left zero on the left with a
+nonzero rhs makes its system inconsistent. The update reads the pivot
+column from a contiguous copy, and every reduction mod q is a
+multiply-high, not a division; the digit table is built by repeat and tile.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ PAIRWISE_DOMAIN_CAP = 2**10  # explicit member lists, true all-pairs scan
 MATRIX_DOMAIN_CAP = 2**13  # matrix kinds: one linear system per nonzero difference
 _CHUNK = 1024  # systems row-reduced together, so the stack holds _CHUNK * m * (n_params + 1) entries
 # entries stay in 0..q-1 and an elimination step adds a product of two of them to one, so it forms
-# at most (q - 1) + (q - 1)**2, which must fit the dtype
-_KERNEL_DTYPE = np.uint8
+# at most (q - 1) + (q - 1)**2, which must fit the first dtype; _mod_q forms x * ceil(256 / q) in the second
+_KERNEL_DTYPE, _REDUCTION_DTYPE = np.uint8, np.uint16
 
 KIND_TOEPLITZ = "toeplitz"
 KIND_MODIFIED = "modified_toeplitz"
@@ -67,6 +70,18 @@ def _digits(x, q: int, width: int) -> np.ndarray:
     """Little-endian base-q digits of an int or an int array, on a new last axis."""
     x = np.asarray(x, dtype=np.int64)
     return np.stack([(x // q**i) % q for i in range(width)], axis=-1)
+
+
+def _digit_table(q: int, width: int) -> np.ndarray:
+    """``_digits(np.arange(q**width), q, width)`` as uint8, by repeat and tile instead of division."""
+    digit = np.arange(q, dtype=_KERNEL_DTYPE)
+    return np.stack([np.tile(np.repeat(digit, q**i), q ** (width - 1 - i)) for i in range(width)], axis=-1)
+
+
+def _mod_q(x: np.ndarray, q: int) -> np.ndarray:
+    """``x % q`` for uint8 entries up to (q - 1) + (q - 1)**2, where ``(x * ceil(256 / q)) >> 8`` is ``x // q``."""
+    quotient = (x.astype(_REDUCTION_DTYPE) * _REDUCTION_DTYPE(-(-256 // q))) >> _REDUCTION_DTYPE(8)
+    return x - quotient.astype(_KERNEL_DTYPE) * _KERNEL_DTYPE(q)
 
 
 def _toeplitz_index_grid(rows: int, cols: int) -> np.ndarray:
@@ -175,7 +190,7 @@ def _difference_systems(family: HashFamily, diffs: np.ndarray) -> np.ndarray:
     aug = np.zeros((n_params + 1, m, len(diffs)), dtype=_KERNEL_DTYPE)
     aug[:n_params] = np.where(in_band[:, :, None], digits[np.where(in_band, band, 0)], 0)
     if family.kind == KIND_MODIFIED:
-        aug[n_params] = (q - digits[width:]) % q  # -diff2; full Toeplitz has rhs 0
+        aug[n_params] = _mod_q(_KERNEL_DTYPE(q) - digits[width:], q)  # -diff2; full Toeplitz has rhs 0
     return aug
 
 
@@ -202,11 +217,11 @@ def _solution_dims(aug: np.ndarray, q: int) -> np.ndarray:
             continue
         pivot = nonzero.argmax(axis=0)
         # the row scaled to a leading 1; zero (a no-op) without a pivot
-        pivot_row = row * (inverse[row[pivot, systems]] * has_pivot) % q
+        pivot_row = _mod_q(row * (inverse[row[pivot, systems]] * has_pivot), q)
         below = aug[:, r + 1 :]  # (n_params + 1, rows - r - 1, N), a view
-        factor = below[pivot, :, systems].T  # (rows - r - 1, N): each later row's entry in the pivot column
-        below += (q - factor) % q * pivot_row[:, None]
-        below %= q
+        factor = np.ascontiguousarray(below[pivot, :, systems].T)  # (rows - r - 1, N): each later row's pivot entry
+        below += _mod_q(_KERNEL_DTYPE(q) - factor, q) * pivot_row[:, None]
+        below[...] = _mod_q(below, q)
     return np.where(inconsistent, -1, n_params - rank)
 
 
@@ -244,9 +259,9 @@ def collision_stats(family: HashFamily) -> CollisionReport:
             f"domain size {family.domain_size} exceeds difference-scan cap {MATRIX_DOMAIN_CAP}"
         )
     worst_dim, worst_diff = -1, 1
+    table = _digit_table(family.q, family.k)
     for start in range(1, family.domain_size, _CHUNK):  # skip the zero difference
-        diffs = _digits(np.arange(start, min(start + _CHUNK, family.domain_size)), family.q, family.k)
-        dims = _solution_dims(_difference_systems(family, diffs), family.q)
+        dims = _solution_dims(_difference_systems(family, table[start : start + _CHUNK]), family.q)
         if dims.max() > worst_dim:
             worst_dim, worst_diff = int(dims.max()), start + int(dims.argmax())
     prob = Fraction(family.q**worst_dim if worst_dim >= 0 else 0, family.member_count)

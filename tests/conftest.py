@@ -48,7 +48,7 @@ def pure_eve_state():
     return make_cq_state([0.3, 0.7], [np.outer(psi, psi.conj())] * 2)
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv, env_extra=None, timeout=330):
     """``python -m qpa.cli`` in a child process, with the checkout's ``src`` first on its ``PYTHONPATH`` and no ``QPA_THREADS``."""
     env = dict(os.environ)
     env.pop("QPA_THREADS", None)
@@ -60,5 +60,5 @@ def run_cli(*argv, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
-        timeout=330,
+        timeout=timeout,
     )

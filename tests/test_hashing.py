@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hashing_oracle
 from qpa import hashing
@@ -307,3 +309,42 @@ def test_kernel_dtype_holds_an_elimination_step():
     # entries stay below q and one step adds at most (q - 1)**2 to one; a larger prime must widen the dtype
     q = max(SUPPORTED_PRIMES)
     assert (q - 1) + (q - 1) ** 2 <= np.iinfo(hashing._KERNEL_DTYPE).max
+    # the reduction mod q multiplies each such value by ceil(256 / q) in the wider dtype
+    for q in SUPPORTED_PRIMES:
+        assert ((q - 1) + (q - 1) ** 2) * -(-256 // q) <= np.iinfo(hashing._REDUCTION_DTYPE).max
+
+
+@pytest.mark.parametrize("q", SUPPORTED_PRIMES)
+def test_reduction_matches_remainder_over_its_whole_range(q):
+    x = np.arange((q - 1) + (q - 1) ** 2 + 1, dtype=hashing._KERNEL_DTYPE)
+    reduced = hashing._mod_q(x, q)
+    assert reduced.dtype == hashing._KERNEL_DTYPE
+    assert reduced.tolist() == [v % q for v in range(len(x))]
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 5), (2, 11), (3, 1), (3, 4), (3, 7), (5, 1), (5, 3), (5, 5)])
+def test_digit_table_matches_digits(q, k):
+    # 3**7 and 5**5 are no multiple of _CHUNK, and collision_stats slices a short last chunk from every table
+    table = hashing._digit_table(q, k)
+    assert table.dtype == hashing._KERNEL_DTYPE
+    np.testing.assert_array_equal(table, hashing._digits(np.arange(q**k), q, k))
+
+
+@st.composite
+def linear_systems(draw):
+    """A system over F_q as its prime, coefficient rows, right-hand side and parameter count."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    n_rows = draw(st.integers(1, 5))
+    n_params = draw(st.integers(0, 17))
+    entry = st.integers(0, q - 1)
+    coeffs = draw(st.lists(st.lists(entry, min_size=n_params, max_size=n_params), min_size=n_rows, max_size=n_rows))
+    rhs = draw(st.lists(entry, min_size=n_rows, max_size=n_rows))
+    return q, coeffs, rhs, n_params
+
+
+@given(linear_systems())
+def test_row_reduction_matches_scalar_solver_on_drawn_systems(system):
+    q, coeffs, rhs, n_params = system
+    stack = np.array([[*row, b] for row, b in zip(coeffs, rhs)], dtype=hashing._KERNEL_DTYPE).T[:, :, None]
+    dim = int(_solution_dims(np.ascontiguousarray(stack), q)[0])
+    assert (q**dim if dim >= 0 else 0) == hashing_oracle.solution_count_mod_prime(coeffs, rhs, q, n_params)
