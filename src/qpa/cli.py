@@ -154,6 +154,7 @@ def cmd_verify(args) -> int:
         family = parse_family(args.family)
         state = _lift_to_domain(state, family.domain_size)
         s_grid = tuple(_parse_floats(args.s)) if args.s is not None else vmod.DEFAULT_S_GRID
+        s_grid = vmod.check_s_grid(s_grid)  # a bad grid exits 2 before the certification and its cap
         universal2 = collision_stats(family).is_universal2  # its cap fails at once, before the enumeration
         reports = vmod.verify_hashing_bounds(state, family, s_grid, name=args.preset or args.state)
         if not universal2:

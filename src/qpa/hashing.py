@@ -6,20 +6,20 @@ only ``k - 1`` field elements of randomness for input length ``k``. Domain
 symbols are identified with ``{0 .. q^k - 1}`` through little-endian base-q
 digits (digit 0 is least significant), and output digit vectors combine the
 same way; classical alphabets must use the same indexing.
-``member_tables`` enumerates members by parameter index as one
-``(members, |A|)`` array; ``member_function`` is its one-member case.
+``member_tables`` enumerates members by parameter index as one ``(members, |A|)``
+array over the family's uint8 digit table; ``member_function`` is its one-member case.
 
 Collision probabilities are certified with exact integer counting; the
 universal_2 property is a combinatorial claim, so no floating tolerance is
 acceptable there; for the matrix kinds each nonzero input difference is one
-linear system over F_q, sliced from one uint8 digit table per family, and
-all of them are row-reduced together mod q. The elimination walks the m
-rows, not the parameter columns, since a system has far fewer rows: each
-row, scaled to a leading 1 at its first nonzero left entry, clears that
-column from the rows below it, and a row left zero on the left with a
-nonzero rhs makes its system inconsistent. The update reads the pivot
-column from a contiguous copy, and every reduction mod q is a
-multiply-high, not a division; the digit table is built by repeat and tile.
+linear system over F_q, sliced from the same digit table, and all of
+them are row-reduced together mod q. The elimination walks the m rows,
+not the parameter columns, since a system has far fewer rows: each row,
+scaled to a leading 1 at its first nonzero left entry, clears that column
+from the rows below it, and a row left zero on the left with a nonzero
+rhs makes its system inconsistent. The update reads the pivot column
+from a contiguous copy, and every reduction mod q is a multiply-high,
+not a division.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def member_tables(family: HashFamily, start: int, stop: int) -> np.ndarray:
         return np.array(family.tables[start:stop], dtype=np.int64)
     q, k, m = family.q, family.k, family.m
     mats = _member_matrices(family, np.arange(start, stop))
-    dom = _digits(np.arange(family.domain_size), q, k)  # (|A|, k)
+    dom = _digit_table(q, k)  # (|A|, k)
     out_digits = (dom @ mats.transpose(0, 2, 1)) % q  # (members, |A|, m)
     return out_digits @ q ** np.arange(m, dtype=np.int64)
 

@@ -66,7 +66,7 @@ def _require_matching_domain(state: CQState, family: HashFamily) -> None:
         )
 
 
-def _check_s_grid(s_grid) -> tuple[float, ...]:
+def check_s_grid(s_grid) -> tuple[float, ...]:
     grid = tuple(float(s) for s in s_grid)
     if not grid or any(not (0.0 < s <= 1.0) for s in grid):
         raise ValueError(f"the hashing bounds hold for s in (0, 1]; got grid {s_grid}")
@@ -138,7 +138,7 @@ def _avg_leak_rhs(dec: StateDecomposition, big_m: int, s: float) -> float:
 
 def avg_leak_bound_rhs(state: CQState, big_m: int, s: float) -> float:
     """Hashing bound on the averaged I': ``v^s M^s exp(-s H_{1+s}) / s``."""
-    _check_s_grid((s,))
+    check_s_grid((s,))
     return _avg_leak_rhs(state.decomposition, big_m, s)
 
 
@@ -156,7 +156,7 @@ def verify_avg_leak_bound(
     is at the root of ``log(vM) + psi'(s) - 1/s``, clamped to 1; the grid is reported, not searched.
     """
     _require_matching_domain(state, family)
-    s_grid = _check_s_grid(s_grid)
+    s_grid = check_s_grid(s_grid)
     dec = state.decomposition
     v = dec.v_count
     big_m = family.range_size
@@ -209,7 +209,7 @@ def verify_exp_leak_bound(
     ``s E_X Ibar' <= exp(s (log M - Hbar*_{1+s}))``.
     """
     _require_matching_domain(state, family)
-    s_grid = _check_s_grid(s_grid)
+    s_grid = check_s_grid(s_grid)
     dec = state.decomposition
     big_m = family.range_size
     member_stats = _members if _members is not None else member_mutual_info(state, family)
@@ -250,7 +250,7 @@ def verify_exp_leak_bound(
 
 def finite_size_bound(state: CQState, big_m: int, s: float) -> float:
     """Key-quality bound ``log v + (log 2)/s + max(0, log M - H_{1+s})``."""
-    _check_s_grid((s,))
+    check_s_grid((s,))
     dec = state.decomposition
     h = dec.renyi_cond(s)
     return math.log(dec.v_count) + math.log(2.0) / s + max(0.0, math.log(big_m) - h)
@@ -264,7 +264,7 @@ def verify_hashing_bounds(
     name: str = "",
 ) -> list[BoundReport]:
     """Both hashing bounds for one state and family, from one enumeration."""
-    s_grid = _check_s_grid(s_grid)  # before the enumeration, which is the expensive part
+    s_grid = check_s_grid(s_grid)  # before the enumeration, which is the expensive part
     members = member_mutual_info(state, family)
     return [
         verify(state, family, s_grid, name=name, _members=members)
@@ -302,7 +302,7 @@ def stacked_matrix_lemma_checks(seeds, dim: int, s_grid=DEFAULT_S_GRID) -> list[
     eigenproblem over the stack of every seed's X. Raises ``ValueError`` for
     a grid that is empty or leaves ``(0, 1]``.
     """
-    grid = _check_s_grid(s_grid)
+    grid = check_s_grid(s_grid)
     gs = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for rng in map(np.random.default_rng, seeds)]
     xs = hermitian_entries([g @ g.conj().T for g in gs], 3, atol=None)
     power_gap, log_gap = _lemma_gaps(eigh_batch(xs)[0], grid)
@@ -396,7 +396,7 @@ def families_for(alphabet_size: int, big_ms=(2, 4), q: int = 2) -> list[HashFami
 
 def run_full_suite(s_grid=DEFAULT_S_GRID) -> list[BoundReport]:
     """Both hashing bounds over the whole corpus, plus lemma and pinching checks."""
-    s_grid = _check_s_grid(s_grid)  # before the family pass, which is the expensive part
+    s_grid = check_s_grid(s_grid)  # before the family pass, which is the expensive part
     corpus = default_corpus()
     pairs = [(name, state, family) for name, state in corpus for family in families_for(state.alphabet_size)]
     members = grouped_member_mutual_info([(state, family) for _, state, family in pairs])

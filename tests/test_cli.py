@@ -473,14 +473,26 @@ def test_size_cap_exit_6(capsys):
     assert err.startswith("error: resource cap exceeded:") and err.count("\n") == 1
 
 
-def test_certification_cap_fails_before_the_enumeration(tmp_path):
-    # |A| = 2**14 is over the difference-scan cap; enumerating the 8192 members first took minutes
+def _wide_state(tmp_path):
+    """A state on |A| = 2**14, over the difference-scan cap; enumerating its 8192 members first took minutes."""
     size = 2**14
     state = tmp_path / "wide.json"
     state.write_text(json.dumps({"probs": [1 / size] * size, "eve_states": [[[[1.0, 0.0]]]] * size}))
-    res = run_cli("verify", "--state", str(state), "--family", "modified_toeplitz:q=2,k=14,m=1", timeout=30)
+    return str(state)
+
+
+def test_certification_cap_fails_before_the_enumeration(tmp_path):
+    res = run_cli("verify", "--state", _wide_state(tmp_path), "--family", "modified_toeplitz:q=2,k=14,m=1", timeout=30)
     assert res.returncode == 6
     assert res.stderr == "error: resource cap exceeded: domain size 16384 exceeds difference-scan cap 8192\n"
+    assert res.stdout == ""
+
+
+def test_bad_grid_fails_before_the_certification_cap(tmp_path):
+    argv = ("verify", "--state", _wide_state(tmp_path), "--family", "modified_toeplitz:q=2,k=14,m=1", "--s", "2")
+    res = run_cli(*argv, timeout=30)
+    assert res.returncode == 2
+    assert res.stderr == "error: the hashing bounds hold for s in (0, 1]; got grid (2.0,)\n"
     assert res.stdout == ""
 
 

@@ -331,20 +331,26 @@ def test_digit_table_matches_digits(q, k):
 
 
 @st.composite
-def linear_systems(draw):
-    """A system over F_q as its prime, coefficient rows, right-hand side and parameter count."""
+def system_batches(draw):
+    """Systems over F_q of one shape, stacked as ``_solution_dims`` takes them, with their prime and parameter count."""
     q = draw(st.sampled_from((2, 3, 5)))
     n_rows = draw(st.integers(1, 5))
     n_params = draw(st.integers(0, 17))
-    entry = st.integers(0, q - 1)
-    coeffs = draw(st.lists(st.lists(entry, min_size=n_params, max_size=n_params), min_size=n_rows, max_size=n_rows))
-    rhs = draw(st.lists(entry, min_size=n_rows, max_size=n_rows))
-    return q, coeffs, rhs, n_params
+    entries = st.lists(st.integers(0, q - 1), min_size=n_rows * (n_params + 1), max_size=n_rows * (n_params + 1))
+    # each system's first `lead` coefficient columns are zero, so systems in one stack pivot in different columns
+    batch = draw(st.lists(st.tuples(st.integers(0, n_params), entries), min_size=2, max_size=8))
+    systems = np.array([e for _, e in batch], dtype=hashing._KERNEL_DTYPE).reshape(len(batch), n_rows, n_params + 1)
+    for system, (lead, _) in zip(systems, batch):  # a row of each is [coefficients..., rhs]
+        system[:, :lead] = 0
+    return q, systems, n_params
 
 
-@given(linear_systems())
-def test_row_reduction_matches_scalar_solver_on_drawn_systems(system):
-    q, coeffs, rhs, n_params = system
-    stack = np.array([[*row, b] for row, b in zip(coeffs, rhs)], dtype=hashing._KERNEL_DTYPE).T[:, :, None]
-    dim = int(_solution_dims(np.ascontiguousarray(stack), q)[0])
-    assert (q**dim if dim >= 0 else 0) == hashing_oracle.solution_count_mod_prime(coeffs, rhs, q, n_params)
+@given(system_batches())
+def test_row_reduction_matches_scalar_solver_on_drawn_batches(drawn):
+    q, systems, n_params = drawn
+    dims = _solution_dims(np.ascontiguousarray(systems.transpose(2, 1, 0)), q)
+    expected = [
+        hashing_oracle.solution_count_mod_prime(system[:, :-1].tolist(), system[:, -1].tolist(), q, n_params)
+        for system in systems
+    ]
+    assert [q ** int(d) if d >= 0 else 0 for d in dims] == expected
