@@ -86,15 +86,17 @@ def _write_output(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qpa-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qpa-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):  # the replace did not happen
+                os.unlink(tmp)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None  # the -o path, not the temporary file
 
 
 # report-key prefix, display label; the key's parameter and ")" follow the prefix
@@ -379,10 +381,10 @@ def main(argv=None) -> int:
     except AlphabetMismatchError as exc:
         print(f"error: family/alphabet mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE if exc.filename == getattr(args, "state", None) else EXIT_IO
     except OSError as exc:
+        if isinstance(exc, FileNotFoundError) and exc.filename == getattr(args, "state", None):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -15,7 +15,6 @@ Neumann limit, and a subnormal ``s`` (below ``S_MIN``) is rejected.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import sys
@@ -44,9 +43,9 @@ S_MIN = sys.float_info.min
 # 1/beta root without silent truncation
 PHI_T_MAX = 0.9375
 
-# entries of each state's memo (StateDecomposition.memo): the order
-# evaluations of a sweep over many rates are mostly distinct interior roots,
-# which an unbounded memo would all keep
+# entries of each state's memo of order evaluations (StateDecomposition.memo):
+# those of a sweep over many rates are mostly distinct interior roots, which
+# an unbounded memo would all keep
 MEMO_ENTRIES = 1024
 
 # map from report keys to conventional symbols, used by the CLI
@@ -134,29 +133,6 @@ def _moments_from_terms(terms, s: float) -> tuple[float, float]:
     return log_mass + math.log1p(total), float(tilted @ slopes)
 
 
-class BoundedMemo:
-    """A least-recently-used map of at most ``MEMO_ENTRIES`` entries, none of them ``None``."""
-
-    def __init__(self):
-        self._entries = collections.OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        """The value stored under ``key``, which becomes the most recently used, or ``None``."""
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if len(self._entries) > MEMO_ENTRIES:
-            self._entries.popitem(last=False)
-
-
 def _memoised(method):
     """``method(self, order)``, kept in ``self.memo`` under ``(method name, float(order))``.
 
@@ -164,16 +140,20 @@ def _memoised(method):
     returned value, so a hit always comes from an order that passed. The key
     is taken through ``np.asarray``, as validation reads the order, so an
     ``int``, a numpy scalar or a 0-d array of the same value share one key.
+    The memo is a dict in order of use: a hit moves its key to the end, and
+    past ``MEMO_ENTRIES`` entries the first, least recently used key goes.
     """
     name = method.__name__
 
     @functools.wraps(method)
     def memoised(self, order):
         key = (name, float(np.asarray(order, dtype=float)))
-        value = self.memo.get(key)
+        value = self.memo.pop(key, None)
         if value is None:
             value = method(self, order)
-            self.memo.put(key, value)
+        self.memo[key] = value  # now the most recently used
+        if len(self.memo) > MEMO_ENTRIES:
+            del self.memo[next(iter(self.memo))]
         return value
 
     return memoised
@@ -261,12 +241,11 @@ class StateDecomposition:
     state builds one on first use (``CQState.decomposition``), and every
     quantity, check and exponent on the state reads it.
 
-    ``memo`` is the state's :class:`BoundedMemo`. The scalar order
-    evaluations ``renyi_cond``, ``renyi_cond_bar_star``,
-    ``renyi_cond_moments``, ``phi`` and ``phi_and_slope`` keep their values
-    in it, keyed by method and order, so the families and rates evaluated on
-    one state compute each order once; ``verification.member_mutual_info``
-    keeps each hashed member's mutual information in it too.
+    ``memo`` is the state's memo of orders, a least-recently-used dict of at
+    most ``MEMO_ENTRIES`` entries. The scalar order evaluations
+    ``renyi_cond``, ``renyi_cond_bar_star``, ``renyi_cond_moments``, ``phi``
+    and ``phi_and_slope`` keep their values in it, keyed by method and order,
+    so the families and rates evaluated on one state compute each order once.
     """
 
     def __init__(self, state: CQState):
@@ -280,7 +259,7 @@ class StateDecomposition:
         self._basis = rows.basis[0]
         self.eve_clusters = cluster_ranges(rows.eve_values[0])
         self.v_count = len(self.eve_clusters)
-        self.memo = BoundedMemo()
+        self.memo = {}
 
     # positive terms exp(off + s * g) of the two Renyi traces, flattened in
     # (a, i, j) order and normalised by _normalised_terms

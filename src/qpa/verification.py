@@ -87,11 +87,10 @@ def _checked_stack(probs: np.ndarray, blocks: np.ndarray) -> DecompositionStack:
 def grouped_member_mutual_info(pairs) -> list[list[dict[str, float]]]:
     """``mutual_info_variants`` of the hashed state, per member in index order, for each ``(state, family)`` pair.
 
-    Per ``(M, d)`` group, each table of a state that is not in its memo (``StateDecomposition.memo``,
-    keyed by ``(M, table)``) is hashed once, in chunks whose arrays hold at most ``_STACK_ENTRIES``
-    entries at the group's largest domain (one table if it alone is larger): one ``hashed_blocks`` per
-    state's run, one ``_checked_stack`` per chunk. Results fill the memos and this pass's own map, the
-    only one read back, since a pass may hash more tables than a memo keeps. Every value equals that of
+    Per ``(M, d)`` group, each distinct table of a state is hashed once, in chunks whose arrays hold
+    at most ``_STACK_ENTRIES`` entries at the group's largest domain (one table if it alone is larger):
+    one ``hashed_blocks`` per state's run, one ``_checked_stack`` per chunk. No state's decomposition
+    is built or read. Every value equals that of
     ``apply_function(state, f).decomposition.mutual_info_variants()``; each member gets its own dict.
     """
     groups = {}
@@ -99,19 +98,15 @@ def grouped_member_mutual_info(pairs) -> list[list[dict[str, float]]]:
         _require_matching_domain(state, family)
         groups.setdefault((family.range_size, state.eve_dim), []).append(i)
     tables = [[] for _ in pairs]  # per pair, its members' tables
-    found = {}  # (state, M, table) -> row for every table of the pass; None until its chunk runs
+    found = {}  # (state, M, table) -> row for every table of the pass
     for (big_m, d), group in groups.items():
         step = max(1, _STACK_ENTRIES // max(big_m * d * d, max(pairs[i][1].domain_size for i in group)))
-        new = {}  # state -> its tables in neither its memo nor found, in order of first appearance
+        new = {}  # state -> its distinct tables, in order of first appearance
         for i in group:
             state, family = pairs[i]
             for start in range(0, family.member_count, step):
                 tables[i] += map(tuple, member_tables(family, start, min(start + step, family.member_count)).tolist())
-            for t in tables[i]:
-                if (state, big_m, t) not in found:
-                    found[state, big_m, t] = row = state.decomposition.memo.get((big_m, t))
-                    if row is None:
-                        new.setdefault(state, []).append(t)
+            new.setdefault(state, {}).update(dict.fromkeys(tables[i]))
         entries = [(state, t) for state, ts in new.items() for t in ts]
         for start in range(0, len(entries), step):
             chunk = entries[start : start + step]
@@ -121,7 +116,6 @@ def grouped_member_mutual_info(pairs) -> list[list[dict[str, float]]]:
             stack = _checked_stack(*arrays)
             for (state, t), row in zip(chunk, stack.mutual_info_variants()):
                 found[state, big_m, t] = row
-                state.decomposition.memo.put((big_m, t), row)
     return [[dict(found[state, family.range_size, t]) for t in ts] for (state, family), ts in zip(pairs, tables)]
 
 

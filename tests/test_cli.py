@@ -185,10 +185,17 @@ def test_sweep_rate_grid_overflow_exit_2(capsys):
 
 
 def test_io_error_exit_5(tmp_path):
-    res = run_cli(
-        "sweep", "--preset", "product", "--steps", "3", "-o", str(tmp_path / "no_dir" / "x.csv")
-    )
+    # the message names the -o path, never the temporary file written beside it
+    missing = tmp_path / "no_dir" / "x.csv"
+    res = run_cli("sweep", "--preset", "product", "--steps", "3", "-o", str(missing))
     assert res.returncode == 5
+    assert res.stderr == f"error: I/O failure: [Errno 2] No such file or directory: '{missing}'\n"
+    directory = tmp_path / "out"
+    directory.mkdir()
+    res = run_cli("sweep", "--preset", "product", "--steps", "3", "-o", str(directory))
+    assert res.returncode == 5
+    assert res.stderr == f"error: I/O failure: [Errno 21] Is a directory: '{directory}'\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out"]  # no .qpa-*.tmp left behind
 
 
 def test_verify_single_pair(capsys):

@@ -1,9 +1,10 @@
-"""The per-state memo of ``StateDecomposition``: order evaluations and hashed member results.
+"""The per-state memo of ``StateDecomposition``: its order evaluations.
 
 A memoised value must be the value the state computes without the memo,
 bit for bit, however the calls before it filled or evicted the memo; an
 order that fails validation must fail on every call; and the memo must stay
-within ``MEMO_ENTRIES``.
+within ``MEMO_ENTRIES``, evicting the least recently used order. Hashed
+members are not memoised; a second family pass recomputes the same values.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ from qpa.cli import main
 from qpa.cqstate import CQState, preset, random_cq
 from qpa.exponents import exponent_curve
 from qpa.hashing import make_explicit_family, make_family
-from qpa.quantities import MEMO_ENTRIES, PHI_T_MAX, S_MAX, BoundedMemo, StateDecomposition
+from qpa.quantities import MEMO_ENTRIES, PHI_T_MAX, S_MAX, StateDecomposition
 from qpa.verification import default_corpus, member_mutual_info, verify_hashing_bounds
 
 CORPUS = [state for _, state in default_corpus()]
@@ -128,13 +129,16 @@ def test_int_numpy_and_0d_orders_share_the_float_value(method, value):
 
 
 def test_memo_evicts_the_least_recently_used_entry():
-    memo = BoundedMemo()
-    for key in range(MEMO_ENTRIES):
-        memo.put(key, str(key))
-    assert memo.get(0) == "0"  # now the most recently used
-    memo.put(MEMO_ENTRIES, "new")
-    assert len(memo) == MEMO_ENTRIES
-    assert memo.get(1) is None and memo.get(0) == "0" and memo.get(MEMO_ENTRIES) == "new"
+    dec = _rebuilt(preset("tilted-qubit")).decomposition
+    orders = np.linspace(0.0, PHI_T_MAX, MEMO_ENTRIES + 1).tolist()
+    for order in orders[:MEMO_ENTRIES]:
+        dec.phi(order)
+    first = dec.memo["phi", orders[0]]
+    assert dec.phi(orders[0]) is first  # a hit, and now the most recently used
+    dec.phi(orders[-1])
+    assert len(dec.memo) == MEMO_ENTRIES
+    assert ("phi", orders[1]) not in dec.memo
+    assert list(dec.memo)[-2:] == [("phi", orders[0]), ("phi", orders[-1])]
 
 
 def test_warm_reports_equal_cold_ones():
@@ -170,15 +174,14 @@ def test_memo_stays_bounded_over_a_long_curve():
 
 
 def test_member_results_beyond_the_bound_equal_the_reference():
-    # more distinct tables than the memo holds, with repeats: within one pass
-    # every table is answered, and a second pass recomputes the evicted ones
+    # more distinct tables than one chunk holds (1,024 at M = 4, d = 2), with
+    # repeats: every table is answered, and a second pass recomputes them all
     rng = np.random.default_rng(3)
-    tables = {tuple(row) for row in rng.integers(0, 4, size=(MEMO_ENTRIES + 200, 8)).tolist()}
-    tables = sorted(tables)[: MEMO_ENTRIES + 100]
-    assert len(tables) == MEMO_ENTRIES + 100
+    tables = {tuple(row) for row in rng.integers(0, 4, size=(1224, 8)).tolist()}
+    tables = sorted(tables)[:1124]
+    assert len(tables) == 1124
     family = make_explicit_family(tables + tables[:50], 4)
     state = random_cq(9, 8, 2)
     reference = member_mutual_info_reference(state, family)
     assert member_mutual_info(state, family) == reference
-    assert len(state.decomposition.memo) == MEMO_ENTRIES
     assert member_mutual_info(state, family) == reference

@@ -21,7 +21,6 @@ from qpa.cli import main
 from qpa.cqstate import CQState, random_cq, tensor_power
 from qpa.hashing import make_explicit_family, make_family
 from qpa.hermitian import EigenConvergenceError, eigh_batch
-from qpa.quantities import MEMO_ENTRIES
 import qpa.verification as vmod
 from qpa.verification import (
     DEFAULT_S_GRID,
@@ -54,9 +53,9 @@ def _suite_pairs():
 def test_grouped_pass_equals_the_reference_on_mixed_pairs():
     four, eight, other = random_cq(5, 4, 2), random_cq(6, 8, 2), random_cq(7, 4, 3)
     repeated = make_explicit_family([(0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 0, 0)], 2)
-    # more new tables of one state than its memo keeps, so the pass's first
-    # results are evicted before the pass ends; the last family repeats them
-    many = _distinct_tables(0, MEMO_ENTRIES + 76, 8, 4)
+    # more tables than one chunk holds (1,024 at M = 4, d = 2); the last
+    # family repeats some of them
+    many = _distinct_tables(0, 1100, 8, 4)
     pairs = [
         (four, make_family("toeplitz", 2, 2, 1)),
         (four, make_family("modified_toeplitz", 2, 2, 1)),  # its tables are toeplitz tables too
@@ -77,14 +76,13 @@ def test_grouped_pass_equals_the_reference_on_mixed_pairs():
         patch.setattr(vmod, "hashed_blocks", counted)
         got = grouped_member_mutual_info(pairs)
     assert len(hashed) == len(set(hashed))  # each (state, M, table) once
-    assert len(eight.decomposition.memo) == MEMO_ENTRIES
     for (state, family), rows in zip(pairs, got):
         assert rows == member_mutual_info_reference(state, family), family.describe()
     assert got[0][0] is not got[1][0]  # equal rows, but each member has its own dict
 
 
 def test_grouped_pass_equals_the_one_pair_passes_on_the_suite():
-    # two corpora, so that the one-pair passes find nothing in the grouped pass's memos
+    # two corpora, so that no state is shared between the grouped and the one-pair passes
     grouped = grouped_member_mutual_info(_suite_pairs())
     assert grouped == [vmod.member_mutual_info(state, f) for state, f in _suite_pairs()]
 
