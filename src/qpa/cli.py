@@ -52,7 +52,7 @@ def _load_state(args):
     if getattr(args, "state", None):
         with open(args.state, "r", encoding="utf-8") as handle:
             return load_state_json(handle.read())
-    raise StateFormatError("one of --preset or --state is required")
+    raise ValueError("one of --preset or --state is required")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
         reports = vmod.run_full_suite()
     else:
         if not args.family:
-            raise StateFormatError("verify needs --family unless --suite full is given")
+            raise ValueError("verify needs --family unless --suite full is given")
         state = _load_state(args)
         family = parse_family(args.family)
         state = _lift_to_domain(state, family.domain_size)

@@ -190,8 +190,8 @@ class DecompositionStack:
         self.basis = basis  # eigenvectors of rho_a, columnwise
         self.overlap = np.abs(np.conj(np.swapaxes(basis, -1, -2)) @ vmat[:, None]) ** 2  # |<u_i^a | v_j>|^2
         self.xi = xi  # eigenvalues of the sandwiched block
-        # <w_j| rho_a |w_j>
-        self.xi_weight = np.maximum(np.real(np.einsum("...aji,...ajk,...aki->...ai", w.conj(), rhos, w)), 0.0)
+        # <w_j| rho_a |w_j>: the real diagonal of W^H rho_a W, from one batched matmul
+        self.xi_weight = np.maximum(np.real(np.sum(w.conj() * (rhos @ w), axis=-2)), 0.0)
         self.xi_support = xi > SUPPORT_RTOL * xi[..., -1:]
 
     def mutual_info_variants(self) -> list[dict[str, float]]:

@@ -378,6 +378,23 @@ def test_missing_state_source_is_parse_error():
     assert main(["quantities", "--preset", "not-a-preset"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["quantities"], "one of --preset or --state is required"),
+        (["verify", "--preset", "tilted-qubit"], "verify needs --family unless --suite full is given"),
+    ],
+    ids=["quantities-without-state", "verify-without-family"],
+)
+def test_usage_errors_are_not_reported_as_bad_documents(capsys, argv, message):
+    # no state document is involved, so the message carries no "bad state document" label
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_suite_full_matches_golden(capsys):
     code = main(["verify", "--suite", "full"])
     assert code == 0
@@ -389,7 +406,7 @@ def test_suite_full_json_matches_golden_digest(capsys):
     code = main(["verify", "--suite", "full", "--format", "json"])
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "c5bfcbaf8a675cf2923f6db57761be5d19e4779be75a4105bd72a97eeec39954"
+    assert digest == "feda9db52313abe9c3dce3ff439e0c0cf7c422b7cad45ffc772af81c9fdc9792"
 
 
 @pytest.mark.parametrize(

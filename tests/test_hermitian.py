@@ -226,3 +226,15 @@ def test_eigh_batch_residual_scales_with_norm(monkeypatch):
     with pytest.raises(EigenConvergenceError) as info:
         eigh_batch(mats)
     assert info.value.residual == pytest.approx(math.sqrt(0.5))
+
+
+def test_eigh_batch_rejects_exact_eigenpairs_that_are_not_orthonormal(monkeypatch):
+    # A v = v diag(w) holds exactly for vectors scaled by 2, so only a check that
+    # rebuilds the matrix from v diag(w) v^H, which sees 4 A, catches them
+    mats = np.stack([np.diag([1.0, 3.0]), np.array([[2.0, 1.0], [1.0, 2.0]])]).astype(complex)
+    exact = np.linalg.eigh(mats)
+    assert np.allclose(mats @ (2 * exact[1]), 2 * exact[1] * exact[0][..., None, :], atol=1e-15)
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (exact[0], 2 * exact[1]))
+    with pytest.raises(EigenConvergenceError) as info:
+        eigh_batch(mats)
+    assert info.value.residual == pytest.approx(3 * math.sqrt(10.0))

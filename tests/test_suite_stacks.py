@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pure_eve_state
@@ -21,6 +21,7 @@ from qpa.cli import main
 from qpa.cqstate import CQState, random_cq, tensor_power
 from qpa.hashing import make_explicit_family, make_family
 from qpa.hermitian import EigenConvergenceError, eigh_batch
+from qpa.quantities import DecompositionStack
 import qpa.verification as vmod
 from qpa.verification import (
     DEFAULT_S_GRID,
@@ -171,6 +172,36 @@ SPEC = st.tuples(st.integers(0, 2**16), st.sampled_from([2, 3, 4]), st.sampled_f
 def test_stacked_pinch_reports_equal_the_reference_on_random_states(specs):
     states = [random_cq(seed, n_sym, d) for seed, n_sym, d in specs]
     assert grouped_pinching_checks(states) == [_pinch_reference(state) for state in states]
+
+
+def _decomposition_stack(states):
+    """The :class:`DecompositionStack` of ``states``, which share |A| and d_E, one row each."""
+    lam, basis = zip(*(state.eve_eigh for state in states))
+    probs, rhos = np.stack([state.probs for state in states]), np.stack([state.rhos for state in states])
+    return DecompositionStack(probs, rhos, np.stack(lam), np.stack(basis))
+
+
+@settings(max_examples=25)  # an example of eight states at d_E = 32 makes 26 eigh calls
+@example(specs=[(0, True), (1, False)], n_sym=2, eve_dim=32)
+@given(
+    specs=st.lists(st.tuples(st.integers(0, 2**16), st.booleans()), min_size=1, max_size=8),  # seed, rank-deficient
+    n_sym=st.sampled_from([2, 3]),
+    eve_dim=st.sampled_from([2, 3, 4, 16, 32]),
+)
+def test_stacked_sandwich_weights_equal_the_one_row_stacks(specs, n_sym, eve_dim):
+    # the exact equality of grouped_member_mutual_info and member_oracle rests on this;
+    # a rank-deficient state lives on the first d_E // 2 dimensions of E, and so does its rho^E
+    states = []
+    for seed, deficient in specs:
+        state = random_cq(seed, n_sym, eve_dim // 2 if deficient else eve_dim)
+        rhos = np.zeros((n_sym, eve_dim, eve_dim), dtype=complex)
+        rhos[:, : state.eve_dim, : state.eve_dim] = state.rhos
+        states.append(CQState(state.probs, rhos))
+    stack = _decomposition_stack(states)
+    for row, state in enumerate(states):
+        alone = _decomposition_stack([state])
+        assert np.array_equal(stack.xi_weight[row], alone.xi_weight[0])
+        assert np.array_equal(stack.xi[row], alone.xi[0])
 
 
 @pytest.mark.parametrize(
