@@ -48,6 +48,10 @@ PHI_T_MAX = 0.9375
 # an unbounded memo would all keep
 MEMO_ENTRIES = 1024
 
+# entries of the largest array a stacked evaluation holds: a chunk of a Renyi
+# grid (orders × terms), or of the family pass in qpa.verification
+_STACK_ENTRIES = 2**14
+
 # map from report keys to conventional symbols, used by the CLI
 QUANTITY_SYMBOLS = {
     "H_AE": "H(A,E)",
@@ -113,9 +117,15 @@ def _renyi_from_terms(terms, s: np.ndarray) -> np.ndarray:
     state, one up to rounding (within 2.6e-15 over the states that
     ``verify --suite full`` decomposes), so taking it as exactly one changes
     values only at rounding level; a genuine shortfall enters as ``log_mass``.
+    Each order of the 1-d ``s`` takes its sum as its own ``(1, K) @ (K,)`` dot in one
+    batched matmul, so a grid value equals the one-order value bit for bit (a stacked
+    ``(n, K) @ (K,)`` does not), in chunks of at most ``_STACK_ENTRIES`` orders × terms.
     """
     weights, slopes, log_mass = terms
-    return -(log_mass + np.log1p(np.expm1(np.multiply.outer(s, slopes)) @ weights)) / s
+    sums, step = np.empty(s.shape), max(1, _STACK_ENTRIES // slopes.size)  # step: orders per chunk
+    for i in range(0, s.size, step):
+        sums[i : i + step] = (np.expm1(np.multiply.outer(s[i : i + step], slopes))[:, None] @ weights)[:, 0]
+    return -(log_mass + np.log1p(sums)) / s
 
 
 def _moments_from_terms(terms, s: float) -> tuple[float, float]:
@@ -245,7 +255,7 @@ class StateDecomposition:
     most ``MEMO_ENTRIES`` entries. The scalar order evaluations
     ``renyi_cond``, ``renyi_cond_bar_star``, ``renyi_cond_moments``, ``phi``
     and ``phi_and_slope`` keep their values in it, keyed by method and order,
-    so the families and rates evaluated on one state compute each order once.
+    so the rates and quantities evaluated on one state compute each order once.
     """
 
     def __init__(self, state: CQState):

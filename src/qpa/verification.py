@@ -12,6 +12,7 @@ eigenproblem their eigenvalues over the whole order grid are closed-form.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -21,13 +22,10 @@ from .cqstate import AlphabetMismatchError, CQState, checked_states, hashed_bloc
 from .hashing import HashFamily, make_family, member_tables
 from .hermitian import SUPPORT_RTOL, eigh_batch, hermitian_entries
 from .optimize import increasing_root
-from .quantities import S_MIN, DecompositionStack, StateDecomposition, _check_order_keys
+from .quantities import _STACK_ENTRIES, S_MIN, DecompositionStack, StateDecomposition, _check_order_keys
+from .quantities import _moments_from_terms
 
 SLACK_TOL = 1e-9
-
-# entries of the largest array a chunk of the family pass stacks: its
-# (members * M, d, d) blocks and sandwiches, or its (members, |A|) tables
-_STACK_ENTRIES = 2**14
 
 DEFAULT_S_GRID = tuple(round(0.1 * i, 10) for i in range(1, 11))
 
@@ -124,16 +122,29 @@ def member_mutual_info(state: CQState, family: HashFamily) -> list[dict[str, flo
     return grouped_member_mutual_info([(state, family)])[0]
 
 
-def _avg_leak_rhs(dec: StateDecomposition, big_m: int, s: float) -> float:
-    v = dec.v_count
-    h = dec.renyi_cond(s)
+def _avg_leak_rhs(v: int, big_m: int, s: float, h: float) -> float:
+    """``v^s M^s exp(-s h) / s`` at the order s, where ``h = H_{1+s}``."""
     return (v**s) * math.exp(s * (math.log(big_m) - h)) / s
 
 
 def avg_leak_bound_rhs(state: CQState, big_m: int, s: float) -> float:
     """Hashing bound on the averaged I': ``v^s M^s exp(-s H_{1+s}) / s``."""
     check_s_grid((s,))
-    return _avg_leak_rhs(state.decomposition, big_m, s)
+    dec = state.decomposition
+    return _avg_leak_rhs(dec.v_count, big_m, s, dec.renyi_cond(s))
+
+
+def _avg_leak_orders(dec: StateDecomposition, s_grid: tuple[float, ...], big_ms) -> tuple[dict, dict]:
+    """``H_{1+s}`` by order, and the order minimising the averaged-leak bound by range size M.
+
+    ``log rhs(s) = s log(vM) + psi(s) - log s`` is convex, so its minimum over all of ``(0, 1]`` is at
+    the root of ``log(vM) + psi'(s) - 1/s``, clamped to 1: one root per M, whose steps share the
+    state's moment evaluations. ``H_{1+s}`` at the grid and at every root comes from one grid call.
+    """
+    slope = functools.cache(lambda s: _moments_from_terms(dec._renyi_terms, s)[1])
+    roots = {m: increasing_root(lambda s: math.log(dec.v_count * m) + slope(s) - 1.0 / s, S_MIN, 1.0) for m in big_ms}
+    orders = tuple(dict.fromkeys((*s_grid, *roots.values())))  # a root clamped to 1 is a grid order
+    return dict(zip(orders, dec.renyi_cond_grid(orders).tolist())), roots
 
 
 def verify_avg_leak_bound(
@@ -146,24 +157,21 @@ def verify_avg_leak_bound(
 ) -> BoundReport:
     """Check ``E_X I' <= min_s v^s M^s exp(-s H_{1+s}) / s`` by enumeration.
 
-    ``log rhs(s) = s log(vM) + psi(s) - log s`` is convex, so the minimum over all of ``(0, 1]``
-    is at the root of ``log(vM) + psi'(s) - 1/s``, clamped to 1; the grid is reported, not searched.
+    The minimum is over all of ``(0, 1]`` (see ``_avg_leak_orders``); the grid is reported, not searched.
     """
     _require_matching_domain(state, family)
     s_grid = check_s_grid(s_grid)
-    dec = state.decomposition
-    v = dec.v_count
-    big_m = family.range_size
+    h, roots = _avg_leak_orders(state.decomposition, s_grid, (family.range_size,))
+    members = _members if _members is not None else member_mutual_info(state, family)
+    return _avg_leak_report(state.decomposition, family, members, s_grid, h, roots[family.range_size], name)
 
-    rhs_by_s = {s: _avg_leak_rhs(dec, big_m, s) for s in s_grid}
-    log_vm = math.log(v * big_m)
-    best_s = increasing_root(lambda s: log_vm + dec.renyi_cond_moments(s)[1] - 1.0 / s, S_MIN, 1.0)
-    rhs_min = _avg_leak_rhs(dec, big_m, best_s)
-    rhs_by_s[round(best_s, 12)] = rhs_min
 
-    member_stats = _members if _members is not None else member_mutual_info(state, family)
-    i_prime_vals = [ms["I_prime"] for ms in member_stats]
-    i_vals = [ms["I"] for ms in member_stats]
+def _avg_leak_report(dec: StateDecomposition, family: HashFamily, members, s_grid, h, best_s, name) -> BoundReport:
+    v, big_m = dec.v_count, family.range_size
+    rhs_by_s = {s: _avg_leak_rhs(v, big_m, s, h[s]) for s in s_grid}
+    rhs_by_s[round(best_s, 12)] = rhs_min = _avg_leak_rhs(v, big_m, best_s, h[best_s])
+    i_prime_vals = [ms["I_prime"] for ms in members]
+    i_vals = [ms["I"] for ms in members]
     lhs = math.fsum(i_prime_vals) / family.member_count
     avg_i = math.fsum(i_vals) / family.member_count
     slack = rhs_min - lhs
@@ -204,20 +212,22 @@ def verify_exp_leak_bound(
     """
     _require_matching_domain(state, family)
     s_grid = check_s_grid(s_grid)
-    dec = state.decomposition
+    members = _members if _members is not None else member_mutual_info(state, family)
+    return _exp_leak_report(family, members, s_grid, state.decomposition.renyi_cond_bar_star_grid(s_grid), name)
+
+
+def _exp_leak_report(family: HashFamily, members, s_grid, hbar: np.ndarray, name: str) -> BoundReport:
     big_m = family.range_size
-    member_stats = _members if _members is not None else member_mutual_info(state, family)
-    ibar_vals = [ms["I_bar_prime"] for ms in member_stats]
+    ibar_vals = [ms["I_bar_prime"] for ms in members]
     avg_ibar = math.fsum(ibar_vals) / family.member_count
 
     rhs_by_s = {}
     lhs_by_s = {}
     derived_ok = True
-    for s in s_grid:
-        hbar = dec.renyi_cond_bar_star(s)
-        rhs_by_s[s] = 1.0 + math.exp(s * (math.log(big_m) - hbar))
+    for s, hb in zip(s_grid, hbar.tolist()):
+        rhs_by_s[s] = 1.0 + math.exp(s * (math.log(big_m) - hb))
         lhs_by_s[s] = math.fsum(math.exp(s * val) for val in ibar_vals) / family.member_count
-        if s * avg_ibar > math.exp(s * (math.log(big_m) - hbar)) + SLACK_TOL:
+        if s * avg_ibar > math.exp(s * (math.log(big_m) - hb)) + SLACK_TOL:
             derived_ok = False
     slack_by_s = {s: rhs_by_s[s] - lhs_by_s[s] for s in s_grid}
     slack = min(slack_by_s.values())
@@ -394,10 +404,15 @@ def run_full_suite(s_grid=DEFAULT_S_GRID) -> list[BoundReport]:
     corpus = default_corpus()
     pairs = [(name, state, family) for name, state in corpus for family in families_for(state.alphabet_size)]
     members = grouped_member_mutual_info([(state, family) for _, state, family in pairs])
+    # the right-hand sides depend on the state, M and s only: each state's orders are evaluated once
+    big_ms = {state: {f.range_size for _, other, f in pairs if other is state} for _, state in corpus}
+    h_roots = {state: _avg_leak_orders(state.decomposition, s_grid, ms) for state, ms in big_ms.items()}
+    hbar = {state: state.decomposition.renyi_cond_bar_star_grid(s_grid) for state in big_ms}
     reports: list[BoundReport] = []
     for (name, state, family), rows in zip(pairs, members):
-        for verify in (verify_avg_leak_bound, verify_exp_leak_bound):
-            reports.append(verify(state, family, s_grid, name=name, _members=rows))
+        h, roots = h_roots[state]
+        reports.append(_avg_leak_report(state.decomposition, family, rows, s_grid, h, roots[family.range_size], name))
+        reports.append(_exp_leak_report(family, rows, s_grid, hbar[state], name))
 
     lemmas = []
     for dim in range(2, 7):  # seeds 0-39 in dimension 2, up to seeds 160-199 in dimension 6

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from qpa import make_cq_state, preset
+from qpa.cqstate import load_state_json, tensor_power
 from qpa.verification import default_corpus
 
 # the same examples on every run, and no per-example deadline, which a
@@ -28,6 +29,13 @@ def preset_states():
 def corpus_states():
     """The verification corpus by name: presets, their in-cap 2-fold powers, 20 seeded random states."""
     return dict(default_corpus())
+
+
+@pytest.fixture(scope="session")
+def lifted_complex_state():
+    """``tests/data/complex_qubit_state.json`` lifted to its 5th power: |A| = 32, d_E = 32."""
+    path = Path(__file__).resolve().parent / "data" / "complex_qubit_state.json"
+    return tensor_power(load_state_json(path.read_text(encoding="utf-8")), 5)
 
 
 def random_psd(rng, dim, scale=1.0):

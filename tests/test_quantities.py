@@ -20,6 +20,7 @@ from qpa.hashing import make_family
 from qpa.hermitian import cluster_ranges, eig_hermitian
 from qpa.quantities import (
     S_MAX,
+    S_MIN,
     StateDecomposition,
     cond_entropy,
     cond_entropy_bar,
@@ -40,7 +41,7 @@ from qpa.quantities import (
     trace_distances_joint,
     von_neumann_entropies,
 )
-from qpa.verification import verify_hashing_bounds
+from qpa.verification import default_corpus, verify_hashing_bounds
 
 from classical_oracle import classical_quantities
 from conftest import PRESET_NAMES, pure_eve_state, random_kraus
@@ -514,16 +515,35 @@ def test_grid_evaluations_match_scalar():
     st = random_cq(77, 4, 3)
     dec = StateDecomposition(st)
     s_grid = np.linspace(0.0, 1.0, 11)
+    # each grid order's sum is its own dot product, as in a one-order call: bit for bit
     grid_vals = dec.renyi_cond_grid(s_grid)
-    for s, v in zip(s_grid, grid_vals):
-        assert v == pytest.approx(dec.renyi_cond(float(s)), abs=1e-12)
+    assert [v.hex() for v in grid_vals.tolist()] == [dec.renyi_cond(float(s)).hex() for s in s_grid]
     bar_vals = dec.renyi_cond_bar_star_grid(s_grid[1:])
-    for s, v in zip(s_grid[1:], bar_vals):
-        assert v == pytest.approx(dec.renyi_cond_bar_star(float(s)), abs=1e-12)
+    assert [v.hex() for v in bar_vals.tolist()] == [dec.renyi_cond_bar_star(float(s)).hex() for s in s_grid[1:]]
+    # phi_grid stacks eigvalsh, which rounds apart from the one-point eigenproblem
     t_grid = np.linspace(0.0, 0.5, 11)
     phi_vals = dec.phi_grid(t_grid)
     for t, v in zip(t_grid, phi_vals):
         assert v == pytest.approx(dec.phi(float(t)), abs=1e-12)
+
+
+_GRID_STATES = [*(name for name, _ in default_corpus()), "complex_qubit_state.json^5"]
+
+
+@given(
+    name=hst.sampled_from(_GRID_STATES),
+    orders=hst.lists(hst.one_of(hst.just(0.0), hst.floats(S_MIN, S_MAX)), min_size=1, max_size=40),
+)
+def test_grid_entries_equal_fresh_one_order_evaluations(corpus_states, lifted_complex_state, name, orders):
+    # the d_E = 32 lifted state has 32,768 Renyi terms, more than one chunk of
+    # _STACK_ENTRIES holds, so its grids go one order per chunk
+    state = lifted_complex_state if name not in corpus_states else corpus_states[name]
+    dec = state.decomposition
+    got = dec.renyi_cond_grid(orders).tolist()
+    assert [v.hex() for v in got] == [dec.renyi_cond_grid([s])[0].hex() for s in orders]
+    positive = [s for s in orders if s > 0.0] or [S_MAX]
+    got = dec.renyi_cond_bar_star_grid(positive).tolist()
+    assert [v.hex() for v in got] == [dec.renyi_cond_bar_star_grid([s])[0].hex() for s in positive]
 
 
 def test_pinsker_factor_two_holds_and_unfactored_form_fails(corpus_states):

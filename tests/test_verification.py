@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -474,28 +475,75 @@ def test_full_suite_hashes_each_member_once(monkeypatch):
 
 
 def test_full_suite_evaluates_each_order_once(monkeypatch):
-    # toeplitz and modified_toeplitz of one (state, M) search the same orders,
-    # and the state's memo answers the second family
-    evaluated, moments = [], []
-    original, original_moments = qmod._renyi_from_terms, qmod._moments_from_terms
+    # the right-hand sides depend on the state, M and s only: one grid call per
+    # state and kind holds the grid orders and the state's roots, and
+    # toeplitz and modified_toeplitz of one (state, M) share one root
+    grids, moments, roots = [], [], []
+    original, original_moments, original_root = qmod._renyi_from_terms, vmod._moments_from_terms, vmod.increasing_root
 
     def counted(terms, s):
-        evaluated.append((terms, tuple(np.ravel(s).tolist())))  # the terms stay alive, so ids stay distinct
+        grids.append((terms, np.ravel(s).tolist()))  # the terms stay alive, so ids stay distinct
         return original(terms, s)
 
     def counted_moments(terms, s):
         moments.append((terms, s))
         return original_moments(terms, s)
 
+    def counted_root(fn, lo, hi):
+        roots.append((lo, hi))
+        return original_root(fn, lo, hi)
+
     monkeypatch.setattr(qmod, "_renyi_from_terms", counted)
-    monkeypatch.setattr(qmod, "_moments_from_terms", counted_moments)
+    monkeypatch.setattr(vmod, "_moments_from_terms", counted_moments)
+    monkeypatch.setattr(vmod, "increasing_root", counted_root)
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
-    # one evaluation per distinct (state, kind, order): a state's Renyi and
-    # Hbar* terms are each one object
-    assert len(evaluated) == len({(id(terms), s) for terms, s in evaluated}) == 619
-    # and one moment evaluation per distinct (state, order) of the root searches
+    # at most one grid call per (state, kind): a state's Renyi and Hbar* terms are each one object
+    assert len(grids) == len({id(terms) for terms, _ in grids}) == 2 * 29
+    assert all(orders[: len(DEFAULT_S_GRID)] == list(DEFAULT_S_GRID) for _, orders in grids)
+    # one evaluation per distinct (state, kind, order), grid orders and roots alike: a root
+    # clamped to 1 reads the grid's order 1
+    evaluated = [(id(terms), s) for terms, orders in grids for s in orders]
+    assert len(evaluated) == len(set(evaluated)) == 619
+    # one root per (state, M) over (S_MIN, 1], whose steps evaluate each order of a state once
+    assert roots == [(qmod.S_MIN, 1.0)] * 54
     assert len(moments) == len({(id(terms), s) for terms, s in moments}) == 420
+
+
+def test_clamped_root_reads_the_same_bits_from_the_grid_and_the_root():
+    # copy with M = 2 has its averaged-leak minimum at the clamp s = 1, a grid order:
+    # rhs_by_s[round(best_s, 12)] overwrites the grid's entry, so both must agree
+    state, family = preset("copy"), make_family("toeplitz", 2, 1, 1)
+    on_grid = verify_avg_leak_bound(state, family)
+    off_grid = verify_avg_leak_bound(state, family, (0.5,))
+    assert on_grid.best_s == off_grid.best_s == 1.0
+    from_root = off_grid.rhs_by_s[1.0]
+    assert from_root.hex() == on_grid.rhs_by_s[1.0].hex() == avg_leak_bound_rhs(state, 2, 1.0).hex()
+    avg_reports = (rep for rep in run_full_suite() if rep.check == "hashing-bound-I-prime")
+    suite = next(rep for rep in avg_reports if rep.metadata["state"] == "copy")
+    assert suite.best_s == 1.0 and suite.rhs_by_s == on_grid.rhs_by_s
+
+
+def test_lifted_bound_side_stays_within_twice_one_order(monkeypatch, lifted_complex_state):
+    # the d_E = 32 lifted state has 32,768 Renyi terms: an unchunked grid over the
+    # 10 default orders would hold 10 such arrays at once; the family pass is
+    # taken out of the measure, as it chunks its own stacks by _STACK_ENTRIES
+    state, family = lifted_complex_state, make_family("modified_toeplitz", 2, 5, 3)
+    members = vmod.member_mutual_info(state, family)
+    monkeypatch.setattr(vmod, "member_mutual_info", lambda *_: members)
+    dec = state.decomposition
+    assert dec._renyi_terms[1].size == 32768 and dec._bar_terms  # both cached before measuring
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_order = peak(lambda: dec.renyi_cond_grid([0.5]))
+    assert peak(lambda: verify_hashing_bounds(state, family)) <= 2 * one_order
 
 
 def test_full_suite_decomposes_each_state_once(monkeypatch):
