@@ -16,9 +16,11 @@ import dataclasses
 import math
 
 from .cqstate import CQState
+from .hermitian import SizeCapError
 from .optimize import increasing_root
 
 LEMMA_TOL = 1e-9
+STEPS_CAP = 2**16  # rates on one curve, about 30 s of rows
 
 
 class ExponentComparisonError(RuntimeError):
@@ -179,6 +181,8 @@ def exponent_curve(state: CQState, r_min: float, r_max: float, steps: int) -> Ex
         raise ValueError(f"need 0 <= r_min < r_max < inf, got [{r_min}, {r_max}]")
     if steps < 2:
         raise ValueError("need at least 2 steps")
+    if steps > STEPS_CAP:
+        raise SizeCapError(f"{steps} steps exceed the curve cap {STEPS_CAP}")
     if not math.isfinite((r_max - r_min) * (steps - 1)):
         raise ValueError(f"rate grid r_min={r_min}, r_max={r_max}, steps={steps} overflows a double")
     rates_list = [r_min + (r_max - r_min) * i / (steps - 1) for i in range(steps)]

@@ -12,14 +12,17 @@ array over the family's uint8 digit table; ``member_function`` is its one-member
 Collision probabilities are certified with exact integer counting; the
 universal_2 property is a combinatorial claim, so no floating tolerance is
 acceptable there; for the matrix kinds each nonzero input difference is one
-linear system over F_q, sliced from the same digit table, and all of
-them are row-reduced together mod q. The elimination walks the m rows,
-not the parameter columns, since a system has far fewer rows: each row,
-scaled to a leading 1 at its first nonzero left entry, clears that column
-from the rows below it, and a row left zero on the left with a nonzero
-rhs makes its system inconsistent. The update reads the pivot column
-from a contiguous copy, and every reduction mod q is a multiply-high,
-not a division.
+linear system over F_q, whose row i holds the difference's reversed
+Toeplitz digits (from the same digit table) as one contiguous block from
+column i on, and all of them are row-reduced together mod q. The
+elimination walks the m rows, not the parameter columns, since a system
+has far fewer rows: each row, scaled to a leading 1 at its first nonzero
+left entry, clears that column from the rows below it, unless no later
+row of any system is nonzero there (as in every difference system: row i
+pivots at its highest nonzero digit, one column right of row i - 1), and
+a row left zero on the left with a nonzero rhs makes its system
+inconsistent. The update reads the pivot column from a contiguous copy,
+and every reduction mod q is a multiply-high, not a division.
 """
 
 from __future__ import annotations
@@ -184,11 +187,10 @@ def _difference_systems(family: HashFamily, diffs: np.ndarray) -> np.ndarray:
     """(n_params + 1, m, N) stack of systems over F_q, solved by the members sending each row of ``diffs`` to zero."""
     q, m = family.q, family.m
     width, n_params = _toeplitz_block(family)
-    band = (width - 1) + np.arange(m)[None, :] - np.arange(n_params)[:, None]  # (p, i) -> diff[i + width - 1 - p]
-    in_band = (0 <= band) & (band < width)
     digits = np.ascontiguousarray(diffs.T, dtype=_KERNEL_DTYPE)  # (k, N)
     aug = np.zeros((n_params + 1, m, len(diffs)), dtype=_KERNEL_DTYPE)
-    aug[:n_params] = np.where(in_band[:, :, None], digits[np.where(in_band, band, 0)], 0)
+    for i in range(m):  # aug[p, i] = diff[i + width - 1 - p]: row i holds the reversed digits from column i on
+        aug[i : i + width, i] = digits[:width][::-1]
     if family.kind == KIND_MODIFIED:
         aug[n_params] = _mod_q(_KERNEL_DTYPE(q) - digits[width:], q)  # -diff2; full Toeplitz has rhs 0
     return aug
@@ -200,7 +202,9 @@ def _solution_dims(aug: np.ndarray, q: int) -> np.ndarray:
     Forward elimination row by row, all N systems at once: a row's pivot is
     its first nonzero left entry, and the row, scaled to a leading 1, clears
     that column from every later row. A row left zero on the left adds no
-    rank; a nonzero rhs there makes its system inconsistent.
+    rank; a nonzero rhs there makes its system inconsistent. A step whose
+    multipliers (the later rows' pivot-column entries) are all zero would
+    add only zeros, so it is skipped: every step, on difference systems.
     """
     n_params, rows, n = aug.shape[0] - 1, aug.shape[1], aug.shape[2]
     inverse = np.array([0] + [pow(v, q - 2, q) for v in range(1, q)], dtype=_KERNEL_DTYPE)
@@ -216,11 +220,13 @@ def _solution_dims(aug: np.ndarray, q: int) -> np.ndarray:
         if r + 1 == rows or not n_params:  # no later row to clear, or no column to clear
             continue
         pivot = nonzero.argmax(axis=0)
+        below = aug[:, r + 1 :]  # (n_params + 1, rows - r - 1, N), a view
+        factor = below[pivot, :, systems]  # (N, rows - r - 1): each later row's pivot entry
+        if not factor.any():  # every multiplier zero: the update would add only zeros
+            continue
         # the row scaled to a leading 1; zero (a no-op) without a pivot
         pivot_row = _mod_q(row * (inverse[row[pivot, systems]] * has_pivot), q)
-        below = aug[:, r + 1 :]  # (n_params + 1, rows - r - 1, N), a view
-        factor = np.ascontiguousarray(below[pivot, :, systems].T)  # (rows - r - 1, N): each later row's pivot entry
-        below += _mod_q(_KERNEL_DTYPE(q) - factor, q) * pivot_row[:, None]
+        below += _mod_q(_KERNEL_DTYPE(q) - np.ascontiguousarray(factor.T), q) * pivot_row[:, None]
         below[...] = _mod_q(below, q)
     return np.where(inconsistent, -1, n_params - rank)
 

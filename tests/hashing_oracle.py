@@ -31,11 +31,11 @@ def solution_count_mod_prime(rows, rhs, q, n_params):
     return q ** (n_params - rank)
 
 
-def colliding_member_count(family, diff):
-    """Members sending the nonzero input difference ``diff`` (base-q digits) to zero.
+def difference_system(family, diff):
+    """Coefficient rows and rhs, over F_q, of the members' parameters sending ``diff`` (base-q digits) to zero.
 
-    The member matrix is linear in its parameter vector, so the count is
-    the number of solutions of one small linear system over F_q.
+    The member matrix is linear in its parameter vector, so those members
+    are the solutions of one small linear system.
     """
     q, m = family.q, family.m
     width, n_params = _toeplitz_block(family)
@@ -48,7 +48,13 @@ def colliding_member_count(family, diff):
         rhs = [(-int(diff[width + i])) % q for i in range(m)]
     else:
         rhs = [0] * m
-    return solution_count_mod_prime(rows, rhs, q, n_params)
+    return rows, rhs
+
+
+def colliding_member_count(family, diff):
+    """Members sending the nonzero input difference ``diff`` (base-q digits) to zero."""
+    rows, rhs = difference_system(family, diff)
+    return solution_count_mod_prime(rows, rhs, family.q, _toeplitz_block(family)[1])
 
 
 def nonzero_differences(family):

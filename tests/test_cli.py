@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,22 @@ def test_sweep_rate_grid_overflow_exit_2(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: rate grid r_min=0.0, r_max=1e+308, steps=3 overflows a double\n"
+
+
+def test_sweep_steps_cap_exit_6_before_any_rate(capsys):
+    # the cap is checked before the rates and rows exist: a curve of cap + 1 rates would hold about 2 MB of them
+    steps = expmod.STEPS_CAP + 1
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--preset", "tilted-qubit", "--steps", str(steps)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert captured.err == f"error: resource cap exceeded: {steps} steps exceed the curve cap {expmod.STEPS_CAP}\n"
+    assert peak < 2**20
 
 
 def test_io_error_exit_5(tmp_path):

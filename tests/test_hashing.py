@@ -190,24 +190,64 @@ def test_collision_count_probability_zero_difference():
     assert batched_counts(family, [[0, 1], [1, 0], [1, 1]]) == [0, 1, 1]
 
 
+# every matrix family of both kinds over F_2, F_3, F_5 with |A| <= 729, k = m and k = 1 among them; none reaches a cap
+ORACLE_FAMILIES = [
+    make_family(kind, q, k, m)
+    for q, k_max in ((2, 9), (3, 6), (5, 4))
+    for k in range(1, k_max + 1)
+    for m in range(1, k + 1)
+    for kind in ("toeplitz", "modified_toeplitz")
+]
+# the perfbench certify families
+BENCHMARK_FAMILIES = [
+    ("toeplitz", 2, 13, 4),
+    ("modified_toeplitz", 2, 13, 4),
+    ("toeplitz", 3, 8, 3),
+    ("modified_toeplitz", 5, 5, 2),
+]
+
+
 def test_batched_counts_match_scalar_oracle(monkeypatch):
-    # every matrix family of both kinds over F_2, F_3, F_5 with |A| <= 729; none reaches a cap
-    families = [
-        make_family(kind, q, k, m)
-        for q, k_max in ((2, 9), (3, 6), (5, 4))
-        for k in range(1, k_max + 1)
-        for m in range(1, k + 1)
-        for kind in ("toeplitz", "modified_toeplitz")
-    ]
     expected = []
-    for family in families:
+    for family in ORACLE_FAMILIES:
         counts = hashing_oracle.colliding_member_counts(family)
         assert batched_counts(family, hashing_oracle.nonzero_differences(family)) == counts, family.describe()
         expected.append(hashing_oracle.collision_report(family, counts))
         assert collision_stats(family) == expected[-1], family.describe()
     # chunk boundaries must not change the worst count or the first difference attaining it
     monkeypatch.setattr(hashing, "_CHUNK", 37)
-    assert [collision_stats(family) for family in families] == expected
+    assert [collision_stats(family) for family in ORACLE_FAMILIES] == expected
+
+
+def difference_systems(family):
+    """``_difference_systems`` of every nonzero difference, sliced from the digit table as ``collision_stats`` does."""
+    return hashing._difference_systems(family, hashing._digit_table(family.q, family.k)[1:])
+
+
+def test_difference_systems_match_the_scalar_systems():
+    for family in ORACLE_FAMILIES:
+        systems = [hashing_oracle.difference_system(family, diff) for diff in hashing_oracle.nonzero_differences(family)]
+        n_params = hashing._toeplitz_block(family)[1]
+        coeffs = np.array([rows for rows, _ in systems], dtype=np.int64).reshape(len(systems), family.m, n_params)
+        rhs = np.array([rhs for _, rhs in systems], dtype=np.int64)
+        expected = np.concatenate([coeffs, rhs[:, :, None]], axis=2).transpose(2, 1, 0)  # (n_params + 1, m, N)
+        aug = difference_systems(family)
+        assert aug.dtype == hashing._KERNEL_DTYPE, family.describe()
+        np.testing.assert_array_equal(aug, expected, err_msg=family.describe())
+
+
+def test_difference_systems_need_no_elimination_update():
+    # _solution_dims skips a step whose multipliers are all zero; on difference systems it must skip every step
+    for family in ORACLE_FAMILIES + [make_family(*spec) for spec in BENCHMARK_FAMILIES]:
+        left = difference_systems(family)[:-1] != 0  # (n_params, m, N): the nonzero coefficients
+        has_pivot = left.any(axis=0)  # (m, N)
+        systems = np.arange(left.shape[2])
+        for i in range(family.m - 1):  # a one-row system may have no parameter, so no argmax
+            pivot = left[:, i].argmax(axis=0)  # row i's first nonzero left entry
+            later = left[pivot, i + 1 :, systems]  # (N, m - i - 1): the later rows in row i's pivot column
+            assert not later[has_pivot[i]].any(), (family.describe(), i)
+        # a pivotless row means a zero Toeplitz part: the whole left side is zero
+        assert not left[:, :, ~has_pivot.all(axis=0)].any(), family.describe()
 
 
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (5, 2)])
@@ -286,14 +326,9 @@ def test_row_reduction_matches_scalar_solver_at_benchmark_shapes(q):
             assert q**n_params in expected and 0 in expected, (n_rows, n_params)
 
 
-@pytest.mark.parametrize("kind,q,k,m", [
-    ("toeplitz", 2, 13, 4),
-    ("modified_toeplitz", 2, 13, 4),
-    ("toeplitz", 3, 8, 3),
-    ("modified_toeplitz", 5, 5, 2),
-])
+@pytest.mark.parametrize("kind,q,k,m", BENCHMARK_FAMILIES)
 def test_benchmark_families_are_universal2(kind, q, k, m):
-    # the perfbench certify families: each worst difference meets the 1 / q**m bound, first at difference 1
+    # each worst difference meets the 1 / q**m bound, first at difference 1
     assert collision_stats(make_family(kind, q, k, m)) == hashing.CollisionReport(Fraction(1, q**m), True, 1)
 
 
