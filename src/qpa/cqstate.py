@@ -406,7 +406,10 @@ def load_state_json(text: str) -> CQState:
     Complex entries are ``[re, im]`` pairs:
     ``{"probs": [p0, ...], "eve_states": [[[[re, im], ...], ...], ...]}``.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise StateFormatError("document nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise StateFormatError("state document must be a JSON object")
     if "preset" in doc:

@@ -100,9 +100,8 @@ def make_family(kind: str, q: int, k: int, m: int) -> HashFamily:
         raise ValueError(f"field order {q} not a supported prime {SUPPORTED_PRIMES}")
     if not (1 <= m <= k):
         raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
-    domain = q**k
-    if domain > DOMAIN_CAP:
-        raise SizeCapError(f"domain size {domain} exceeds cap {DOMAIN_CAP}")
+    if k >= DOMAIN_CAP.bit_length() or q**k > DOMAIN_CAP:  # q >= 2: a huge k fails before any q**k
+        raise SizeCapError(f"domain size q^k = {q}^{k} exceeds cap {DOMAIN_CAP}")
     if kind == KIND_TOEPLITZ:
         count = q ** (m + k - 1)
     elif kind == KIND_MODIFIED:
@@ -111,7 +110,7 @@ def make_family(kind: str, q: int, k: int, m: int) -> HashFamily:
         raise ValueError(f"unknown family kind {kind!r}")
     if count > MEMBER_CAP:
         raise SizeCapError(f"member count {count} exceeds cap {MEMBER_CAP}")
-    return HashFamily(kind, q, k, m, domain, q**m, count)
+    return HashFamily(kind, q, k, m, q**k, q**m, count)
 
 
 def make_explicit_family(tables, range_size: int) -> HashFamily:

@@ -38,9 +38,9 @@ S_MAX = 4.0
 # smallest positive order: below it orders are subnormal and lose their precision
 S_MIN = sys.float_info.min
 
-# largest phi argument evaluated: beta = 1/(1-t) = 16; beyond this, double
-# precision cannot carry the small inner eigenvalues back through the
-# 1/beta root without silent truncation
+# largest phi argument evaluated: beta = 1/(1-t) = 16. Below it phi is not
+# exact either: an eigenvalue of X(t) at the rounding of its top comes back
+# through the 1/beta root, an absolute error up to about (1e-16)^(1-t)
 PHI_T_MAX = 0.9375
 
 # entries of each state's memo of order evaluations (StateDecomposition.memo):
@@ -384,9 +384,11 @@ class StateDecomposition:
 
         Builds the inner operator ``sum_a (P(a) rho_a)^{1/(1-t)}`` for every
         t in one batched eigenproblem. The top joint eigenvalue is factored
-        out first so the inner powers cannot overflow. Beyond PHI_T_MAX the
-        final ``1/beta`` root would re-amplify eigenvalues that underflowed,
-        so larger arguments are rejected rather than computed wrong.
+        out first so the inner powers cannot overflow. Arguments above
+        PHI_T_MAX are rejected, but smaller ones are not all computed right:
+        an eigenvalue of ``X(t)`` near the rounding of its top comes back
+        through the final ``1 - t`` power, an error up to about ``(1e-16)^(1-t)``.
+        With eigenvalues 1e-8 in each ``rho_a``, phi is off by 3e-9 at t = 1/2.
         """
         t, top, (y,) = self._phi_inner(t_values, (0,))
         eta = self._phi_spectrum(np.linalg.eigvalsh(y))  # (T, d)
@@ -480,7 +482,9 @@ def phi_quantity(state: CQState, t: float) -> float:
 
     Computable here on ``t in [0, PHI_T_MAX]``; the exponent optimization
     only ever uses ``[0, 1/2]``, but the bracketing checks against
-    ``s H_{1+s}`` evaluate phi on the wider range.
+    ``s H_{1+s}`` evaluate phi on the wider range. Away from ``t = 0`` a
+    state whose ``X(t)`` has eigenvalues near rounding loses accuracy
+    (see ``StateDecomposition.phi_grid``).
     """
     return state.decomposition.phi(t)
 

@@ -57,13 +57,6 @@ class BoundReport:
         }
 
 
-def _require_matching_domain(state: CQState, family: HashFamily) -> None:
-    if family.domain_size != state.alphabet_size:
-        raise AlphabetMismatchError(
-            f"family domain {family.domain_size} != alphabet {state.alphabet_size}"
-        )
-
-
 def check_s_grid(s_grid) -> tuple[float, ...]:
     grid = tuple(float(s) for s in s_grid)
     if not grid or any(not (0.0 < s <= 1.0) for s in grid):
@@ -93,7 +86,8 @@ def grouped_member_mutual_info(pairs) -> list[list[dict[str, float]]]:
     """
     groups = {}
     for i, (state, family) in enumerate(pairs):
-        _require_matching_domain(state, family)
+        if family.domain_size != state.alphabet_size:
+            raise AlphabetMismatchError(f"family domain {family.domain_size} != alphabet {state.alphabet_size}")
         groups.setdefault((family.range_size, state.eve_dim), []).append(i)
     tables = [[] for _ in pairs]  # per pair, its members' tables
     found = {}  # (state, M, table) -> row for every table of the pass
@@ -147,23 +141,12 @@ def _avg_leak_orders(dec: StateDecomposition, s_grid: tuple[float, ...], big_ms)
     return dict(zip(orders, dec.renyi_cond_grid(orders).tolist())), roots
 
 
-def verify_avg_leak_bound(
-    state: CQState,
-    family: HashFamily,
-    s_grid=DEFAULT_S_GRID,
-    *,
-    name: str = "",
-    _members: list[dict[str, float]] | None = None,
-) -> BoundReport:
+def verify_avg_leak_bound(state: CQState, family: HashFamily, s_grid=DEFAULT_S_GRID, *, name: str = "") -> BoundReport:
     """Check ``E_X I' <= min_s v^s M^s exp(-s H_{1+s}) / s`` by enumeration.
 
     The minimum is over all of ``(0, 1]`` (see ``_avg_leak_orders``); the grid is reported, not searched.
     """
-    _require_matching_domain(state, family)
-    s_grid = check_s_grid(s_grid)
-    h, roots = _avg_leak_orders(state.decomposition, s_grid, (family.range_size,))
-    members = _members if _members is not None else member_mutual_info(state, family)
-    return _avg_leak_report(state.decomposition, family, members, s_grid, h, roots[family.range_size], name)
+    return verify_hashing_bounds(state, family, s_grid, name=name)[0]
 
 
 def _avg_leak_report(dec: StateDecomposition, family: HashFamily, members, s_grid, h, best_s, name) -> BoundReport:
@@ -197,23 +180,13 @@ def _avg_leak_report(dec: StateDecomposition, family: HashFamily, members, s_gri
     )
 
 
-def verify_exp_leak_bound(
-    state: CQState,
-    family: HashFamily,
-    s_grid=DEFAULT_S_GRID,
-    *,
-    name: str = "",
-    _members: list[dict[str, float]] | None = None,
-) -> BoundReport:
+def verify_exp_leak_bound(state: CQState, family: HashFamily, s_grid=DEFAULT_S_GRID, *, name: str = "") -> BoundReport:
     """Check ``E_X exp(s Ibar') <= 1 + M^s exp(-s Hbar*_{1+s})`` on the grid.
 
     Also checks the averaged consequence
     ``s E_X Ibar' <= exp(s (log M - Hbar*_{1+s}))``.
     """
-    _require_matching_domain(state, family)
-    s_grid = check_s_grid(s_grid)
-    members = _members if _members is not None else member_mutual_info(state, family)
-    return _exp_leak_report(family, members, s_grid, state.decomposition.renyi_cond_bar_star_grid(s_grid), name)
+    return verify_hashing_bounds(state, family, s_grid, name=name)[1]
 
 
 def _exp_leak_report(family: HashFamily, members, s_grid, hbar: np.ndarray, name: str) -> BoundReport:
@@ -260,20 +233,33 @@ def finite_size_bound(state: CQState, big_m: int, s: float) -> float:
     return math.log(dec.v_count) + math.log(2.0) / s + max(0.0, math.log(big_m) - h)
 
 
+def _hashing_reports(named_pairs, s_grid: tuple[float, ...]) -> list[list[BoundReport]]:
+    """Both hashing-bound reports for each ``(name, state, family)``, from one family pass over all pairs.
+
+    The right-hand sides depend on the state, M and s only: each state's orders are evaluated once.
+    """
+    members = grouped_member_mutual_info([(state, family) for _, state, family in named_pairs])
+    big_ms = {}
+    for _, state, family in named_pairs:
+        big_ms.setdefault(state, set()).add(family.range_size)
+    h_roots = {state: _avg_leak_orders(state.decomposition, s_grid, ms) for state, ms in big_ms.items()}
+    hbar = {state: state.decomposition.renyi_cond_bar_star_grid(s_grid) for state in big_ms}
+    reports = []
+    for (name, state, family), rows in zip(named_pairs, members):
+        h, roots = h_roots[state]
+        avg = _avg_leak_report(state.decomposition, family, rows, s_grid, h, roots[family.range_size], name)
+        reports.append([avg, _exp_leak_report(family, rows, s_grid, hbar[state], name)])
+    return reports
+
+
 def verify_hashing_bounds(
-    state: CQState,
-    family: HashFamily,
-    s_grid=DEFAULT_S_GRID,
-    *,
-    name: str = "",
+    state: CQState, family: HashFamily, s_grid=DEFAULT_S_GRID, *, name: str = ""
 ) -> list[BoundReport]:
-    """Both hashing bounds for one state and family, from one enumeration."""
-    s_grid = check_s_grid(s_grid)  # before the enumeration, which is the expensive part
-    members = member_mutual_info(state, family)
-    return [
-        verify(state, family, s_grid, name=name, _members=members)
-        for verify in (verify_avg_leak_bound, verify_exp_leak_bound)
-    ]
+    """Both hashing bounds for one state and family: the one-pair case of ``_hashing_reports``.
+
+    The grid is checked first, before the enumeration, which is the expensive part.
+    """
+    return _hashing_reports([(name, state, family)], check_s_grid(s_grid))[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -403,16 +389,7 @@ def run_full_suite(s_grid=DEFAULT_S_GRID) -> list[BoundReport]:
     s_grid = check_s_grid(s_grid)  # before the family pass, which is the expensive part
     corpus = default_corpus()
     pairs = [(name, state, family) for name, state in corpus for family in families_for(state.alphabet_size)]
-    members = grouped_member_mutual_info([(state, family) for _, state, family in pairs])
-    # the right-hand sides depend on the state, M and s only: each state's orders are evaluated once
-    big_ms = {state: {f.range_size for _, other, f in pairs if other is state} for _, state in corpus}
-    h_roots = {state: _avg_leak_orders(state.decomposition, s_grid, ms) for state, ms in big_ms.items()}
-    hbar = {state: state.decomposition.renyi_cond_bar_star_grid(s_grid) for state in big_ms}
-    reports: list[BoundReport] = []
-    for (name, state, family), rows in zip(pairs, members):
-        h, roots = h_roots[state]
-        reports.append(_avg_leak_report(state.decomposition, family, rows, s_grid, h, roots[family.range_size], name))
-        reports.append(_exp_leak_report(family, rows, s_grid, hbar[state], name))
+    reports = [rep for both in _hashing_reports(pairs, s_grid) for rep in both]
 
     lemmas = []
     for dim in range(2, 7):  # seeds 0-39 in dimension 2, up to seeds 160-199 in dimension 6

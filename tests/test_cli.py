@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -514,6 +515,17 @@ def test_size_cap_exit_6(capsys):
     assert err.startswith("error: resource cap exceeded:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", [5000, 1_000_000])
+def test_over_cap_family_width_exit_6_at_once(capsys, k):
+    # q**k is never formed for an over-cap k: printing 3**1000000 overran int-to-str's
+    # digit limit (exit 2), and 3**5000 printed 2,386 digits
+    start = time.perf_counter()
+    code = main(["verify", "--preset", "copy", "--family", f"toeplitz:q=3,k={k},m=1"])
+    elapsed = time.perf_counter() - start
+    assert code == 6 and elapsed < 1.0
+    assert capsys.readouterr().err == f"error: resource cap exceeded: domain size q^k = 3^{k} exceeds cap 65536\n"
+
+
 def _wide_state(tmp_path):
     """A state on |A| = 2**14, over the difference-scan cap; enumerating its 8192 members first took minutes."""
     size = 2**14
@@ -575,6 +587,20 @@ def test_non_number_probs_exit_2(tmp_path, capsys, probs):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: bad state document:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text", ['{"preset": ' + "[" * 3000 + "]" * 3000 + "}", "[" * 100_000], ids=["preset-3000-deep", "100000-open"]
+)
+def test_deeply_nested_document_exit_2(tmp_path, capsys, text):
+    # json.loads raises RecursionError past its nesting limit, which must not escape main as a crash
+    bad = tmp_path / "deep.json"
+    bad.write_text(text)
+    code = main(["quantities", "--state", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: bad state document: document nested too deeply to parse\n"
 
 
 @pytest.mark.parametrize(

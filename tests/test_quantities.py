@@ -44,7 +44,7 @@ from qpa.quantities import (
 from qpa.verification import default_corpus, verify_hashing_bounds
 
 from classical_oracle import classical_quantities
-from conftest import PRESET_NAMES, pure_eve_state, random_kraus
+from conftest import PRESET_NAMES, pure_eve_state, random_kraus, random_psd
 from renyi_oracle import DPS, phi_reference, psi_reference, renyi_references
 
 LOG2 = math.log(2.0)
@@ -219,6 +219,29 @@ def test_phi_and_slope_match_50_digit_derivatives(name):
         for k, (g, w) in enumerate(zip(got, want)):
             assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (name, t, k)
         assert abs(st.decomposition.phi(t) - want[0]) <= 1e-13 * max(1.0, abs(want[0])), (name, t)
+
+
+def _near_rounding_state(eps=1e-8):
+    """|A| = 2, P = (1/2, 1/2), d_E = 3: each rho_a is ``(1 - eps) w_a + eps`` on a third axis, all rotated by one U."""
+    rng = np.random.default_rng(1)
+    rhos = np.zeros((2, 3, 3), dtype=complex)
+    for rho in rhos:
+        w = random_psd(rng, 2)
+        rho[:2, :2], rho[2, 2] = (1 - eps) * w / np.trace(w).real, eps
+    (u,) = random_kraus(rng, 3, n_ops=1)
+    return make_cq_state([0.5, 0.5], u @ rhos @ u.conj().T)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="X(t)'s rounding passes the 1 - t root")
+@pytest.mark.parametrize("t", [0.5, 0.75])
+def test_phi_with_eigenvalues_near_rounding_matches_50_digits(t):
+    # the eps eigenvalue of each rho_a is eps^(1/(1-t)) in X(t), at or below the rounding of its
+    # order-one top; Tr X^(1-t) raises that rounding to the power 1 - t: phi is off by 3.3e-9 at
+    # t = 0.5 and 7.6e-9 at t = 0.75 (5.6e-17 at t = 0.25)
+    st = _near_rounding_state()
+    with mpmath.workdps(DPS):
+        want = float(phi_reference(st)(mpmath.mpf(t)))
+    assert abs(st.decomposition.phi(t) - want) <= 1e-12
 
 
 @given(seed=hst.integers(0, 10_000), shape=hst.sampled_from([(2, 2), (4, 3), (3, 4)]), power=hst.sampled_from([1, 2]))

@@ -271,19 +271,38 @@ def test_hashing_bounds_share_one_enumeration(monkeypatch):
         verify_exp_leak_bound(tilted2, family, name="tilted^2").to_json_dict(),
     ]
     passes = []
-    original = vmod.member_mutual_info
+    original = vmod.grouped_member_mutual_info
 
-    def counted(state, fam):
-        passes.append(fam)
-        return original(state, fam)
+    def counted(pairs):
+        passes.extend(fam for _, fam in pairs)
+        return original(pairs)
 
-    monkeypatch.setattr(vmod, "member_mutual_info", counted)
+    monkeypatch.setattr(vmod, "grouped_member_mutual_info", counted)
     together = verify_hashing_bounds(tilted2, family, name="tilted^2")
     assert [rep.to_json_dict() for rep in together] == separate
     assert passes == [family]  # one family pass for both bounds
     with pytest.raises(ValueError):
         verify_hashing_bounds(tilted2, family, s_grid=(2.0,))
     assert passes == [family]  # a bad grid is rejected before hashing
+    # each one-bound call is the one-pair case too: one pass, and none for a bad grid
+    for verify in (verify_avg_leak_bound, verify_exp_leak_bound):
+        passes.clear()
+        verify(tilted2, family)
+        assert passes == [family]
+        with pytest.raises(ValueError):
+            verify(tilted2, family, s_grid=(2.0,))
+        assert passes == [family]
+
+
+def test_full_suite_reports_equal_the_one_pair_reports():
+    # the suite and verify_hashing_bounds build their reports on one path: a pair's two
+    # suite reports are those of the pair alone, whatever the other pairs of its pass
+    pairs = [(name, state, f) for name, state in default_corpus() for f in families_for(state.alphabet_size)]
+    suite = [rep.to_json_dict() for rep in run_full_suite()]
+    assert len(pairs) == 108 and len(suite) == 2 * 108 + 2
+    for i, (name, state, family) in enumerate(pairs):
+        alone = verify_hashing_bounds(state, family, name=name)
+        assert [rep.to_json_dict() for rep in alone] == suite[2 * i : 2 * i + 2], name
 
 
 def test_report_json_schema():
@@ -529,8 +548,8 @@ def test_lifted_bound_side_stays_within_twice_one_order(monkeypatch, lifted_comp
     # 10 default orders would hold 10 such arrays at once; the family pass is
     # taken out of the measure, as it chunks its own stacks by _STACK_ENTRIES
     state, family = lifted_complex_state, make_family("modified_toeplitz", 2, 5, 3)
-    members = vmod.member_mutual_info(state, family)
-    monkeypatch.setattr(vmod, "member_mutual_info", lambda *_: members)
+    members = vmod.grouped_member_mutual_info([(state, family)])
+    monkeypatch.setattr(vmod, "grouped_member_mutual_info", lambda *_: members)
     dec = state.decomposition
     assert dec._renyi_terms[1].size == 32768 and dec._bar_terms  # both cached before measuring
 
