@@ -387,7 +387,8 @@ def _json_number(x, where: str) -> float:
             return float(x)
         except OverflowError:
             raise StateFormatError(f"{where} must be a number, got an integer beyond double range") from None
-    raise StateFormatError(f"{where} must be a number, got {json.dumps(x)}")
+    kind = {list: "an array", dict: "an object", str: "a string", bool: "true/false", type(None): "null"}[type(x)]
+    raise StateFormatError(f"{where} must be a number, got {kind}")  # the type, since the value may be huge
 
 
 def _json_matrix(rows, where: str) -> list[list[complex]]:

@@ -12,17 +12,17 @@ array over the family's uint8 digit table; ``member_function`` is its one-member
 Collision probabilities are certified with exact integer counting; the
 universal_2 property is a combinatorial claim, so no floating tolerance is
 acceptable there; for the matrix kinds each nonzero input difference is one
-linear system over F_q, whose row i holds the difference's reversed
-Toeplitz digits (from the same digit table) as one contiguous block from
-column i on, and all of them are row-reduced together mod q. The
-elimination walks the m rows, not the parameter columns, since a system
-has far fewer rows: each row, scaled to a leading 1 at its first nonzero
-left entry, clears that column from the rows below it, unless no later
-row of any system is nonzero there (as in every difference system: row i
-pivots at its highest nonzero digit, one column right of row i - 1), and
-a row left zero on the left with a nonzero rhs makes its system
-inconsistent. The update reads the pivot column from a contiguous copy,
-and every reduction mod q is a multiply-high, not a division.
+linear system over F_q, whose row i holds the difference's reversed Toeplitz
+digits (from the same digit table) as one contiguous block from column i on,
+and all of a family's differences are row-reduced mod q in one stack. The
+elimination walks the m rows, not the parameter columns, since a system has far
+fewer rows: each row, scaled to a leading 1 at its first nonzero left entry,
+clears that column from the rows below it, unless no later row of any system is
+nonzero there (as in every difference system: row i pivots at its highest
+nonzero digit, one column right of row i - 1), and a row left zero on the left
+with a nonzero rhs makes its system inconsistent. Pivots come from one weighted
+max, the later rows' pivot entries from one flat-index gather, and each
+reduction mod q is a multiply-high.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ SUPPORTED_PRIMES = (2, 3, 5)
 DOMAIN_CAP = 2**16
 MEMBER_CAP = 2**20
 PAIRWISE_DOMAIN_CAP = 2**10  # explicit member lists, true all-pairs scan
-MATRIX_DOMAIN_CAP = 2**13  # matrix kinds: one linear system per nonzero difference
-_CHUNK = 1024  # systems row-reduced together, so the stack holds _CHUNK * m * (n_params + 1) entries
+# matrix kinds: one system per nonzero difference, one uint8 stack of (n_params + 1) * m * (q^k - 1) entries; under
+# MEMBER_CAP the largest, toeplitz:q=2,k=13,m=8 (21 * 8 * 8191) and modified_toeplitz:q=2,k=13,m=13, are about 1.4 MB
+MATRIX_DOMAIN_CAP = 2**13
 # entries stay in 0..q-1 and an elimination step adds a product of two of them to one, so it forms
 # at most (q - 1) + (q - 1)**2, which must fit the first dtype; _mod_q forms x * ceil(256 / q) in the second
 _KERNEL_DTYPE, _REDUCTION_DTYPE = np.uint8, np.uint16
@@ -208,6 +209,7 @@ def _solution_dims(aug: np.ndarray, q: int) -> np.ndarray:
     n_params, rows, n = aug.shape[0] - 1, aug.shape[1], aug.shape[2]
     inverse = np.array([0] + [pow(v, q - 2, q) for v in range(1, q)], dtype=_KERNEL_DTYPE)
     systems = np.arange(n)
+    scores = np.arange(n_params, 0, -1, dtype=np.min_scalar_type(n_params))[:, None]  # top score: first nonzero
     rank = np.zeros(n, dtype=np.int64)
     inconsistent = np.zeros(n, dtype=bool)
     for r in range(rows):
@@ -218,14 +220,15 @@ def _solution_dims(aug: np.ndarray, q: int) -> np.ndarray:
         inconsistent |= ~has_pivot & (row[-1] != 0)
         if r + 1 == rows or not n_params:  # no later row to clear, or no column to clear
             continue
-        pivot = nonzero.argmax(axis=0)
-        below = aug[:, r + 1 :]  # (n_params + 1, rows - r - 1, N), a view
-        factor = below[pivot, :, systems]  # (N, rows - r - 1): each later row's pivot entry
+        pivot = np.where(has_pivot, n_params - (nonzero * scores).max(axis=0).astype(np.intp), 0)  # 0 if none
+        # (rows - r - 1, N): each later row's pivot entry, gathered by flat index (from a copy if aug is strided)
+        factor = aug.reshape(-1)[pivot * (rows * n) + systems + (np.arange(r + 1, rows) * n)[:, None]]
         if not factor.any():  # every multiplier zero: the update would add only zeros
             continue
         # the row scaled to a leading 1; zero (a no-op) without a pivot
         pivot_row = _mod_q(row * (inverse[row[pivot, systems]] * has_pivot), q)
-        below += _mod_q(_KERNEL_DTYPE(q) - np.ascontiguousarray(factor.T), q) * pivot_row[:, None]
+        below = aug[:, r + 1 :]  # (n_params + 1, rows - r - 1, N), a view
+        below += _mod_q(_KERNEL_DTYPE(q) - factor, q) * pivot_row[:, None]
         below[...] = _mod_q(below, q)
     return np.where(inconsistent, -1, n_params - rank)
 
@@ -263,12 +266,9 @@ def collision_stats(family: HashFamily) -> CollisionReport:
         raise SizeCapError(
             f"domain size {family.domain_size} exceeds difference-scan cap {MATRIX_DOMAIN_CAP}"
         )
-    worst_dim, worst_diff = -1, 1
     table = _digit_table(family.q, family.k)
-    for start in range(1, family.domain_size, _CHUNK):  # skip the zero difference
-        dims = _solution_dims(_difference_systems(family, table[start : start + _CHUNK]), family.q)
-        if dims.max() > worst_dim:
-            worst_dim, worst_diff = int(dims.max()), start + int(dims.argmax())
+    dims = _solution_dims(_difference_systems(family, table[1:]), family.q)  # skip the zero difference
+    worst_dim, worst_diff = int(dims.max()), 1 + int(dims.argmax())  # argmax: the first, so smallest, worst
     prob = Fraction(family.q**worst_dim if worst_dim >= 0 else 0, family.member_count)
     return CollisionReport(prob, prob <= bound, worst_diff)
 

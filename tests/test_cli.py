@@ -574,11 +574,21 @@ def test_numeric_failure_exit_7(monkeypatch, capsys, target, replacement, argv):
 
 
 @pytest.mark.parametrize(
-    "probs",
-    [[[0.5], [0.5]], [True, False], ["a", 0.5], [None, 0.5], [10**400, 0.5]],
-    ids=["nested-list", "bool", "string", "null", "huge-int"],
+    "probs,got",
+    [
+        ([[0.5], [0.5]], "an array"),
+        ([True, False], "true/false"),
+        (["a", 0.5], "a string"),
+        ([None, 0.5], "null"),
+        ([10**400, 0.5], "an integer beyond double range"),
+        ([[0.5] * 200_000, 0.5], "an array"),
+        ([json.loads("[" * 500 + "]" * 500), 0.5], "an array"),
+        ([{"p": "x" * 100_000}, 0.5], "an object"),
+    ],
+    ids=["nested-list", "bool", "string", "null", "huge-int", "200000-array", "500-deep", "long-object"],
 )
-def test_non_number_probs_exit_2(tmp_path, capsys, probs):
+def test_non_number_probs_exit_2(tmp_path, capsys, probs, got):
+    # the message names the entry's JSON type, never its value, which may be arbitrarily large
     eye = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
     bad = tmp_path / "probs.json"
     bad.write_text(json.dumps({"probs": probs, "eve_states": [eye, eye]}))
@@ -586,7 +596,8 @@ def test_non_number_probs_exit_2(tmp_path, capsys, probs):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: bad state document:") and captured.err.count("\n") == 1
+    assert captured.err == f'error: bad state document: "probs" entry 0 must be a number, got {got}\n'
+    assert len(captured.err.encode()) < 200
 
 
 @pytest.mark.parametrize(

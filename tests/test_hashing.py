@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -207,16 +208,41 @@ BENCHMARK_FAMILIES = [
 ]
 
 
-def test_batched_counts_match_scalar_oracle(monkeypatch):
-    expected = []
+def test_batched_counts_match_scalar_oracle():
     for family in ORACLE_FAMILIES:
         counts = hashing_oracle.colliding_member_counts(family)
         assert batched_counts(family, hashing_oracle.nonzero_differences(family)) == counts, family.describe()
-        expected.append(hashing_oracle.collision_report(family, counts))
-        assert collision_stats(family) == expected[-1], family.describe()
-    # chunk boundaries must not change the worst count or the first difference attaining it
-    monkeypatch.setattr(hashing, "_CHUNK", 37)
-    assert [collision_stats(family) for family in ORACLE_FAMILIES] == expected
+        assert collision_stats(family) == hashing_oracle.collision_report(family, counts), family.describe()
+
+
+def test_one_elimination_per_matrix_family(monkeypatch):
+    # every nonzero difference of a family is row-reduced in one stack; explicit lists never eliminate
+    calls = []
+
+    def spy(aug, q):
+        calls.append(aug.shape[2])
+        return _solution_dims(aug, q)
+
+    monkeypatch.setattr(hashing, "_solution_dims", spy)
+    families = [make_family(*spec) for spec in BENCHMARK_FAMILIES]
+    for family in families:
+        collision_stats(family)
+    assert calls == [family.domain_size - 1 for family in families]
+    collision_stats(make_explicit_family([(0, 1, 1, 0), (1, 0, 0, 1)], 2))
+    assert len(calls) == len(families)
+
+
+@pytest.mark.parametrize("spec", [("toeplitz", 2, 13, 8), ("modified_toeplitz", 2, 13, 13)])
+def test_one_stack_stays_small_at_the_caps(spec):
+    # the largest in-cap stacks, 21 * 8 and 13 * 13 uint8 entries for each of 8,191 differences
+    family = make_family(*spec)
+    tracemalloc.start()
+    try:
+        collision_stats(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def difference_systems(family):
@@ -359,7 +385,7 @@ def test_reduction_matches_remainder_over_its_whole_range(q):
 
 @pytest.mark.parametrize("q,k", [(2, 1), (2, 5), (2, 11), (3, 1), (3, 4), (3, 7), (5, 1), (5, 3), (5, 5)])
 def test_digit_table_matches_digits(q, k):
-    # 3**7 and 5**5 are no multiple of _CHUNK, and collision_stats slices a short last chunk from every table
+    # collision_stats takes every row but the zero difference, also of tables whose size is no power of 2
     table = hashing._digit_table(q, k)
     assert table.dtype == hashing._KERNEL_DTYPE
     np.testing.assert_array_equal(table, hashing._digits(np.arange(q**k), q, k))
@@ -383,9 +409,11 @@ def system_batches(draw):
 @given(system_batches())
 def test_row_reduction_matches_scalar_solver_on_drawn_batches(drawn):
     q, systems, n_params = drawn
-    dims = _solution_dims(np.ascontiguousarray(systems.transpose(2, 1, 0)), q)
     expected = [
         hashing_oracle.solution_count_mod_prime(system[:, :-1].tolist(), system[:, -1].tolist(), q, n_params)
         for system in systems
     ]
-    assert [q ** int(d) if d >= 0 else 0 for d in dims] == expected
+    stack = systems.transpose(2, 1, 0)
+    for aug in (np.ascontiguousarray(stack), np.asfortranarray(stack)):  # the kernel must not assume C order
+        dims = _solution_dims(aug, q)
+        assert [q ** int(d) if d >= 0 else 0 for d in dims] == expected

@@ -88,6 +88,20 @@ def test_grouped_pass_equals_the_one_pair_passes_on_the_suite():
     assert grouped == [vmod.member_mutual_info(state, f) for state, f in _suite_pairs()]
 
 
+def test_full_suite_enumerates_each_family_once(monkeypatch):
+    # the suite's 108 pairs hold 6 distinct families, each small enough for one member_tables call
+    calls = []
+    original = vmod.member_tables
+
+    def counted(family, start, stop):
+        calls.append(family)
+        return original(family, start, stop)
+
+    monkeypatch.setattr(vmod, "member_tables", counted)
+    vmod.run_full_suite()
+    assert len(calls) == len(set(calls)) == 6
+
+
 def test_grouped_pass_stacks_stay_bounded_across_alphabets(monkeypatch):
     # one (M, d) = (2, 2) group of |A| = 4 and |A| = 16: at 64 entries the step is
     # 64 // max(M d^2, 16) = 4 tables, so a chunk that mixes both states hashes at
