@@ -1,9 +1,11 @@
 import math
+import re
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hst
 
 from qpa.cqstate import (
@@ -221,9 +223,9 @@ def test_phi_and_slope_match_50_digit_derivatives(name):
         assert abs(st.decomposition.phi(t) - want[0]) <= 1e-13 * max(1.0, abs(want[0])), (name, t)
 
 
-def _near_rounding_state(eps=1e-8):
+def _near_rounding_state(eps=1e-8, seed=1):
     """|A| = 2, P = (1/2, 1/2), d_E = 3: each rho_a is ``(1 - eps) w_a + eps`` on a third axis, all rotated by one U."""
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed)
     rhos = np.zeros((2, 3, 3), dtype=complex)
     for rho in rhos:
         w = random_psd(rng, 2)
@@ -232,16 +234,45 @@ def _near_rounding_state(eps=1e-8):
     return make_cq_state([0.5, 0.5], u @ rhos @ u.conj().T)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="X(t)'s rounding passes the 1 - t root")
-@pytest.mark.parametrize("t", [0.5, 0.75])
+@pytest.mark.parametrize(
+    "t",
+    [
+        0.5,
+        pytest.param(
+            0.75,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="LAPACK's SVD resolves the small singular values only to the rounding of the top",
+            ),
+        ),
+    ],
+)
 def test_phi_with_eigenvalues_near_rounding_matches_50_digits(t):
     # the eps eigenvalue of each rho_a is eps^(1/(1-t)) in X(t), at or below the rounding of its
-    # order-one top; Tr X^(1-t) raises that rounding to the power 1 - t: phi is off by 3.3e-9 at
-    # t = 0.5 and 7.6e-9 at t = 0.75 (5.6e-17 at t = 0.25)
+    # order-one top; the singular values of the stacked factor carry eps^(1/(2(1-t))), which the
+    # SVD resolves to that rounding: phi is off by 3.1e-16 at t = 0.5 and 2.7e-10 at t = 0.75
     st = _near_rounding_state()
     with mpmath.workdps(DPS):
         want = float(phi_reference(st)(mpmath.mpf(t)))
     assert abs(st.decomposition.phi(t) - want) <= 1e-12
+
+
+@given(
+    state=hst.one_of(
+        hst.builds(random_cq, hst.integers(0, 10_000), hst.sampled_from([2, 3, 4]), hst.sampled_from([2, 3])),
+        hst.builds(_near_rounding_state, hst.floats(-12.0, -3.0).map(lambda x: 10.0**x), hst.integers(0, 10_000)),
+    ),
+    t=hst.floats(0.0, 0.5),
+)
+@example(state=_near_rounding_state(1e-12), t=0.5)  # the smallest eps at the largest t
+def test_phi_and_slope_match_50_digits_on_drawn_states(state, t):
+    # the (phi, phi') of e_phi_q's root, down to eigenvalues 1e-12 of each rho_a
+    phi = phi_reference(state)
+    with mpmath.workdps(DPS):
+        want = [float(mpmath.diff(phi, mpmath.mpf(t), n)) for n in range(2)]
+    for k, (g, w) in enumerate(zip(state.decomposition.phi_and_slope(t), want)):
+        assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), k
 
 
 @given(seed=hst.integers(0, 10_000), shape=hst.sampled_from([(2, 2), (4, 3), (3, 4)]), power=hst.sampled_from([1, 2]))
@@ -543,11 +574,32 @@ def test_grid_evaluations_match_scalar():
     assert [v.hex() for v in grid_vals.tolist()] == [dec.renyi_cond(float(s)).hex() for s in s_grid]
     bar_vals = dec.renyi_cond_bar_star_grid(s_grid[1:])
     assert [v.hex() for v in bar_vals.tolist()] == [dec.renyi_cond_bar_star(float(s)).hex() for s in s_grid[1:]]
-    # phi_grid stacks eigvalsh, which rounds apart from the one-point eigenproblem
+    # each t of phi_grid takes its own SVD, as phi and phi_and_slope do: bit for bit
     t_grid = np.linspace(0.0, 0.5, 11)
     phi_vals = dec.phi_grid(t_grid)
-    for t, v in zip(t_grid, phi_vals):
-        assert v == pytest.approx(dec.phi(float(t)), abs=1e-12)
+    assert [v.hex() for v in phi_vals.tolist()] == [dec.phi(float(t)).hex() for t in t_grid]
+    assert [dec.phi_and_slope(float(t))[0].hex() for t in t_grid] == [dec.phi(float(t)).hex() for t in t_grid]
+
+
+@pytest.mark.parametrize("values, shape", [([[0.25, 0.5]], "(1, 2)"), (0.25, "()")], ids=["2-d", "scalar"])
+@pytest.mark.parametrize("grid", ["phi_grid", "renyi_cond_grid", "renyi_cond_bar_star_grid"])
+def test_grids_take_a_1d_array(grid, values, shape):
+    dec = preset("tilted-qubit").decomposition
+    with pytest.raises(ValueError, match=f"1-d array, got shape {re.escape(shape)}"):
+        getattr(dec, grid)(values)
+
+
+def test_phi_grid_takes_the_factor_in_chunks():
+    # 201 factors of 32 x 1024 complex entries take 105 MB at once; one t per chunk peaks at 1.5 MiB
+    dec = tensor_power(random_cq(1, 2, 2), 5).decomposition
+    dec.phi_grid([0.0])  # the cached terms, which are not part of a grid's peak
+    tracemalloc.start()
+    try:
+        dec.phi_grid(np.linspace(0.0, 0.5, 201))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.7 * 2**20
 
 
 _GRID_STATES = [*(name for name, _ in default_corpus()), "complex_qubit_state.json^5"]
