@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
 
 def cmd_exponents(args) -> int:
     state = _load_state(args)
-    rows = [expmod.exponent_row(state, r) for r in _parse_rates(args.r)]
+    rows = expmod.exponent_rows(state, _parse_rates(args.r))
     scale = _scale(args)
     lines = [f"{'R':>14s} {'e_H':>14s} {'s*':>8s} {'e_H_q':>14s} {'s*':>8s} {'e_phi_q':>14s} {'t*':>8s} {'e_d_lower':>14s}"]
     lines += (

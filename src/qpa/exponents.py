@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 
 from .cqstate import CQState
 from .hermitian import SizeCapError
@@ -62,6 +63,16 @@ def _stationary_max(objective, numerator, hi: float) -> ExponentPoint:
     return ExponentPoint(f_x, x) if f_x > 1e-15 else ExponentPoint(0.0, 0.0)
 
 
+def _e_H(rate: float, renyi, moments) -> ExponentPoint:
+    def objective(s: float) -> float:
+        return s * (renyi(s) - rate)
+
+    def numerator(s: float) -> float:
+        return moments(s)[1] + rate
+
+    return _stationary_max(objective, numerator, 1.0)
+
+
 def exponent_e_H(state: CQState, rate: float) -> ExponentPoint:
     """``max_{0<=s<=1} s (H_{1+s}(A|E) - R)`` at the root of its derivative.
 
@@ -71,13 +82,16 @@ def exponent_e_H(state: CQState, rate: float) -> ExponentPoint:
     optimum clamps to zero (no decay guaranteed).
     """
     _check_rate(rate)
-    dec = state.decomposition
+    return _e_H(rate, state.decomposition.renyi_cond, state.decomposition.renyi_cond_moments)
 
+
+def _e_H_q(rate: float, renyi, moments) -> ExponentPoint:
     def objective(s: float) -> float:
-        return s * (dec.renyi_cond(s) - rate)
+        return s / (2.0 - s) * (renyi(s) - rate)
 
     def numerator(s: float) -> float:
-        return dec.renyi_cond_moments(s)[1] + rate
+        psi, d1 = moments(s)
+        return (2.0 - s) * d1 + psi + 2.0 * rate
 
     return _stationary_max(objective, numerator, 1.0)
 
@@ -92,16 +106,18 @@ def exponent_e_H_q(state: CQState, rate: float) -> ExponentPoint:
     ``N`` clamped to ``[0, 1]``.
     """
     _check_rate(rate)
-    dec = state.decomposition
+    return _e_H_q(rate, state.decomposition.renyi_cond, state.decomposition.renyi_cond_moments)
 
-    def objective(s: float) -> float:
-        return s / (2.0 - s) * (dec.renyi_cond(s) - rate)
 
-    def numerator(s: float) -> float:
-        psi, d1 = dec.renyi_cond_moments(s)
-        return (2.0 - s) * d1 + psi + 2.0 * rate
+def _e_phi_q(rate: float, phi_and_slope) -> ExponentPoint:
+    def objective(t: float) -> float:
+        return -(phi_and_slope(t)[0] + t * rate) / (2.0 * (1.0 - t))
 
-    return _stationary_max(objective, numerator, 1.0)
+    def numerator(t: float) -> float:
+        phi, d1 = phi_and_slope(t)
+        return (1.0 - t) * (d1 + rate) + phi + t * rate
+
+    return _stationary_max(objective, numerator, 0.5)
 
 
 def exponent_e_phi_q(state: CQState, rate: float) -> ExponentPoint:
@@ -114,16 +130,7 @@ def exponent_e_phi_q(state: CQState, rate: float) -> ExponentPoint:
     ``[0, 1/2]``.
     """
     _check_rate(rate)
-    dec = state.decomposition
-
-    def objective(t: float) -> float:
-        return -(dec.phi(t) + t * rate) / (2.0 * (1.0 - t))
-
-    def numerator(t: float) -> float:
-        phi, d1 = dec.phi_and_slope(t)
-        return (1.0 - t) * (d1 + rate) + phi + t * rate
-
-    return _stationary_max(objective, numerator, 0.5)
+    return _e_phi_q(rate, state.decomposition.phi_and_slope)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,28 +158,51 @@ class ExponentCurve:
         return "\n".join(lines) + "\n"
 
 
+def _with_ends(evaluate, ends):
+    """``evaluate``, with its values at the orders ``ends`` computed once, now."""
+    values = {x: evaluate(x) for x in ends}
+    return lambda x: values[x] if x in values else evaluate(x)
+
+
+def exponent_rows(state: CQState, rates: Sequence[float]) -> list[CurveRow]:
+    """All exponents at each key rate, with the comparison inequalities enforced.
+
+    Every rate is checked before anything is evaluated. The roots of all rates share their
+    bracket ends, evaluated once here: ``(psi, psi')`` at s = 0 and 1, ``H_2(A|E)``, and
+    ``(phi, phi')`` at t = 0 and 1/2. Interior orders are evaluated as the roots ask.
+    """
+    for rate in rates:
+        _check_rate(rate)
+    dec = state.decomposition
+    moments = _with_ends(dec.renyi_cond_moments, (0.0, 1.0))
+    renyi = _with_ends(dec.renyi_cond, (1.0,))
+    phi_and_slope = _with_ends(dec.phi_and_slope, (0.0, 0.5))
+    rows = []
+    for rate in rates:
+        e_h, e_hq, e_pq = _e_H(rate, renyi, moments), _e_H_q(rate, renyi, moments), _e_phi_q(rate, phi_and_slope)
+        row = CurveRow(
+            R=rate,
+            e_H=e_h.value,
+            s_star_H=e_h.arg,
+            e_H_q=e_hq.value,
+            s_star_Hq=e_hq.arg,
+            e_phi_q=e_pq.value,
+            t_star=e_pq.arg,
+            e_d_lower=e_h.value / 2.0,
+        )
+        if not (
+            row.e_H >= row.e_H_q - LEMMA_TOL
+            and row.e_H >= row.e_phi_q - LEMMA_TOL
+            and row.e_phi_q >= row.e_H / 2.0 - LEMMA_TOL
+        ):
+            raise ExponentComparisonError(f"exponent comparison inequalities violated at R={rate}: {row}")
+        rows.append(row)
+    return rows
+
+
 def exponent_row(state: CQState, rate: float) -> CurveRow:
-    """All exponents at one key rate, with the comparison inequalities enforced."""
-    e_h = exponent_e_H(state, rate)
-    e_hq = exponent_e_H_q(state, rate)
-    e_pq = exponent_e_phi_q(state, rate)
-    row = CurveRow(
-        R=rate,
-        e_H=e_h.value,
-        s_star_H=e_h.arg,
-        e_H_q=e_hq.value,
-        s_star_Hq=e_hq.arg,
-        e_phi_q=e_pq.value,
-        t_star=e_pq.arg,
-        e_d_lower=e_h.value / 2.0,
-    )
-    if not (
-        row.e_H >= row.e_H_q - LEMMA_TOL
-        and row.e_H >= row.e_phi_q - LEMMA_TOL
-        and row.e_phi_q >= row.e_H / 2.0 - LEMMA_TOL
-    ):
-        raise ExponentComparisonError(f"exponent comparison inequalities violated at R={rate}: {row}")
-    return row
+    """All exponents at one key rate: ``exponent_rows`` of the one rate."""
+    return exponent_rows(state, [rate])[0]
 
 
 def exponent_curve(state: CQState, r_min: float, r_max: float, steps: int) -> ExponentCurve:
@@ -186,7 +216,7 @@ def exponent_curve(state: CQState, r_min: float, r_max: float, steps: int) -> Ex
     if not math.isfinite((r_max - r_min) * (steps - 1)):
         raise ValueError(f"rate grid r_min={r_min}, r_max={r_max}, steps={steps} overflows a double")
     rates_list = [r_min + (r_max - r_min) * i / (steps - 1) for i in range(steps)]
-    return ExponentCurve(tuple(exponent_row(state, r) for r in rates_list))
+    return ExponentCurve(tuple(exponent_rows(state, rates_list)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -43,7 +43,7 @@ def hermitian_entries(entries, ndim: int = 2, *, atol: float | None = 1e-12) -> 
 
     Rejects another shape, non-finite entries and (unless ``atol=None``) an
     asymmetry above ``atol``, naming the offending index. The result is
-    read-only and C-contiguous whatever the input's memory order, so that
+    read-only and C-contiguous whatever the input's strides, so that
     later reductions over it round alike.
     """
     m = np.asarray(entries, dtype=np.complex128)

@@ -43,11 +43,6 @@ S_MIN = sys.float_info.min
 # random states, and 2.7e-10 at t = 0.75 with eigenvalues 1e-8 in each rho_a
 PHI_T_MAX = 0.9375
 
-# entries of each state's memo of order evaluations (StateDecomposition.memo):
-# those of a sweep over many rates are mostly distinct interior roots, which
-# an unbounded memo would all keep
-MEMO_ENTRIES = 1024
-
 # entries of the largest array a stacked evaluation holds: a chunk of a Renyi
 # grid (orders × terms), or of the family pass in qpa.verification
 _STACK_ENTRIES = 2**14
@@ -151,32 +146,6 @@ def _moments_from_terms(terms, s: float) -> tuple[float, float]:
     return log_mass + math.log1p(total), float(tilted @ slopes)
 
 
-def _memoised(method):
-    """``method(self, order)``, kept in ``self.memo`` under ``(method name, float(order))``.
-
-    A miss runs ``method``, which validates the order, and stores only a
-    returned value, so a hit always comes from an order that passed. The key
-    is taken through ``np.asarray``, as validation reads the order, so an
-    ``int``, a numpy scalar or a 0-d array of the same value share one key.
-    The memo is a dict in order of use: a hit moves its key to the end, and
-    past ``MEMO_ENTRIES`` entries the first, least recently used key goes.
-    """
-    name = method.__name__
-
-    @functools.wraps(method)
-    def memoised(self, order):
-        key = (name, float(np.asarray(order, dtype=float)))
-        value = self.memo.pop(key, None)
-        if value is None:
-            value = method(self, order)
-        self.memo[key] = value  # now the most recently used
-        if len(self.memo) > MEMO_ENTRIES:
-            del self.memo[next(iter(self.memo))]
-        return value
-
-    return memoised
-
-
 class DecompositionStack:
     """The spectral arrays of :class:`StateDecomposition` for a stack of states.
 
@@ -258,12 +227,6 @@ class StateDecomposition:
     row per symbol: the one-row case of :class:`DecompositionStack`. Each
     state builds one on first use (``CQState.decomposition``), and every
     quantity, check and exponent on the state reads it.
-
-    ``memo`` is the state's memo of orders, a least-recently-used dict of at
-    most ``MEMO_ENTRIES`` entries. The scalar order evaluations
-    ``renyi_cond``, ``renyi_cond_bar_star``, ``renyi_cond_moments``, ``phi``
-    and ``phi_and_slope`` keep their values in it, keyed by method and order,
-    so the rates and quantities evaluated on one state compute each order once.
     """
 
     def __init__(self, state: CQState):
@@ -277,7 +240,6 @@ class StateDecomposition:
         self._basis = rows.basis[0]
         self.eve_clusters = cluster_ranges(rows.eve_values[0])
         self.v_count = len(self.eve_clusters)
-        self.memo = {}
 
     # positive terms exp(off + s * g) of the two Renyi traces, flattened in
     # (a, i, j) order and normalised by _normalised_terms
@@ -338,11 +300,9 @@ class StateDecomposition:
 
     # -- Renyi layer -------------------------------------------------------
 
-    @_memoised
     def renyi_cond(self, s: float) -> float:
         return float(self.renyi_cond_grid([s])[0])
 
-    @_memoised
     def renyi_cond_bar_star(self, s: float) -> float:
         return float(self.renyi_cond_bar_star_grid([s])[0])
 
@@ -356,7 +316,6 @@ class StateDecomposition:
             out = np.where(pos, out, self.cond_entropy())
         return out
 
-    @_memoised
     def renyi_cond_moments(self, s: float) -> tuple[float, float]:
         """``(psi, psi')`` of the convex ``psi(s) = -s H_{1+s}(A|E)`` at one order s."""
         return _moments_from_terms(self._renyi_terms, float(_check_order(s, allow_zero=True)))
@@ -383,7 +342,6 @@ class StateDecomposition:
         norms = np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=1).tolist()
         return {"d1": math.fsum(norms[:n]), "d1_prime": math.fsum(norms[n:])}
 
-    @_memoised
     def phi(self, t: float) -> float:
         return float(self.phi_grid([t])[0])
 
@@ -394,7 +352,6 @@ class StateDecomposition:
         """
         return self._phi_and_slopes(t_values)[0]
 
-    @_memoised
     def phi_and_slope(self, t: float) -> tuple[float, float]:
         """``(phi(t), phi'(t))`` at one t in ``[0, PHI_T_MAX]``, from one SVD of the stacked factor."""
         phi, slope = self._phi_and_slopes([t])

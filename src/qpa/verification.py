@@ -23,7 +23,7 @@ from .hashing import HashFamily, make_family, member_tables
 from .hermitian import SUPPORT_RTOL, eigh_batch, hermitian_entries
 from .optimize import increasing_root
 from .quantities import _STACK_ENTRIES, S_MIN, DecompositionStack, StateDecomposition, _check_order_keys
-from .quantities import _moments_from_terms
+from .quantities import _check_order, _moments_from_terms
 
 SLACK_TOL = 1e-9
 
@@ -61,9 +61,7 @@ def check_s_grid(s_grid) -> tuple[float, ...]:
     grid = tuple(float(s) for s in s_grid)
     if not grid or any(not (0.0 < s <= 1.0) for s in grid):
         raise ValueError(f"the hashing bounds hold for s in (0, 1]; got grid {s_grid}")
-    subnormal = next((s for s in grid if s < S_MIN), None)
-    if subnormal is not None:
-        raise ValueError(f"Renyi order parameter s={subnormal} is subnormal, below {S_MIN}")
+    _check_order(np.asarray(grid), allow_zero=False)  # rejects a subnormal order
     _check_order_keys(grid)
     return grid
 

@@ -561,7 +561,7 @@ def _exponents_disagree(*args, **kwargs):
     "target, replacement, argv",
     [
         (np.linalg, ("eigh", _eigh_fails), ["quantities", "--preset", "tilted-qubit"]),
-        (expmod, ("exponent_e_phi_q", _exponents_disagree), ["exponents", "--preset", "tilted-qubit"]),
+        (expmod, ("_e_phi_q", _exponents_disagree), ["exponents", "--preset", "tilted-qubit"]),
     ],
     ids=["eigen-convergence", "exponent-comparison"],
 )

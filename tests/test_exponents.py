@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
+from qpa import quantities
+from qpa.cli import main
 from qpa.cqstate import make_cq_state, preset, random_cq, tensor_power
 from qpa.exponents import (
     CSV_HEADER,
@@ -201,6 +204,49 @@ def test_curve_evaluates_each_search_grid_once(monkeypatch):
     curve = exponent_curve(preset("tilted-qubit"), 0.0, 0.6, 7)
     assert len(curve.rows) == 7
     assert calls == []  # renyi_cond_grid and phi_grid see one point at a time: no exponent searches a grid
+
+
+def _count_kernel_calls(monkeypatch) -> collections.Counter:
+    """Counts of the moment, Renyi and phi kernel evaluations from now on, by kernel and order."""
+    calls = collections.Counter()
+    moments, renyi = quantities._moments_from_terms, quantities._renyi_from_terms
+    phis = StateDecomposition._phi_and_slopes
+
+    def counted_moments(terms, s):
+        calls["moments", s] += 1
+        return moments(terms, s)
+
+    def counted_renyi(terms, s):
+        calls.update(("renyi", x) for x in s.tolist())
+        return renyi(terms, s)
+
+    def counted_phis(self, t_values):
+        calls.update(("phi", x) for x in np.asarray(t_values, dtype=float).tolist())
+        return phis(self, t_values)
+
+    monkeypatch.setattr(quantities, "_moments_from_terms", counted_moments)
+    monkeypatch.setattr(quantities, "_renyi_from_terms", counted_renyi)
+    monkeypatch.setattr(StateDecomposition, "_phi_and_slopes", counted_phis)
+    return calls
+
+
+def test_curve_evaluates_each_bracket_end_once(monkeypatch):
+    # every rate's roots start from s = 0, 1 and t = 0, 1/2; the curve evaluates each end once
+    state = random_cq(1, 4, 3)
+    calls = _count_kernel_calls(monkeypatch)
+    exponent_curve(state, 0.0, math.log(4), 201)
+    ends = [("moments", 0.0), ("moments", 1.0), ("renyi", 1.0), ("phi", 0.0), ("phi", 0.5)]
+    assert [calls[end] for end in ends] == [1] * len(ends)
+    assert calls.total() > 200  # the interior orders, evaluated as the roots ask
+
+
+def test_bad_rate_fails_before_any_evaluation(monkeypatch, capsys):
+    calls = _count_kernel_calls(monkeypatch)
+    assert main(["exponents", "--preset", "tilted-qubit", "--r", "0.1,-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: rate must be finite and nonnegative, got -1.0\n"
+    assert captured.out == ""
+    assert calls.total() == 0
 
 
 def _reference_problems(st, rate: float):
