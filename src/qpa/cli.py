@@ -152,11 +152,11 @@ def cmd_verify(args) -> int:
     else:
         if not args.family:
             raise ValueError("verify needs --family unless --suite full is given")
+        s_grid = tuple(_parse_floats(args.s)) if args.s is not None else vmod.DEFAULT_S_GRID
+        s_grid = vmod.check_s_grid(s_grid)  # a bad grid exits 2 before the lift, the certification and their caps
         state = _load_state(args)
         family = parse_family(args.family)
         state = _lift_to_domain(state, family.domain_size)
-        s_grid = tuple(_parse_floats(args.s)) if args.s is not None else vmod.DEFAULT_S_GRID
-        s_grid = vmod.check_s_grid(s_grid)  # a bad grid exits 2 before the certification and its cap
         universal2 = collision_stats(family).is_universal2  # its cap fails at once, before the enumeration
         reports = vmod.verify_hashing_bounds(state, family, s_grid, name=args.preset or args.state)
         if not universal2:
@@ -278,11 +278,10 @@ def _selftest_checks():
     yield "hashing bound exp(s Ibar'), product^2", rep2.passed and close(rep2.lhs, 1.0)
 
     # exponents and rates
-    e_h = expmod.exponent_e_H(product, 0.3)
-    yield "product e_H(0.3)", close(e_h.value, LOG2 - 0.3) and close(e_h.arg, 1.0, 1e-6)
-    e_pq = expmod.exponent_e_phi_q(product, 0.3)
-    yield "product e_phi_q(0.3)", close(e_pq.value, (LOG2 - 0.3) / 2) and close(e_pq.arg, 0.5, 1e-6)
-    yield "copy e_H(0.3) = 0", expmod.exponent_e_H(copy, 0.3).value == 0.0
+    row = expmod.exponent_row(product, 0.3)
+    yield "product e_H(0.3)", close(row.e_H, LOG2 - 0.3) and close(row.s_star_H, 1.0, 1e-6)
+    yield "product e_phi_q(0.3)", close(row.e_phi_q, (LOG2 - 0.3) / 2) and close(row.t_star, 0.5, 1e-6)
+    yield "copy e_H(0.3) = 0", expmod.exponent_row(copy, 0.3).e_H == 0.0
     point = expmod.rates(product, 1.0)
     yield "product rates at R=1", close(point.equivocation, LOG2) and close(point.min_leak_rate, 1 - LOG2)
     point = expmod.rates(copy, 0.5)
@@ -375,7 +374,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (EigenConvergenceError, expmod.ExponentComparisonError) as exc:
+    except (EigenConvergenceError, np.linalg.LinAlgError, expmod.ExponentComparisonError) as exc:
         print(f"error: internal numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except AlphabetMismatchError as exc:

@@ -109,8 +109,8 @@ class ClassicalFunction:
         return ClassicalFunction(n, n, tuple(range(n)))
 
     @staticmethod
-    def constant(n: int, value: int = 0, range_size: int = 1) -> "ClassicalFunction":
-        return ClassicalFunction(n, range_size, (value,) * n)
+    def constant(n: int) -> "ClassicalFunction":
+        return ClassicalFunction(n, 1, (0,) * n)
 
 
 class CQState:

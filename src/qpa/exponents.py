@@ -38,15 +38,9 @@ def fmt(x: float) -> str:
     return format(x + 0.0, ".12g")
 
 
-@dataclasses.dataclass(frozen=True)
-class ExponentPoint:
-    value: float
-    arg: float
-
-
-def _stationary_max(objective, numerator, hi: float) -> ExponentPoint:
-    """Maximize ``objective`` on ``[0, hi]``, where ``objective(0) = 0`` and its
-    derivative is a negative multiple of the nondecreasing ``numerator``.
+def _stationary_max(objective, numerator, hi: float) -> tuple[float, float]:
+    """``(value, arg)`` of the maximum of ``objective`` on ``[0, hi]``, where ``objective(0) = 0``
+    and its derivative is a negative multiple of the nondecreasing ``numerator``.
 
     The maximum sits at the numerator's root clamped to ``[0, hi]``; ``hi``
     also wins when its value is within 1e-15 of the interior one, so a flat
@@ -60,10 +54,18 @@ def _stationary_max(objective, numerator, hi: float) -> ExponentPoint:
         f_hi = objective(hi)
         if f_hi >= f_x - 1e-15:
             x, f_x = hi, f_hi
-    return ExponentPoint(f_x, x) if f_x > 1e-15 else ExponentPoint(0.0, 0.0)
+    return (f_x, x) if f_x > 1e-15 else (0.0, 0.0)
 
 
-def _e_H(rate: float, renyi, moments) -> ExponentPoint:
+def _e_H(rate: float, renyi, moments) -> tuple[float, float]:
+    """``max_{0<=s<=1} s (H_{1+s}(A|E) - R)`` at the root of its derivative.
+
+    With ``psi(s) = -s H_{1+s}(A|E)`` convex, the objective ``-psi(s) - s R``
+    is concave with derivative ``-(psi'(s) + R)``, so its maximum is the root
+    of the nondecreasing ``psi'(s) + R`` clamped to ``[0, 1]``; a vanishing
+    optimum clamps to zero (no decay guaranteed).
+    """
+
     def objective(s: float) -> float:
         return s * (renyi(s) - rate)
 
@@ -73,19 +75,16 @@ def _e_H(rate: float, renyi, moments) -> ExponentPoint:
     return _stationary_max(objective, numerator, 1.0)
 
 
-def exponent_e_H(state: CQState, rate: float) -> ExponentPoint:
-    """``max_{0<=s<=1} s (H_{1+s}(A|E) - R)`` at the root of its derivative.
+def _e_H_q(rate: float, renyi, moments) -> tuple[float, float]:
+    """Smoothing-method exponent ``max_{0<=s<=1} s/(2-s) (H_{1+s}(A|E) - R)``.
 
-    With ``psi(s) = -s H_{1+s}(A|E)`` convex, the objective ``-psi(s) - s R``
-    is concave with derivative ``-(psi'(s) + R)``, so its maximum is the root
-    of the nondecreasing ``psi'(s) + R`` clamped to ``[0, 1]``; a vanishing
-    optimum clamps to zero (no decay guaranteed).
+    The objective is ``-(psi(s) + s R) / (2-s)`` with ``psi(s) = -s H_{1+s}``,
+    and its derivative is ``-N(s) / (2-s)^2`` with the stationarity
+    numerator ``N(s) = (2-s) psi'(s) + psi(s) + 2R``. ``N' = (2-s) psi''``
+    is nonnegative, so the objective is unimodal and peaks at the root of
+    ``N`` clamped to ``[0, 1]``.
     """
-    _check_rate(rate)
-    return _e_H(rate, state.decomposition.renyi_cond, state.decomposition.renyi_cond_moments)
 
-
-def _e_H_q(rate: float, renyi, moments) -> ExponentPoint:
     def objective(s: float) -> float:
         return s / (2.0 - s) * (renyi(s) - rate)
 
@@ -96,31 +95,7 @@ def _e_H_q(rate: float, renyi, moments) -> ExponentPoint:
     return _stationary_max(objective, numerator, 1.0)
 
 
-def exponent_e_H_q(state: CQState, rate: float) -> ExponentPoint:
-    """Smoothing-method exponent ``max_{0<=s<=1} s/(2-s) (H_{1+s}(A|E) - R)``.
-
-    The objective is ``-(psi(s) + s R) / (2-s)`` with ``psi(s) = -s H_{1+s}``,
-    and its derivative is ``-N(s) / (2-s)^2`` with the stationarity
-    numerator ``N(s) = (2-s) psi'(s) + psi(s) + 2R``. ``N' = (2-s) psi''``
-    is nonnegative, so the objective is unimodal and peaks at the root of
-    ``N`` clamped to ``[0, 1]``.
-    """
-    _check_rate(rate)
-    return _e_H_q(rate, state.decomposition.renyi_cond, state.decomposition.renyi_cond_moments)
-
-
-def _e_phi_q(rate: float, phi_and_slope) -> ExponentPoint:
-    def objective(t: float) -> float:
-        return -(phi_and_slope(t)[0] + t * rate) / (2.0 * (1.0 - t))
-
-    def numerator(t: float) -> float:
-        phi, d1 = phi_and_slope(t)
-        return (1.0 - t) * (d1 + rate) + phi + t * rate
-
-    return _stationary_max(objective, numerator, 0.5)
-
-
-def exponent_e_phi_q(state: CQState, rate: float) -> ExponentPoint:
+def _e_phi_q(rate: float, phi_and_slope) -> tuple[float, float]:
     """Smoothing-method exponent ``max_{0<=t<=1/2} -(phi(t) + t R) / (2(1-t))``.
 
     The objective's derivative is ``-N(t) / (2(1-t)^2)`` with the
@@ -129,8 +104,15 @@ def exponent_e_phi_q(state: CQState, rate: float) -> ExponentPoint:
     objective is unimodal and peaks at the root of ``N`` clamped to
     ``[0, 1/2]``.
     """
-    _check_rate(rate)
-    return _e_phi_q(rate, state.decomposition.phi_and_slope)
+
+    def objective(t: float) -> float:
+        return -(phi_and_slope(t)[0] + t * rate) / (2.0 * (1.0 - t))
+
+    def numerator(t: float) -> float:
+        phi, d1 = phi_and_slope(t)
+        return (1.0 - t) * (d1 + rate) + phi + t * rate
+
+    return _stationary_max(objective, numerator, 0.5)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,17 +161,8 @@ def exponent_rows(state: CQState, rates: Sequence[float]) -> list[CurveRow]:
     phi_and_slope = _with_ends(dec.phi_and_slope, (0.0, 0.5))
     rows = []
     for rate in rates:
-        e_h, e_hq, e_pq = _e_H(rate, renyi, moments), _e_H_q(rate, renyi, moments), _e_phi_q(rate, phi_and_slope)
-        row = CurveRow(
-            R=rate,
-            e_H=e_h.value,
-            s_star_H=e_h.arg,
-            e_H_q=e_hq.value,
-            s_star_Hq=e_hq.arg,
-            e_phi_q=e_pq.value,
-            t_star=e_pq.arg,
-            e_d_lower=e_h.value / 2.0,
-        )
+        e_h, s_h = _e_H(rate, renyi, moments)
+        row = CurveRow(rate, e_h, s_h, *_e_H_q(rate, renyi, moments), *_e_phi_q(rate, phi_and_slope), e_h / 2.0)
         if not (
             row.e_H >= row.e_H_q - LEMMA_TOL
             and row.e_H >= row.e_phi_q - LEMMA_TOL

@@ -367,35 +367,23 @@ def default_corpus() -> list[tuple[str, CQState]]:
     return out
 
 
-def families_for(alphabet_size: int, big_ms=(2, 4), q: int = 2) -> list[HashFamily]:
-    """Both matrix family kinds over F_q matching the alphabet, one per range size."""
-    k = 0
-    n = alphabet_size
-    while n > 1 and n % q == 0:
-        n //= q
-        k += 1
-    if n != 1 or k == 0:
-        raise AlphabetMismatchError(f"alphabet size {alphabet_size} is not a power of {q}")
-    out = []
-    for big_m in big_ms:
-        m = round(math.log(big_m, q))
-        if q**m != big_m or m > k:
-            continue
-        out.append(make_family("toeplitz", q, k, m))
-        out.append(make_family("modified_toeplitz", q, k, m))
-    return out
+def families_for(alphabet_size: int) -> list[HashFamily]:
+    """Both matrix family kinds over F_2 matching the alphabet, for the range sizes 2 and 4 that fit it."""
+    if alphabet_size < 2 or alphabet_size & (alphabet_size - 1):
+        raise AlphabetMismatchError(f"alphabet size {alphabet_size} is not a power of 2")
+    k = alphabet_size.bit_length() - 1
+    return [make_family(kind, 2, k, m) for m in (1, 2) if m <= k for kind in ("toeplitz", "modified_toeplitz")]
 
 
-def run_full_suite(s_grid=DEFAULT_S_GRID) -> list[BoundReport]:
+def run_full_suite() -> list[BoundReport]:
     """Both hashing bounds over the whole corpus, plus lemma and pinching checks."""
-    s_grid = check_s_grid(s_grid)  # before the family pass, which is the expensive part
     corpus = default_corpus()
     pairs = [(name, state, family) for name, state in corpus for family in families_for(state.alphabet_size)]
-    reports = [rep for both in _hashing_reports(pairs, s_grid) for rep in both]
+    reports = [rep for both in _hashing_reports(pairs, DEFAULT_S_GRID) for rep in both]
 
     lemmas = []
     for dim in range(2, 7):  # seeds 0-39 in dimension 2, up to seeds 160-199 in dimension 6
-        lemmas += stacked_matrix_lemma_checks(range(40 * (dim - 2), 40 * (dim - 1)), dim, s_grid)
+        lemmas += stacked_matrix_lemma_checks(range(40 * (dim - 2), 40 * (dim - 1)), dim)
     lemma_min = min(min(rep.min_eig_power for rep in lemmas), min(rep.min_eig_log for rep in lemmas))
     reports.append(
         BoundReport(

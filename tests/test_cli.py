@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
@@ -549,12 +551,25 @@ def test_bad_grid_fails_before_the_certification_cap(tmp_path):
     assert res.stdout == ""
 
 
+def test_bad_grid_fails_before_the_lift(capsys):
+    # the 2^12-symbol tensor power of the qubit state would exceed the joint-dimension cap
+    code = main(["verify", "--preset", "tilted-qubit", "--family", "toeplitz:q=2,k=12,m=1", "--s", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: the hashing bounds hold for s in (0, 1]; got grid (2.0,)\n"
+    assert captured.out == ""
+
+
 def _eigh_fails(m):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
+def _svd_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
 def _exponents_disagree(*args, **kwargs):
-    return expmod.ExponentPoint(10.0, 0.25)
+    return 10.0, 0.25
 
 
 @pytest.mark.parametrize(
@@ -562,8 +577,11 @@ def _exponents_disagree(*args, **kwargs):
     [
         (np.linalg, ("eigh", _eigh_fails), ["quantities", "--preset", "tilted-qubit"]),
         (expmod, ("_e_phi_q", _exponents_disagree), ["exponents", "--preset", "tilted-qubit"]),
+        # numpy's LinAlgError is a ValueError, which is not to be reported as a parse error
+        (np.linalg, ("svd", _svd_fails), ["exponents", "--preset", "tilted-qubit"]),
+        (np.linalg, ("eigvalsh", _eigh_fails), ["quantities", "--preset", "tilted-qubit"]),
     ],
-    ids=["eigen-convergence", "exponent-comparison"],
+    ids=["eigen-convergence", "exponent-comparison", "svd-convergence", "eigvalsh-convergence"],
 )
 def test_numeric_failure_exit_7(monkeypatch, capsys, target, replacement, argv):
     monkeypatch.setattr(target, *replacement)
@@ -698,3 +716,16 @@ def test_exponents_evaluate_each_search_grid_once(monkeypatch, capsys):
     assert main(["exponents", "--preset", "tilted-qubit", "--r", "0.1,0.2,0.3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
     assert calls == []  # renyi_cond_grid and phi_grid see one point at a time: no exponent searches a grid
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--suite", "full"], ["sweep", "--preset", "tilted-qubit", "--steps", "201"]]
+)
+def test_command_reruns_in_one_process_print_the_same_bytes(argv):
+    outputs = []
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        outputs.append(buf.getvalue())
+    assert outputs[0] == outputs[1] and outputs[0]

@@ -15,9 +15,6 @@ from qpa.cqstate import make_cq_state, preset, random_cq, tensor_power
 from qpa.exponents import (
     CSV_HEADER,
     exponent_curve,
-    exponent_e_H,
-    exponent_e_H_q,
-    exponent_e_phi_q,
     exponent_row,
     fmt,
     rates,
@@ -39,23 +36,20 @@ TILTED_E_PHI_Q = 0.029169115010604
 def test_product_closed_forms():
     st = preset("product")
     for rate in (0.0, 0.3, 0.6):
-        e = exponent_e_H(st, rate)
-        assert e.value == pytest.approx(LOG2 - rate, abs=1e-9)
-        assert e.arg == pytest.approx(1.0, abs=1e-9)
-        eq = exponent_e_H_q(st, rate)
-        assert eq.value == pytest.approx(LOG2 - rate, abs=1e-9)
-        assert eq.arg == pytest.approx(1.0, abs=1e-9)
-        ep = exponent_e_phi_q(st, rate)
-        assert ep.value == pytest.approx((LOG2 - rate) / 2, abs=1e-9)
-        assert ep.arg == pytest.approx(0.5, abs=1e-9)
+        row = exponent_row(st, rate)
+        assert row.e_H == pytest.approx(LOG2 - rate, abs=1e-9)
+        assert row.s_star_H == pytest.approx(1.0, abs=1e-9)
+        assert row.e_H_q == pytest.approx(LOG2 - rate, abs=1e-9)
+        assert row.s_star_Hq == pytest.approx(1.0, abs=1e-9)
+        assert row.e_phi_q == pytest.approx((LOG2 - rate) / 2, abs=1e-9)
+        assert row.t_star == pytest.approx(0.5, abs=1e-9)
 
 
 def test_copy_exponents_vanish():
     st = preset("copy")
     for rate in (0.1, 0.5, 1.0):
-        assert exponent_e_H(st, rate).value == 0.0
-        assert exponent_e_H_q(st, rate).value == 0.0
-        assert exponent_e_phi_q(st, rate).value == 0.0
+        row = exponent_row(st, rate)
+        assert row.e_H == 0.0 and row.e_H_q == 0.0 and row.e_phi_q == 0.0
 
 
 def test_exponents_vanish_above_capacity(corpus_states):
@@ -69,23 +63,21 @@ def test_exponents_vanish_above_capacity(corpus_states):
 def test_positivity_threshold_at_conditional_entropy():
     for st in (preset("tilted-qubit"), random_cq(5, 4, 2)):
         h = StateDecomposition(st).cond_entropy()
-        assert exponent_e_H(st, h - 1e-6).value > 0.0
-        assert exponent_e_H(st, h).value == 0.0
-        assert exponent_e_H(st, h + 0.1).value == 0.0
+        assert exponent_row(st, h - 1e-6).e_H > 0.0
+        assert exponent_row(st, h).e_H == 0.0
+        assert exponent_row(st, h + 0.1).e_H == 0.0
 
 
 def test_tilted_exponents_match_frozen_grid():
     st = preset("tilted-qubit")
-    e = exponent_e_H(st, 0.2)
-    assert e.value >= TILTED_E_H - 1e-12  # refinement can only raise a grid max
-    assert e.value == pytest.approx(TILTED_E_H, abs=1e-8)
-    eq = exponent_e_H_q(st, 0.2)
-    assert eq.value >= TILTED_E_H_Q - 1e-12
-    assert eq.value == pytest.approx(TILTED_E_H_Q, abs=1e-9)
-    ep = exponent_e_phi_q(st, 0.2)
-    assert ep.value >= TILTED_E_PHI_Q - 1e-12
-    assert ep.value == pytest.approx(TILTED_E_PHI_Q, abs=1e-8)
-    assert TILTED_E_H / 2 <= ep.value <= e.value
+    row = exponent_row(st, 0.2)
+    assert row.e_H >= TILTED_E_H - 1e-12  # refinement can only raise a grid max
+    assert row.e_H == pytest.approx(TILTED_E_H, abs=1e-8)
+    assert row.e_H_q >= TILTED_E_H_Q - 1e-12
+    assert row.e_H_q == pytest.approx(TILTED_E_H_Q, abs=1e-9)
+    assert row.e_phi_q >= TILTED_E_PHI_Q - 1e-12
+    assert row.e_phi_q == pytest.approx(TILTED_E_PHI_Q, abs=1e-8)
+    assert TILTED_E_H / 2 <= row.e_phi_q <= row.e_H
 
 
 def test_against_independent_dense_grid_via_joint_path():
@@ -96,7 +88,7 @@ def test_against_independent_dense_grid_via_joint_path():
     grid = np.linspace(0.0, 1.0, 2001)
     vals = [s * (renyi_cond_joint(st, float(s)) - rate) for s in grid]
     oracle = max(max(vals), 0.0)
-    got = exponent_e_H(st, rate).value
+    got = exponent_row(st, rate).e_H
     assert got >= oracle - 1e-12
     assert got == pytest.approx(oracle, abs=1e-7)
 
@@ -250,7 +242,7 @@ def test_bad_rate_fails_before_any_evaluation(monkeypatch, capsys):
 
 
 def _reference_problems(st, rate: float):
-    """``(solver, value key, argument key, numerator, objective, hi, floor)`` per exponent, in mpmath.
+    """``(value key, argument key, numerator, objective, hi, floor)`` per exponent, in mpmath.
 
     Each objective peaks at the root of its stationarity numerator, which is
     nondecreasing, clamped to ``[0, hi]``. ``floor`` is the absolute rounding
@@ -259,9 +251,8 @@ def _reference_problems(st, rate: float):
     """
     psi, phi, r, d = psi_reference(st), phi_reference(st), mpmath.mpf(rate), mpmath.diff
     return (
-        (exponent_e_H, "e_H", "s_star_H", lambda s: d(psi, s) + r, lambda s: -psi(s) - s * r, 1, 0.0),
+        ("e_H", "s_star_H", lambda s: d(psi, s) + r, lambda s: -psi(s) - s * r, 1, 0.0),
         (
-            exponent_e_H_q,
             "e_H_q",
             "s_star_Hq",
             lambda s: (2 - s) * d(psi, s) + psi(s) + 2 * r,
@@ -270,7 +261,6 @@ def _reference_problems(st, rate: float):
             0.0,
         ),
         (
-            exponent_e_phi_q,
             "e_phi_q",
             "t_star",
             lambda t: (1 - t) * (d(phi, t) + r) + phi(t) + t * r,
@@ -307,14 +297,15 @@ def _golden_rows():
 def test_golden_arguments_and_values_match_the_50_digit_argmax():
     st = preset("tilted-qubit")
     for rate, golden in _golden_rows():
-        for solve, value_key, arg_key, numerator, objective, hi, floor in _reference_problems(st, rate):
-            point = solve(st, rate)
+        row = exponent_row(st, rate)
+        for value_key, arg_key, numerator, objective, hi, floor in _reference_problems(st, rate):
+            value, arg = getattr(row, value_key), getattr(row, arg_key)
             # the golden holds this point, in full (JSON) or as printed (CSV)
             as_stored = (lambda x: x) if isinstance(golden[arg_key], float) else fmt
-            assert (golden[value_key], golden[arg_key]) == (as_stored(point.value), as_stored(point.arg)), rate
+            assert (golden[value_key], golden[arg_key]) == (as_stored(value), as_stored(arg)), rate
             ref_arg, ref_value = _reference_argmax(numerator, objective, hi)
-            assert abs(point.arg - ref_arg) <= 1e-12, (rate, arg_key)
-            assert abs(point.value - ref_value) <= 1e-14 * abs(ref_value) + floor, (rate, value_key)
+            assert abs(arg - ref_arg) <= 1e-12, (rate, arg_key)
+            assert abs(value - ref_value) <= 1e-14 * abs(ref_value) + floor, (rate, value_key)
 
 
 @given(
@@ -334,12 +325,14 @@ def test_exponents_are_additive_and_bracketed_by_a_grid(seed, shape, fraction):
         xs / (2.0 - xs) * (h - rate),
         -(st.decomposition.phi_grid(ts) + ts * rate) / (2.0 * (1.0 - ts)),
     )
-    for solve, values in zip((exponent_e_H, exponent_e_H_q, exponent_e_phi_q), objectives):
-        one, two = solve(st, rate), solve(doubled, 2.0 * rate)
-        assert two.value == pytest.approx(2.0 * one.value, rel=1e-12, abs=1e-14)
-        assert abs(two.arg - one.arg) <= 1e-12
+    one, two = exponent_row(st, rate), exponent_row(doubled, 2.0 * rate)
+    keys = (("e_H", "s_star_H"), ("e_H_q", "s_star_Hq"), ("e_phi_q", "t_star"))
+    for (value_key, arg_key), values in zip(keys, objectives):
+        value = getattr(one, value_key)
+        assert getattr(two, value_key) == pytest.approx(2.0 * value, rel=1e-12, abs=1e-14)
+        assert abs(getattr(two, arg_key) - getattr(one, arg_key)) <= 1e-12
         grid_max = max(float(np.max(values)), 0.0)
-        assert grid_max - 1e-12 <= one.value <= grid_max + 2e-6
+        assert grid_max - 1e-12 <= value <= grid_max + 2e-6
 
 
 @pytest.mark.parametrize("name", ["pure-eve", "zero-probability", "bb84(0)", "depolarized(1.3333333333333333)", "copy"])
@@ -356,6 +349,6 @@ def test_e_phi_q_on_edge_states_matches_a_fine_grid(name):
     ts = np.linspace(0.0, 0.5, 20001)
     phi = st.decomposition.phi_grid(ts)
     for rate in np.linspace(0.0, math.log(st.alphabet_size), 9):
-        point = exponent_e_phi_q(st, float(rate))
+        e_phi_q = exponent_row(st, float(rate)).e_phi_q
         grid_max = max(float(np.max(-(phi + ts * rate) / (2.0 * (1.0 - ts)))), 0.0)
-        assert grid_max - 1e-15 <= point.value <= grid_max + 2e-6, (name, rate)
+        assert grid_max - 1e-15 <= e_phi_q <= grid_max + 2e-6, (name, rate)

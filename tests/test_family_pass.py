@@ -132,3 +132,17 @@ def test_family_pass_runs_in_bounded_chunks(monkeypatch):
     assert stacks == [(64, 16, 16), (16, 16, 16), (16, 4, 16, 16)] * 2
     assert state._decomposition is None
     assert max(math.prod(shape) for shape in stacks) == vmod._STACK_ENTRIES
+
+
+def test_member_results_beyond_the_bound_equal_the_reference():
+    # more distinct tables than one chunk holds (1,024 at M = 4, d = 2), with
+    # repeats: every table is answered, and a second pass recomputes them all
+    rng = np.random.default_rng(3)
+    tables = {tuple(row) for row in rng.integers(0, 4, size=(1224, 8)).tolist()}
+    tables = sorted(tables)[:1124]
+    assert len(tables) == 1124
+    family = make_explicit_family(tables + tables[:50], 4)
+    state = random_cq(9, 8, 2)
+    reference = member_mutual_info_reference(state, family)
+    assert member_mutual_info(state, family) == reference
+    assert member_mutual_info(state, family) == reference

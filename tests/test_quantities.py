@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as hst
 
 from qpa.cqstate import (
+    CQState,
     ClassicalFunction,
     apply_eve_channel,
     apply_function,
@@ -709,3 +710,66 @@ def test_one_state_is_decomposed_once(monkeypatch):
     reports = verify_hashing_bounds(st, make_family("toeplitz", 2, 1, 1))
     assert all(rep.passed for rep in reports)
     assert sum(s is st for s in decomposed) == 1
+
+
+# the scalar order evaluations: an int, numpy or 0-d order gives the bits of the same
+# float order, and an order that fails validation fails on every call with the grid's message
+METHODS = ("renyi_cond", "renyi_cond_bar_star", "renyi_cond_moments", "phi", "phi_and_slope")
+
+
+def _reference(dec: StateDecomposition, method: str, order):
+    """``method`` at ``order`` through its grid, where it has one, else the method itself."""
+    if method == "renyi_cond":
+        return float(dec.renyi_cond_grid([order])[0])
+    if method == "renyi_cond_bar_star":
+        return float(dec.renyi_cond_bar_star_grid([order])[0])
+    if method == "phi":
+        return float(dec.phi_grid([order])[0])
+    return getattr(dec, method)(order)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _rebuilt(state: CQState) -> CQState:
+    return CQState(state.probs, state.rhos)
+
+
+@pytest.mark.parametrize(
+    "method, order",
+    [
+        ("renyi_cond", -0.1),
+        ("renyi_cond", 4.5),
+        ("renyi_cond", math.nan),
+        ("renyi_cond_moments", math.inf),
+        ("renyi_cond_bar_star", 0.0),
+        ("renyi_cond_bar_star", 0),
+        ("renyi_cond_bar_star", np.float64(0.0)),
+        ("renyi_cond_bar_star", np.array(0.0)),
+        ("renyi_cond_bar_star", math.nan),
+        ("phi", 0.95),
+        ("phi", math.nan),
+        ("phi_and_slope", -0.1),
+        ("phi_and_slope", math.nan),
+    ],
+)
+def test_invalid_orders_raise_on_every_call(method, order):
+    dec = _rebuilt(preset("tilted-qubit")).decomposition
+    with pytest.raises(ValueError) as expected:
+        _reference(dec, method, order)
+    for _ in range(3):
+        with pytest.raises(ValueError) as raised:
+            getattr(dec, method)(order)
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("method, value", [(m, 1) for m in METHODS[:3]] + [("phi", 0), ("phi_and_slope", 0)])
+def test_int_numpy_and_0d_orders_share_the_float_value(method, value):
+    state = random_cq(5, 4, 3)
+    by_float = getattr(_rebuilt(state).decomposition, method)(float(value))
+    for order in (value, np.float64(value), np.array(value), np.array(float(value))):
+        # on a fresh decomposition, and on one that has evaluated the order before
+        cold = getattr(_rebuilt(state).decomposition, method)(order)
+        warm = getattr(state.decomposition, method)(order)
+        assert _bits(cold) == _bits(warm) == _bits(by_float), (method, order)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qpa import cqstate
+from qpa.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,6 +31,19 @@ def test_readme_library_block_runs():
     block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     assert "import qpa" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_command_line_block_runs(monkeypatch, tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", commands, re.S).group(1)
+    monkeypatch.chdir(tmp_path)  # sweep -o writes its CSV here
+    lines = [re.sub(r"\[.*?\]", "", line.split("#", 1)[0]).split() for line in block.splitlines()]
+    assert len(lines) == 7
+    for argv in lines:
+        assert argv[0] == "qpa"
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "curve.csv").exists()
 
 
 def test_traced_state_key_reads_the_eve_states(monkeypatch):

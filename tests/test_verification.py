@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from lemma_oracle import SUITE_SEEDS, lemma_min_eigenvalues, seeded_psd
 from qpa.cli import main
 from qpa.cqstate import AlphabetMismatchError, CQState, eve_marginal, load_state_json, preset, random_cq, tensor_power
+from qpa.exponents import exponent_curve
 from qpa.hashing import make_family, member_function, member_tables
 from qpa.hermitian import matrix_log, matrix_power, pinch
 import qpa.quantities as qmod
@@ -598,3 +599,20 @@ def test_full_suite_eigenproblem_count(monkeypatch):
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
     assert len(shapes) == 123
+
+
+def _rebuilt(state: CQState) -> CQState:
+    return CQState(state.probs, state.rhos)
+
+
+def test_warm_reports_equal_cold_ones():
+    state = random_cq(11, 4, 3)
+    for family in (make_family("toeplitz", 2, 2, 2), make_family("modified_toeplitz", 2, 2, 2)):
+        cold = [rep.to_json_dict() for rep in verify_hashing_bounds(state, family, name="r")]
+        warm = [rep.to_json_dict() for rep in verify_hashing_bounds(state, family, name="r")]
+        assert warm == cold
+        rebuilt = [rep.to_json_dict() for rep in verify_hashing_bounds(_rebuilt(state), family, name="r")]
+        assert rebuilt == cold
+    cold_csv = exponent_curve(state, 0.0, math.log(4), 41).to_csv_text()
+    assert exponent_curve(state, 0.0, math.log(4), 41).to_csv_text() == cold_csv
+    assert exponent_curve(_rebuilt(state), 0.0, math.log(4), 41).to_csv_text() == cold_csv
