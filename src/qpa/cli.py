@@ -248,10 +248,10 @@ def _selftest_checks():
     yield "copy H(A|E)", close(qmod.cond_entropy(copy), 0.0)
     yield "product I' = 0", close(qmod.mutual_info_variants(product)["I_prime"], 0.0)
     yield "copy I' = log 2", close(qmod.mutual_info_variants(copy)["I_prime"], LOG2)
-    yield "product d1' = 0", close(qmod.trace_distances(product)["d1_prime"], 0.0)
-    yield "copy d1' = 1", close(qmod.trace_distances(copy)["d1_prime"], 1.0)
-    yield "product phi(0.25) = -log2/4", close(qmod.phi_quantity(product, 0.25), -0.25 * LOG2)
-    yield "phi(0) = 0", close(qmod.phi_quantity(preset("tilted-qubit"), 0.0), 0.0, 1e-10)
+    yield "product d1' = 0", close(product.decomposition.trace_distances()["d1_prime"], 0.0)
+    yield "copy d1' = 1", close(copy.decomposition.trace_distances()["d1_prime"], 1.0)
+    yield "product phi(0.25) = -log2/4", close(product.decomposition.phi(0.25), -0.25 * LOG2)
+    yield "phi(0) = 0", close(preset("tilted-qubit").decomposition.phi(0.0), 0.0, 1e-10)
 
     # hashing layer
     fam = make_family("toeplitz", 2, 2, 1)

@@ -62,11 +62,13 @@ def checked_states(probs: np.ndarray, rhos: np.ndarray):
         raise StateValidationError(
             "negative probability", f"P contains {float(probs.min()):.3e} < 0"
         )
-    for total in map(math.fsum, probs.tolist()):
+    for row in probs.tolist():
+        try:
+            total = math.fsum(row)
+        except OverflowError:  # finite entries whose sum exceeds the largest double
+            raise StateValidationError("probabilities sum to 1", "sum(P) overflows a double") from None
         if abs(total - 1.0) > PROB_ATOL:
-            raise StateValidationError(
-                "probabilities sum to 1", f"sum(P) = {total!r} differs from 1"
-            )
+            raise StateValidationError("probabilities sum to 1", f"sum(P) = {total!r} differs from 1")
     try:
         stack = hermitian_entries(rhos, 3)
     except HermitianError as exc:
@@ -131,10 +133,8 @@ class CQState:
             raise StateValidationError("one-dimensional probabilities", f"P has shape {p.shape}")
         try:
             stack = np.asarray(rhos, dtype=np.complex128)
-        except ValueError as exc:
-            raise StateValidationError(
-                "eve dimension mismatch", f"eve states do not form one (|A|, d, d) stack: {exc}"
-            ) from exc
+        except ValueError as exc:  # numpy's message on a ragged stack runs to some 200 bytes
+            raise StateValidationError("eve dimension mismatch", "eve states do not form one (|A|, d, d) stack") from exc
         if stack.ndim and len(stack) != p.size:
             raise StateValidationError("length mismatch", f"{p.size} probabilities but {len(stack)} eve states")
         if p.size == 0:

@@ -57,7 +57,7 @@ def _stationary_max(objective, numerator, hi: float) -> tuple[float, float]:
     return (f_x, x) if f_x > 1e-15 else (0.0, 0.0)
 
 
-def _e_H(rate: float, renyi, moments) -> tuple[float, float]:
+def _e_H(rate: float, moments) -> tuple[float, float]:
     """``max_{0<=s<=1} s (H_{1+s}(A|E) - R)`` at the root of its derivative.
 
     With ``psi(s) = -s H_{1+s}(A|E)`` convex, the objective ``-psi(s) - s R``
@@ -67,7 +67,7 @@ def _e_H(rate: float, renyi, moments) -> tuple[float, float]:
     """
 
     def objective(s: float) -> float:
-        return s * (renyi(s) - rate)
+        return s * (-moments(s)[0] / s - rate)
 
     def numerator(s: float) -> float:
         return moments(s)[1] + rate
@@ -75,7 +75,7 @@ def _e_H(rate: float, renyi, moments) -> tuple[float, float]:
     return _stationary_max(objective, numerator, 1.0)
 
 
-def _e_H_q(rate: float, renyi, moments) -> tuple[float, float]:
+def _e_H_q(rate: float, moments) -> tuple[float, float]:
     """Smoothing-method exponent ``max_{0<=s<=1} s/(2-s) (H_{1+s}(A|E) - R)``.
 
     The objective is ``-(psi(s) + s R) / (2-s)`` with ``psi(s) = -s H_{1+s}``,
@@ -86,7 +86,7 @@ def _e_H_q(rate: float, renyi, moments) -> tuple[float, float]:
     """
 
     def objective(s: float) -> float:
-        return s / (2.0 - s) * (renyi(s) - rate)
+        return s / (2.0 - s) * (-moments(s)[0] / s - rate)
 
     def numerator(s: float) -> float:
         psi, d1 = moments(s)
@@ -150,19 +150,18 @@ def exponent_rows(state: CQState, rates: Sequence[float]) -> list[CurveRow]:
     """All exponents at each key rate, with the comparison inequalities enforced.
 
     Every rate is checked before anything is evaluated. The roots of all rates share their
-    bracket ends, evaluated once here: ``(psi, psi')`` at s = 0 and 1, ``H_2(A|E)``, and
-    ``(phi, phi')`` at t = 0 and 1/2. Interior orders are evaluated as the roots ask.
+    bracket ends, evaluated once here: ``(psi, psi')`` at s = 0 and 1, and ``(phi, phi')``
+    at t = 0 and 1/2. Interior orders are evaluated as the roots ask.
     """
     for rate in rates:
         _check_rate(rate)
     dec = state.decomposition
     moments = _with_ends(dec.renyi_cond_moments, (0.0, 1.0))
-    renyi = _with_ends(dec.renyi_cond, (1.0,))
     phi_and_slope = _with_ends(dec.phi_and_slope, (0.0, 0.5))
     rows = []
     for rate in rates:
-        e_h, s_h = _e_H(rate, renyi, moments)
-        row = CurveRow(rate, e_h, s_h, *_e_H_q(rate, renyi, moments), *_e_phi_q(rate, phi_and_slope), e_h / 2.0)
+        e_h, s_h = _e_H(rate, moments)
+        row = CurveRow(rate, e_h, s_h, *_e_H_q(rate, moments), *_e_phi_q(rate, phi_and_slope), e_h / 2.0)
         if not (
             row.e_H >= row.e_H_q - LEMMA_TOL
             and row.e_H >= row.e_phi_q - LEMMA_TOL

@@ -43,8 +43,8 @@ S_MIN = sys.float_info.min
 # random states, and 2.7e-10 at t = 0.75 with eigenvalues 1e-8 in each rho_a
 PHI_T_MAX = 0.9375
 
-# entries of the largest array a stacked evaluation holds: a chunk of a Renyi
-# grid (orders × terms), or of the family pass in qpa.verification
+# entries of the largest array a stacked evaluation holds: a chunk of phi's stacked
+# factors (orders × factor entries), or of the family pass in qpa.verification
 _STACK_ENTRIES = 2**14
 
 # map from report keys to conventional symbols, used by the CLI
@@ -82,18 +82,17 @@ def _grid(values) -> np.ndarray:
     return grid
 
 
-def _check_order(s, *, allow_zero: bool) -> np.ndarray:
-    """The order parameters as a float array, each checked to be 0 or to lie in ``[S_MIN, S_MAX]``."""
-    s = np.asarray(s, dtype=float)
-    bad = ~((s >= 0.0) & (s <= S_MAX))
-    if bad.any():
-        raise ValueError(f"Renyi order parameter s={float(s[bad][0])} outside [0, {S_MAX}]")
-    tiny = (s > 0.0) & (s < S_MIN)
-    if tiny.any():
-        raise ValueError(f"Renyi order parameter s={float(s[tiny][0])} is subnormal, below {S_MIN}")
-    if not allow_zero and (s == 0.0).any():
-        raise ValueError("s = 0 is the von Neumann limit; call cond_entropy_bar instead")
-    return s
+def _check_order(s, *, allow_zero: bool) -> list[float]:
+    """The order parameters as a flat list of floats, each checked to be 0 or to lie in ``[S_MIN, S_MAX]``."""
+    values = np.asarray(s, dtype=float).reshape(-1).tolist()
+    if not all(S_MIN <= x <= S_MAX for x in values):  # else name the first order outside, subnormal, then zero
+        if (x := next((x for x in values if not 0.0 <= x <= S_MAX), None)) is not None:
+            raise ValueError(f"Renyi order parameter s={x} outside [0, {S_MAX}]")
+        if (x := next((x for x in values if 0.0 < x < S_MIN), None)) is not None:
+            raise ValueError(f"Renyi order parameter s={x} is subnormal, below {S_MIN}")
+        if not allow_zero:
+            raise ValueError("s = 0 is the von Neumann limit; call cond_entropy_bar instead")
+    return values
 
 
 def _check_order_keys(orders) -> None:
@@ -105,45 +104,30 @@ def _check_order_keys(orders) -> None:
 
 
 def _normalised_terms(offs: np.ndarray, slopes: np.ndarray, log_mass: float = 0.0):
-    """``(w, g, log_mass)`` with ``w_k = exp(off_k) / sum_j exp(off_j)``, for ``_renyi_from_terms``."""
+    """``(w, g, log_mass)`` with ``w_k = exp(off_k) / sum_j exp(off_j)``, for ``_renyi_moments``."""
     weights = np.exp(offs - offs.max())
     return weights / weights.sum(), slopes, log_mass
 
 
-def _renyi_from_terms(terms, s: np.ndarray) -> np.ndarray:
-    """``-log(sum_k exp(off_k + s g_k)) / s`` at each positive order in ``s``.
+def _renyi_moments(terms, s: float) -> tuple[float, float]:
+    """``(psi, psi')`` at one order s of ``psi(s) = log(sum_k exp(off_k + s g_k))``, which is ``-s H_{1+s}``.
 
-    Evaluated as ``-(log_mass + log1p(sum_k w_k expm1(s g_k))) / s`` over the
-    cached ``_normalised_terms``, which stays accurate as ``s -> 0``: the sum
-    is ``O(s)`` and holds no rounding error of ``sum_k exp(off_k)``, which
-    ``-log(...) / s`` would amplify by ``1/s``. That sum is the mass of the
-    state, one up to rounding (within 2.6e-15 over the states that
+    Evaluated as ``log_mass + log1p(sum_k w_k expm1(s g_k))`` over the cached
+    ``_normalised_terms``, which stays accurate as ``s -> 0``: the sum is
+    ``O(s)`` and holds no rounding error of ``sum_k exp(off_k)``, which
+    ``-psi / s`` would amplify by ``1/s``. That sum is the mass of the state,
+    one up to rounding (within 2.6e-15 over the states that
     ``verify --suite full`` decomposes), so taking it as exactly one changes
     values only at rounding level; a genuine shortfall enters as ``log_mass``.
-    Each order of the 1-d ``s`` takes its sum as its own ``(1, K) @ (K,)`` dot in one
-    batched matmul, so a grid value equals the one-order value bit for bit (a stacked
-    ``(n, K) @ (K,)`` does not), in chunks of at most ``_STACK_ENTRIES`` orders × terms.
-    """
-    weights, slopes, log_mass = terms
-    sums, step = np.empty(s.shape), max(1, _STACK_ENTRIES // slopes.size)  # step: orders per chunk
-    for i in range(0, s.size, step):
-        sums[i : i + step] = (np.expm1(np.multiply.outer(s[i : i + step], slopes))[:, None] @ weights)[:, 0]
-    return -(log_mass + np.log1p(sums)) / s
-
-
-def _moments_from_terms(terms, s: float) -> tuple[float, float]:
-    """``(psi, psi')`` at one order s of ``psi(s) = log(sum_k exp(off_k + s g_k))``.
-
-    ``psi = -s H_{1+s}`` over the terms of ``_renyi_from_terms``, evaluated
-    the same way; ``psi'`` is the mean of the slopes ``g_k`` under the tilted
-    weights ``w_k exp(s g_k) / exp(psi)``, and ``psi''`` their variance, so
-    ``psi`` is convex.
+    ``psi'`` is the mean of the slopes ``g_k`` under the tilted weights
+    ``w_k exp(s g_k) / exp(psi)``, and ``psi''`` their variance, so ``psi``
+    is convex. Every ``H_{1+s}``, ``Hbar*_{1+s}`` and ``psi'`` of a decomposition comes from here.
     """
     weights, slopes, log_mass = terms
     grow = np.expm1(s * slopes)
     total = float(grow @ weights)
     tilted = weights * (1.0 + grow) / (1.0 + total)
-    return log_mass + math.log1p(total), float(tilted @ slopes)
+    return log_mass + float(np.log1p(total)), float(tilted @ slopes)
 
 
 class DecompositionStack:
@@ -307,22 +291,20 @@ class StateDecomposition:
         return float(self.renyi_cond_bar_star_grid([s])[0])
 
     def renyi_cond_grid(self, s_values) -> np.ndarray:
-        """``H_{1+s}(A|E)`` over an array of orders in ``[0, S_MAX]``; s = 0
+        """``H_{1+s}(A|E) = -psi(s) / s`` over an array of orders in ``[0, S_MAX]``; s = 0
         entries take the von Neumann limit."""
-        s = _check_order(_grid(s_values), allow_zero=True)
-        pos = s > 0.0
-        out = _renyi_from_terms(self._renyi_terms, np.where(pos, s, 1.0))
-        if not pos.all():
-            out = np.where(pos, out, self.cond_entropy())
-        return out
+        orders = _check_order(_grid(s_values), allow_zero=True)
+        return np.array([-_renyi_moments(self._renyi_terms, s)[0] / s if s else self.cond_entropy() for s in orders])
 
     def renyi_cond_moments(self, s: float) -> tuple[float, float]:
         """``(psi, psi')`` of the convex ``psi(s) = -s H_{1+s}(A|E)`` at one order s."""
-        return _moments_from_terms(self._renyi_terms, float(_check_order(s, allow_zero=True)))
+        (s,) = _check_order(s, allow_zero=True)
+        return _renyi_moments(self._renyi_terms, s)
 
     def renyi_cond_bar_star_grid(self, s_values) -> np.ndarray:
         """``Hbar*_{1+s}(A|E)`` over an array of orders in ``(0, S_MAX]``."""
-        return _renyi_from_terms(self._bar_terms, _check_order(_grid(s_values), allow_zero=False))
+        orders = _check_order(_grid(s_values), allow_zero=False)
+        return np.array([-_renyi_moments(self._bar_terms, s)[0] / s for s in orders])
 
     def min_entropy(self) -> float:
         return -math.log(float(np.max(self.probs * self.xi[:, -1])))
@@ -391,20 +373,9 @@ class StateDecomposition:
 # -- public operation surface ------------------------------------------------
 
 
-def von_neumann_entropies(state: CQState) -> dict[str, float]:
-    """Joint, E-side, and classical entropies ``{H_AE, H_E, H_A}``."""
-    dec = state.decomposition
-    return {"H_AE": dec.joint_entropy(), "H_E": dec.eve_entropy(), "H_A": dec.classical_entropy()}
-
-
 def cond_entropy(state: CQState) -> float:
     """Conditional entropy ``H(A|E) = H(A,E) - H(E)``."""
     return state.decomposition.cond_entropy()
-
-
-def cond_entropy_bar(state: CQState) -> float:
-    """Sandwiched conditional entropy ``Hbar(A|E)``, the s -> 0 limit of Hbar*."""
-    return state.decomposition.cond_entropy_bar()
 
 
 def renyi_cond(state: CQState, s: float) -> float:
@@ -417,31 +388,9 @@ def renyi_cond_bar_star(state: CQState, s: float) -> float:
     return state.decomposition.renyi_cond_bar_star(s)
 
 
-def min_entropy(state: CQState) -> float:
-    """``H_min(A|E)``: minus log of the sandwiched operator norm."""
-    return state.decomposition.min_entropy()
-
-
 def mutual_info_variants(state: CQState) -> dict[str, float]:
     """``{I, I_prime, I_bar, I_bar_prime}`` mutual-information values."""
     return state.decomposition.mutual_info_variants()
-
-
-def trace_distances(state: CQState) -> dict[str, float]:
-    """Trace-norm distances from the product and uniform-product operators."""
-    return state.decomposition.trace_distances()
-
-
-def phi_quantity(state: CQState, t: float) -> float:
-    """The smoothing-method functional ``phi(t)``, from one SVD of the stacked factor.
-
-    Computable here on ``t in [0, PHI_T_MAX]``; the exponent optimization
-    only ever uses ``[0, 1/2]``, where phi is right to about 1e-15, but the
-    bracketing checks against ``s H_{1+s}`` evaluate it above, where the
-    error grows: 5.4e-12 at t = 0.9 and 1.9e-6 at ``PHI_T_MAX`` on random
-    states, 2.7e-10 at t = 0.75 with eigenvalues 1e-8 in each ``rho_a``.
-    """
-    return state.decomposition.phi(t)
 
 
 def relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> dict[str, float]:

@@ -22,8 +22,7 @@ from .cqstate import AlphabetMismatchError, CQState, checked_states, hashed_bloc
 from .hashing import HashFamily, make_family, member_tables
 from .hermitian import SUPPORT_RTOL, eigh_batch, hermitian_entries
 from .optimize import increasing_root
-from .quantities import _STACK_ENTRIES, S_MIN, DecompositionStack, StateDecomposition, _check_order_keys
-from .quantities import _check_order, _moments_from_terms
+from .quantities import _STACK_ENTRIES, S_MIN, DecompositionStack, StateDecomposition, _check_order, _check_order_keys
 
 SLACK_TOL = 1e-9
 
@@ -61,7 +60,7 @@ def check_s_grid(s_grid) -> tuple[float, ...]:
     grid = tuple(float(s) for s in s_grid)
     if not grid or any(not (0.0 < s <= 1.0) for s in grid):
         raise ValueError(f"the hashing bounds hold for s in (0, 1]; got grid {s_grid}")
-    _check_order(np.asarray(grid), allow_zero=False)  # rejects a subnormal order
+    _check_order(grid, allow_zero=False)  # rejects a subnormal order
     _check_order_keys(grid)
     return grid
 
@@ -137,7 +136,7 @@ def _avg_leak_orders(dec: StateDecomposition, s_grid: tuple[float, ...], big_ms)
     the root of ``log(vM) + psi'(s) - 1/s``, clamped to 1: one root per M, whose steps share the
     state's moment evaluations. ``H_{1+s}`` at the grid and at every root comes from one grid call.
     """
-    slope = functools.cache(lambda s: _moments_from_terms(dec._renyi_terms, s)[1])
+    slope = functools.cache(lambda s: dec.renyi_cond_moments(s)[1])
     roots = {m: increasing_root(lambda s: math.log(dec.v_count * m) + slope(s) - 1.0 / s, S_MIN, 1.0) for m in big_ms}
     orders = tuple(dict.fromkeys((*s_grid, *roots.values())))  # a root clamped to 1 is a grid order
     return dict(zip(orders, dec.renyi_cond_grid(orders).tolist())), roots

@@ -16,7 +16,7 @@ from qpa.cqstate import make_cq_state, preset, random_cq, tensor_power
 from qpa.exponents import exponent_curve, rates
 from qpa.hashing import collision_stats, make_family
 from qpa.hermitian import cluster_ranges, eig_hermitian, pinch
-from qpa.quantities import PHI_T_MAX, StateDecomposition, phi_quantity, quantity_report
+from qpa.quantities import PHI_T_MAX, StateDecomposition, quantity_report
 from qpa.verification import (
     default_corpus,
     families_for,
@@ -117,7 +117,7 @@ def test_acceptance_05_commutative_reduction():
         st = make_cq_state(probs, [np.diag(row) for row in diags])
         got = quantity_report(st, s_values)
         for t in t_values:
-            got[f"phi({t:g})"] = phi_quantity(st, t)
+            got[f"phi({t:g})"] = st.decomposition.phi(t)
         expected = classical_quantities(probs, diags, s_values, t_values)
         for key, val in expected.items():
             assert abs(got[key] - val) <= 1e-10, (trial, key, got[key], val)

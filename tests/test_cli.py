@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hst
 
 from qpa import exponents as expmod
-from qpa.cli import main
+from qpa.cli import build_parser, main
 from qpa.cqstate import preset
 from qpa.quantities import StateDecomposition, quantity_report
 
@@ -124,14 +127,35 @@ def test_one_symbol_state_exit_4(tmp_path):
     assert res.stderr.startswith("error: family/alphabet mismatch:") and res.stderr.count("\n") == 1
 
 
-def test_nonfinite_probability_exit_3(tmp_path, capsys):
-    eye = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
-    bad = tmp_path / "nan.json"
-    bad.write_text(json.dumps({"probs": [float("nan"), 0.5], "eve_states": [eye, eye]}))
-    code = main(["quantities", "--state", str(bad)])
-    err = capsys.readouterr().err
+_EYE = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+# the arguments that take each state-reading command past its own checks to the state
+_STATE_COMMANDS = {
+    "quantities": [],
+    "verify": ["--family", "toeplitz:q=2,k=1,m=1"],
+    "exponents": [],
+    "sweep": [],
+    "rates": [],
+}
+
+
+@pytest.mark.parametrize("command", list(_STATE_COMMANDS))
+@pytest.mark.parametrize(
+    "doc, invariant",
+    [
+        ({"probs": [float("nan"), 0.5], "eve_states": [_EYE, _EYE]}, "finite probabilities"),
+        # finite entries whose sum overflows a double
+        ({"probs": [1e308, 1e308], "eve_states": [[[[1, 0]]], [[[1, 0]]]]}, "probabilities sum to 1"),
+    ],
+    ids=["nan", "overflowing-sum"],
+)
+def test_nonfinite_probability_exit_3(tmp_path, capsys, command, doc, invariant):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main([command, "--state", str(bad), *_STATE_COMMANDS[command]])
+    captured = capsys.readouterr()
     assert code == 3
-    assert err.startswith("error: invalid state (finite probabilities):") and err.count("\n") == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid state ({invariant}):") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -729,3 +753,119 @@ def test_command_reruns_in_one_process_print_the_same_bytes(argv):
             assert main(argv) == 0
         outputs.append(buf.getvalue())
     assert outputs[0] == outputs[1] and outputs[0]
+
+
+# -- every invocation ends in a documented exit code ---------------------------------
+
+_EDGE_FLOATS = ["nan", "inf", "-inf", "1e400", "-1e400", "5e-324", "1e-320", "2.2250738585072014e-308", "0", "-0"]
+_EDGE_FLOATS += ["0.5", "1", "2", "4", "4.5", "-0.1", "1e-9"]
+_EDGE_NUMBERS = [0.0, -0.0, 0.5, 1.0, -1.0, 2, 1e308, -1e308, 5e-324, 1e-320, math.nan, math.inf, -math.inf, 10**400]
+_EDGE_NUMBERS += [True, None, "0.5", [], {}]
+_FAMILIES = [
+    "toeplitz:q=2,k=1,m=1",
+    "modified_toeplitz:q=2,k=2,m=1",
+    "toeplitz:q=2,k=2,m=2",
+    "toeplitz:q=2,k=3,m=1",
+    "toeplitz:q=3,k=1,m=1",
+    "toeplitz:q=2,k=40,m=1",
+    "toeplitz:q=1,k=1,m=1",
+    "toeplitz:q=2,k=0,m=1",
+    "toeplitz:q=2,k=1,m=0",
+    "toeplitz:q=2,k=1",
+    "toeplitz:q=2,k=1,m=1,m=1",
+    "toeplitz:q=nan,k=1,m=1",
+    "bogus:q=2,k=1,m=1",
+    "",
+]
+_GOOD_PRESETS = ["copy", "product", "tilted-qubit", "bb84(0.3)", "depolarized(0.3)", "depolarized(1.3333333333333333)"]
+_BAD_PRESETS = ["bb84(nan)", "bb84(inf)", "depolarized(1e400)", "depolarized(-1)", "bb84(5e-324)", "bb84()"]
+_BAD_PRESETS += ["product(1)", "nope", ""]
+_presets = hst.one_of(hst.sampled_from(_GOOD_PRESETS), hst.sampled_from(_BAD_PRESETS))
+_STEPS = ["-1", "0", "1", "2", "3", "65537", "1000000000"]  # a valid count stays small: each row costs time
+
+_floats = hst.one_of(hst.sampled_from(["0.1", "0.5", "1"]), hst.sampled_from(_EDGE_FLOATS))  # half of them valid
+_float_lists = hst.lists(_floats, max_size=3).map(",".join)
+_cells = hst.one_of(hst.lists(hst.sampled_from(_EDGE_NUMBERS), max_size=3), hst.sampled_from(_EDGE_NUMBERS))
+_matrices = hst.lists(hst.lists(_cells, max_size=2), max_size=2)
+
+
+@hst.composite
+def _square_states(draw):
+    """``{"probs", "eve_states"}`` of matching sizes, with edge numbers in some entries."""
+    n, d = draw(hst.integers(1, 3)), draw(hst.integers(1, 3))
+    number = hst.one_of(hst.floats(0.0, 1.0), hst.sampled_from(_EDGE_NUMBERS))
+    cell = hst.one_of(hst.tuples(number, number).map(list), _cells)
+    matrix = hst.lists(hst.lists(cell, min_size=d, max_size=d), min_size=d, max_size=d)
+    probs = draw(hst.lists(number, min_size=n, max_size=n))
+    return {"probs": probs, "eve_states": draw(hst.lists(matrix, min_size=n, max_size=n))}
+
+
+_documents = hst.one_of(
+    _square_states(),
+    hst.fixed_dictionaries(
+        {"probs": hst.lists(hst.sampled_from(_EDGE_NUMBERS), max_size=3), "eve_states": hst.lists(_matrices, max_size=3)}
+    ),
+    hst.fixed_dictionaries({"preset": hst.one_of(_presets, hst.sampled_from(_EDGE_NUMBERS))}),
+    hst.sampled_from(_EDGE_NUMBERS),
+).map(json.dumps)
+_texts = hst.one_of(_documents, hst.sampled_from(["", "{", "[" * 5000, '{"probs": [0.5, 0.5]}', "\x00"]))
+
+# values of every option of build_parser(); "{dir}" stands for the test's directory
+_OPTION_VALUES = {
+    "--preset": _presets,
+    "--state": hst.sampled_from(["{dir}/state.json", "{dir}/state.json", "{dir}/missing.json", "{dir}"]),
+    "--s": _float_lists,
+    "--r": _float_lists,
+    "--family": hst.sampled_from(_FAMILIES),
+    "--suite": hst.just("full"),
+    "--r-min": _floats,
+    "--r-max": _floats,
+    "--steps": hst.sampled_from(_STEPS),
+    "--output": hst.sampled_from(["{dir}/out.txt", "{dir}/missing/out.txt", "{dir}"]),
+    "--format": hst.sampled_from(["text", "json"]),
+    "--log-base": hst.sampled_from(["nats", "bits"]),
+}
+
+
+def _parser_options() -> dict[str, list[str]]:
+    """Each subcommand of ``build_parser()`` with the long form of every option it takes but ``--help``."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [max(a.option_strings, key=len) for a in parser._actions if a.option_strings and a.dest != "help"]
+        for name, parser in sub.choices.items()
+    }
+
+
+@hst.composite
+def _invocations(draw):
+    """``(argv, state document)``: a subcommand of ``build_parser()`` and some of its options, as ``--option=value``."""
+    command, options = draw(hst.sampled_from(sorted(_parser_options().items())))
+    argv = [command] + [f"{option}={draw(_OPTION_VALUES[option])}" for option in options if draw(hst.booleans())]
+    return argv, draw(_texts)
+
+
+_OVERFLOWING_SUM = json.dumps({"probs": [1e308, 1e308], "eve_states": [[[[1, 0]]], [[[1, 0]]]]})
+_TWO_DIMENSIONS = json.dumps({"probs": [0.5, 0.5], "eve_states": [[[[1, 0]]], _EYE]})  # eve states of two sizes
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@given(invocation=_invocations())
+@example(invocation=(["rates", "--state={dir}/state.json"], _OVERFLOWING_SUM))
+@example(invocation=(["quantities", "--state={dir}/state.json"], _TWO_DIMENSIONS))
+def test_every_invocation_exits_with_a_documented_code(cli_dir, invocation):
+    argv, text = invocation
+    (cli_dir / "state.json").write_text(text, encoding="utf-8")
+    argv = [arg.replace("{dir}", str(cli_dir)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(8), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code >= 2:  # an error; exit 1 is a verification that ran and failed, with its report
+        assert out.getvalue() == "", argv
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())
+        assert len(err.getvalue().encode()) < 200, (argv, err.getvalue())

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from qpa import quantities
 from qpa.cli import main
 from qpa.cqstate import make_cq_state, preset, random_cq, tensor_power
 from qpa.exponents import (
@@ -199,36 +198,40 @@ def test_curve_evaluates_each_search_grid_once(monkeypatch):
 
 
 def _count_kernel_calls(monkeypatch) -> collections.Counter:
-    """Counts of the moment, Renyi and phi kernel evaluations from now on, by kernel and order."""
+    """Counts of the Renyi moment, Renyi grid and phi evaluations from now on, by kind and order.
+
+    Counted through the public methods: the scalar ``renyi_cond`` and ``phi`` go through the grids.
+    """
     calls = collections.Counter()
-    moments, renyi = quantities._moments_from_terms, quantities._renyi_from_terms
-    phis = StateDecomposition._phi_and_slopes
+    for attr, kind in (("renyi_cond_moments", "moments"), ("phi_and_slope", "phi")):
+        original = getattr(StateDecomposition, attr)
 
-    def counted_moments(terms, s):
-        calls["moments", s] += 1
-        return moments(terms, s)
+        def counted_one(self, x, _original=original, _kind=kind):
+            calls[_kind, float(x)] += 1
+            return _original(self, x)
 
-    def counted_renyi(terms, s):
-        calls.update(("renyi", x) for x in s.tolist())
-        return renyi(terms, s)
+        monkeypatch.setattr(StateDecomposition, attr, counted_one)
+    grids = (("renyi_cond_grid", "renyi"), ("renyi_cond_bar_star_grid", "renyi_bar_star"), ("phi_grid", "phi"))
+    for attr, kind in grids:
+        original = getattr(StateDecomposition, attr)
 
-    def counted_phis(self, t_values):
-        calls.update(("phi", x) for x in np.asarray(t_values, dtype=float).tolist())
-        return phis(self, t_values)
+        def counted_grid(self, values, _original=original, _kind=kind):
+            calls.update((_kind, x) for x in np.asarray(values, dtype=float).tolist())
+            return _original(self, values)
 
-    monkeypatch.setattr(quantities, "_moments_from_terms", counted_moments)
-    monkeypatch.setattr(quantities, "_renyi_from_terms", counted_renyi)
-    monkeypatch.setattr(StateDecomposition, "_phi_and_slopes", counted_phis)
+        monkeypatch.setattr(StateDecomposition, attr, counted_grid)
     return calls
 
 
 def test_curve_evaluates_each_bracket_end_once(monkeypatch):
-    # every rate's roots start from s = 0, 1 and t = 0, 1/2; the curve evaluates each end once
+    # every rate's roots start from s = 0, 1 and t = 0, 1/2; the curve evaluates each end once,
+    # and reads H_{1+s} = -psi(s) / s from the moments, never from a Renyi grid
     state = random_cq(1, 4, 3)
     calls = _count_kernel_calls(monkeypatch)
     exponent_curve(state, 0.0, math.log(4), 201)
-    ends = [("moments", 0.0), ("moments", 1.0), ("renyi", 1.0), ("phi", 0.0), ("phi", 0.5)]
+    ends = [("moments", 0.0), ("moments", 1.0), ("phi", 0.0), ("phi", 0.5)]
     assert [calls[end] for end in ends] == [1] * len(ends)
+    assert {kind for kind, _ in calls} == {"moments", "phi"}
     assert calls.total() > 200  # the interior orders, evaluated as the roots ask
 
 

@@ -26,13 +26,10 @@ from qpa.quantities import (
     S_MIN,
     StateDecomposition,
     cond_entropy,
-    cond_entropy_bar,
     cond_entropy_bar_joint,
-    min_entropy,
     min_entropy_joint,
     mutual_info_variants,
     mutual_info_variants_joint,
-    phi_quantity,
     phi_quantity_joint,
     quantity_report,
     relative_entropies,
@@ -40,9 +37,7 @@ from qpa.quantities import (
     renyi_cond_bar_star,
     renyi_cond_bar_star_joint,
     renyi_cond_joint,
-    trace_distances,
     trace_distances_joint,
-    von_neumann_entropies,
 )
 from qpa.verification import default_corpus, verify_hashing_bounds
 
@@ -85,41 +80,41 @@ def test_tilted_qubit_matches_frozen_oracle():
 
 def test_product_closed_forms():
     st = preset("product")
-    ent = von_neumann_entropies(st)
-    assert ent["H_AE"] == pytest.approx(math.log(4), abs=1e-12)
-    assert ent["H_E"] == pytest.approx(LOG2, abs=1e-12)
+    dec = st.decomposition
+    assert dec.joint_entropy() == pytest.approx(math.log(4), abs=1e-12)
+    assert dec.eve_entropy() == pytest.approx(LOG2, abs=1e-12)
     assert cond_entropy(st) == pytest.approx(LOG2, abs=1e-12)
-    assert cond_entropy_bar(st) == pytest.approx(LOG2, abs=1e-12)
-    assert min_entropy(st) == pytest.approx(LOG2, abs=1e-12)
+    assert dec.cond_entropy_bar() == pytest.approx(LOG2, abs=1e-12)
+    assert dec.min_entropy() == pytest.approx(LOG2, abs=1e-12)
     for s in (0.1, 0.5, 1.0, 2.0, 4.0):
         assert renyi_cond(st, s) == pytest.approx(LOG2, abs=1e-12)
         assert renyi_cond_bar_star(st, s) == pytest.approx(LOG2, abs=1e-12)
     info = mutual_info_variants(st)
     assert all(abs(v) <= 1e-12 for v in info.values())
-    dist = trace_distances(st)
+    dist = dec.trace_distances()
     assert dist["d1"] == pytest.approx(0.0, abs=1e-12)
     assert dist["d1_prime"] == pytest.approx(0.0, abs=1e-12)
     for t in (0.0, 0.2, 0.5):
-        assert phi_quantity(st, t) == pytest.approx(-t * LOG2, abs=1e-12)
+        assert dec.phi(t) == pytest.approx(-t * LOG2, abs=1e-12)
 
 
 def test_copy_closed_forms():
     st = preset("copy")
-    ent = von_neumann_entropies(st)
-    assert ent["H_AE"] == pytest.approx(LOG2, abs=1e-12)
-    assert ent["H_E"] == pytest.approx(LOG2, abs=1e-12)
+    dec = st.decomposition
+    assert dec.joint_entropy() == pytest.approx(LOG2, abs=1e-12)
+    assert dec.eve_entropy() == pytest.approx(LOG2, abs=1e-12)
     assert cond_entropy(st) == pytest.approx(0.0, abs=1e-12)
-    assert cond_entropy_bar(st) == pytest.approx(0.0, abs=1e-12)
-    assert min_entropy(st) == pytest.approx(0.0, abs=1e-12)
+    assert dec.cond_entropy_bar() == pytest.approx(0.0, abs=1e-12)
+    assert dec.min_entropy() == pytest.approx(0.0, abs=1e-12)
     for s in (0.1, 0.5, 1.0):
         assert renyi_cond(st, s) == pytest.approx(0.0, abs=1e-12)
         assert renyi_cond_bar_star(st, s) == pytest.approx(0.0, abs=1e-12)
     info = mutual_info_variants(st)
     assert info["I"] == pytest.approx(LOG2, abs=1e-12)
     assert info["I_prime"] == pytest.approx(LOG2, abs=1e-12)
-    assert trace_distances(st)["d1_prime"] == pytest.approx(1.0, abs=1e-12)
+    assert dec.trace_distances()["d1_prime"] == pytest.approx(1.0, abs=1e-12)
     for t in (0.1, 0.4):
-        assert phi_quantity(st, t) == pytest.approx(0.0, abs=1e-12)
+        assert dec.phi(t) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.2, math.pi / 8, math.pi / 4])
@@ -127,15 +122,16 @@ def test_bb84_closed_forms(theta):
     # two orthonormal bases of pure states: the E marginal is maximally
     # mixed, so every conditional entropy collapses to log 2
     st = preset(f"bb84({theta})")
+    dec = st.decomposition
     assert np.allclose(st.rhos.sum(0) / 4, np.eye(2) / 2)
     assert cond_entropy(st) == pytest.approx(LOG2, abs=1e-12)
-    assert cond_entropy_bar(st) == pytest.approx(LOG2, abs=1e-12)
-    assert min_entropy(st) == pytest.approx(LOG2, abs=1e-12)
+    assert dec.cond_entropy_bar() == pytest.approx(LOG2, abs=1e-12)
+    assert dec.min_entropy() == pytest.approx(LOG2, abs=1e-12)
     for s in (0.25, 1.0):
         assert renyi_cond(st, s) == pytest.approx(LOG2, abs=1e-12)
         assert renyi_cond_bar_star(st, s) == pytest.approx(LOG2, abs=1e-12)
     assert mutual_info_variants(st)["I_prime"] == pytest.approx(LOG2, abs=1e-12)
-    assert trace_distances(st)["d1_prime"] == pytest.approx(1.0, abs=1e-12)
+    assert dec.trace_distances()["d1_prime"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_order_parameter_domains():
@@ -150,9 +146,9 @@ def test_order_parameter_domains():
     with pytest.raises(ValueError, match="cond_entropy_bar"):
         st.decomposition.renyi_cond_bar_star_grid([0.5, 0.0])
     with pytest.raises(ValueError):
-        phi_quantity(st, 0.95)
+        st.decomposition.phi(0.95)
     with pytest.raises(ValueError):
-        phi_quantity(st, -0.1)
+        st.decomposition.phi(-0.1)
 
 
 @pytest.mark.parametrize("s", [math.nan, -0.5, 10.0, math.inf], ids=["nan", "negative", "above-max", "inf"])
@@ -400,7 +396,7 @@ def test_commutative_reduction_matches_classical_oracle():
         got = quantity_report(st, s_values)
         expected = classical_quantities(probs, diags, s_values, t_values)
         for t in t_values:
-            got[f"phi({t:g})"] = phi_quantity(st, t)
+            got[f"phi({t:g})"] = st.decomposition.phi(t)
         for key, val in expected.items():
             assert got[key] == pytest.approx(val, abs=1e-10), (trial, key)
 
@@ -611,8 +607,7 @@ _GRID_STATES = [*(name for name, _ in default_corpus()), "complex_qubit_state.js
     orders=hst.lists(hst.one_of(hst.just(0.0), hst.floats(S_MIN, S_MAX)), min_size=1, max_size=40),
 )
 def test_grid_entries_equal_fresh_one_order_evaluations(corpus_states, lifted_complex_state, name, orders):
-    # the d_E = 32 lifted state has 32,768 Renyi terms, more than one chunk of
-    # _STACK_ENTRIES holds, so its grids go one order per chunk
+    # the lifted state has d_E = 32 and 32,768 Renyi terms
     state = lifted_complex_state if name not in corpus_states else corpus_states[name]
     dec = state.decomposition
     got = dec.renyi_cond_grid(orders).tolist()
@@ -622,15 +617,30 @@ def test_grid_entries_equal_fresh_one_order_evaluations(corpus_states, lifted_co
     assert [v.hex() for v in got] == [dec.renyi_cond_bar_star_grid([s])[0].hex() for s in positive]
 
 
+@given(
+    source=hst.one_of(hst.sampled_from([name for name, _ in default_corpus()]), hst.integers(0, 19)),
+    orders=hst.lists(hst.floats(S_MIN, S_MAX), min_size=1, max_size=20),
+)
+def test_renyi_values_and_moments_share_one_kernel(corpus_states, source, orders):
+    # H_{1+s} = -psi(s) / s bit for bit, whether read from the moments, one order or a grid
+    state = random_cq(source, 4, 3) if isinstance(source, int) else corpus_states[source]
+    dec = state.decomposition
+    one_point = [dec.renyi_cond(s).hex() for s in orders]
+    assert [(-dec.renyi_cond_moments(s)[0] / s).hex() for s in orders] == one_point
+    assert [v.hex() for v in dec.renyi_cond_grid(orders).tolist()] == one_point
+    bar = [v.hex() for v in dec.renyi_cond_bar_star_grid(orders).tolist()]
+    assert bar == [dec.renyi_cond_bar_star(s).hex() for s in orders]
+
+
 def test_pinsker_factor_two_holds_and_unfactored_form_fails(corpus_states):
     for name, st in corpus_states.items():
         info = mutual_info_variants(st)
-        dist = trace_distances(st)
+        dist = st.decomposition.trace_distances()
         assert dist["d1_prime"] ** 2 <= 2 * info["I_prime"] + 1e-9, name
         assert dist["d1"] ** 2 <= 2 * info["I"] + 1e-9, name
     # the unfactored variant is violated by the copy state, by a wide margin
     copy = corpus_states["copy"]
-    assert trace_distances(copy)["d1_prime"] ** 2 > mutual_info_variants(copy)["I_prime"] + 0.3
+    assert copy.decomposition.trace_distances()["d1_prime"] ** 2 > mutual_info_variants(copy)["I_prime"] + 0.3
 
 
 def test_quantity_report_invariants(corpus_states):

@@ -499,35 +499,38 @@ def test_full_suite_evaluates_each_order_once(monkeypatch):
     # state and kind holds the grid orders and the state's roots, and
     # toeplitz and modified_toeplitz of one (state, M) share one root
     grids, moments, roots = [], [], []
-    original, original_moments, original_root = qmod._renyi_from_terms, vmod._moments_from_terms, vmod.increasing_root
+    for attr in ("renyi_cond_grid", "renyi_cond_bar_star_grid"):
+        original = getattr(StateDecomposition, attr)
 
-    def counted(terms, s):
-        grids.append((terms, np.ravel(s).tolist()))  # the terms stay alive, so ids stay distinct
-        return original(terms, s)
+        def counted(self, s_values, _original=original, _attr=attr):
+            grids.append(((self, _attr), np.ravel(s_values).tolist()))  # the decompositions stay alive
+            return _original(self, s_values)
 
-    def counted_moments(terms, s):
-        moments.append((terms, s))
-        return original_moments(terms, s)
+        monkeypatch.setattr(StateDecomposition, attr, counted)
+    original_moments, original_root = StateDecomposition.renyi_cond_moments, vmod.increasing_root
+
+    def counted_moments(self, s):
+        moments.append((self, s))
+        return original_moments(self, s)
 
     def counted_root(fn, lo, hi):
         roots.append((lo, hi))
         return original_root(fn, lo, hi)
 
-    monkeypatch.setattr(qmod, "_renyi_from_terms", counted)
-    monkeypatch.setattr(vmod, "_moments_from_terms", counted_moments)
+    monkeypatch.setattr(StateDecomposition, "renyi_cond_moments", counted_moments)
     monkeypatch.setattr(vmod, "increasing_root", counted_root)
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
-    # at most one grid call per (state, kind): a state's Renyi and Hbar* terms are each one object
-    assert len(grids) == len({id(terms) for terms, _ in grids}) == 2 * 29
+    # at most one grid call per (state, kind)
+    assert len(grids) == len({(id(dec), kind) for (dec, kind), _ in grids}) == 2 * 29
     assert all(orders[: len(DEFAULT_S_GRID)] == list(DEFAULT_S_GRID) for _, orders in grids)
     # one evaluation per distinct (state, kind, order), grid orders and roots alike: a root
     # clamped to 1 reads the grid's order 1
-    evaluated = [(id(terms), s) for terms, orders in grids for s in orders]
+    evaluated = [(id(dec), kind, s) for (dec, kind), orders in grids for s in orders]
     assert len(evaluated) == len(set(evaluated)) == 619
     # one root per (state, M) over (S_MIN, 1], whose steps evaluate each order of a state once
     assert roots == [(qmod.S_MIN, 1.0)] * 54
-    assert len(moments) == len({(id(terms), s) for terms, s in moments}) == 420
+    assert len(moments) == len({(id(dec), s) for dec, s in moments}) == 420
 
 
 def test_clamped_root_reads_the_same_bits_from_the_grid_and_the_root():
