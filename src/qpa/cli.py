@@ -27,11 +27,14 @@ from .cqstate import (
     AlphabetMismatchError,
     StateFormatError,
     StateValidationError,
+    joint_density,
     load_state_json,
+    make_cq_state,
     preset,
+    tensor_power,
 )
 from .exponents import fmt
-from .hashing import collision_stats, make_family, parse_family
+from .hashing import collision_stats, make_family, member_function, parse_family
 from .hermitian import EigenConvergenceError, SizeCapError, eig_hermitian, matrix_log, matrix_power, pinch, tensor
 
 EXIT_OK = 0
@@ -129,8 +132,6 @@ def _lift_to_domain(state, domain: int):
     """Tensor-power a state so its alphabet matches a family domain."""
     if domain == state.alphabet_size:
         return state
-    from .cqstate import tensor_power
-
     size = state.alphabet_size
     power = 1
     while 1 < size < domain:
@@ -226,8 +227,6 @@ def _selftest_checks():
     yield "pinch kills off-diagonals", np.allclose(pinch(np.diag([1 / 3, 2 / 3]), pauli_x), 0.0)
 
     # state layer
-    from .cqstate import joint_density, make_cq_state
-
     copy = preset("copy")
     product = preset("product")
     yield "copy joint density", np.allclose(joint_density(copy), np.diag([0.5, 0.0, 0.0, 0.5]))
@@ -259,8 +258,6 @@ def _selftest_checks():
     yield "toeplitz family is universal_2", collision_stats(fam).is_universal2
     mod = make_family("modified_toeplitz", 2, 2, 1)
     yield "modified q=2,k=2,m=1 has 2 members", mod.member_count == 2
-    from .hashing import member_function
-
     yield "modified member X=1 table", member_function(mod, 1).table == (0, 1, 1, 0)
     yield "modified q=3,k=3,m=1 has 9 members", make_family("modified_toeplitz", 3, 3, 1).member_count == 9
 
@@ -269,8 +266,6 @@ def _selftest_checks():
     yield "hashing bound rhs, copy M=2 s=1", close(vmod.avg_leak_bound_rhs(copy, 2, 1.0), 2.0)
     yield "finite-size bound, copy M=2 s=1", close(vmod.finite_size_bound(copy, 2, 1.0), 2 * LOG2)
     yield "finite-size bound, product M=2 s=1", close(vmod.finite_size_bound(product, 2, 1.0), LOG2)
-    from .cqstate import tensor_power
-
     product2 = tensor_power(product, 2)
     rep1 = vmod.verify_avg_leak_bound(product2, mod, name="product^2")
     yield "hashing bound I', product^2", rep1.passed and close(rep1.lhs, 0.0)

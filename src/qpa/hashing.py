@@ -95,20 +95,25 @@ def _toeplitz_index_grid(rows: int, cols: int) -> np.ndarray:
     return i - j + cols - 1
 
 
+def clipped(value, limit: int = 60) -> str:
+    """``str(value)`` cut to ``limit`` characters, ending in ``...`` when cut, for an error that echoes an input."""
+    return text if len(text := str(value)) <= limit else text[: limit - 3] + "..."
+
+
 def make_family(kind: str, q: int, k: int, m: int) -> HashFamily:
     """Family descriptor for the Toeplitz or Toeplitz-identity construction."""
     if q not in SUPPORTED_PRIMES:
-        raise ValueError(f"field order {q} not a supported prime {SUPPORTED_PRIMES}")
+        raise ValueError(f"field order {clipped(q)} not a supported prime {SUPPORTED_PRIMES}")
     if not (1 <= m <= k):
-        raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
+        raise ValueError(f"need 1 <= m <= k, got m={clipped(m)}, k={clipped(k)}")
     if k >= DOMAIN_CAP.bit_length() or q**k > DOMAIN_CAP:  # q >= 2: a huge k fails before any q**k
-        raise SizeCapError(f"domain size q^k = {q}^{k} exceeds cap {DOMAIN_CAP}")
+        raise SizeCapError(f"domain size q^k = {q}^{clipped(k)} exceeds cap {DOMAIN_CAP}")
     if kind == KIND_TOEPLITZ:
         count = q ** (m + k - 1)
     elif kind == KIND_MODIFIED:
         count = q ** (k - 1)
     else:
-        raise ValueError(f"unknown family kind {kind!r}")
+        raise ValueError(f"unknown family kind {clipped(kind)!r}")
     if count > MEMBER_CAP:
         raise SizeCapError(f"member count {count} exceeds cap {MEMBER_CAP}")
     return HashFamily(kind, q, k, m, q**k, q**m, count)
@@ -278,21 +283,19 @@ def parse_family(descriptor: str) -> HashFamily:
     kind, _, rest = descriptor.partition(":")
     kind = kind.strip()
     if kind not in (KIND_TOEPLITZ, KIND_MODIFIED):
-        raise ValueError(f"unknown family kind {kind!r} in {descriptor!r}")
+        raise ValueError(f"unknown family kind {clipped(kind)!r} in {clipped(descriptor)!r}")
     fields = {}
-    for part in rest.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, rest.split(","))):
         key, _, val = part.partition("=")
         key = key.strip()
         if key not in ("q", "k", "m") or key in fields:
-            raise ValueError(f"{'repeated' if key in fields else 'unknown'} family field {key!r} in {descriptor!r}")
+            which = "repeated" if key in fields else "unknown"
+            raise ValueError(f"{which} family field {clipped(key)!r} in {clipped(descriptor)!r}")
         try:
             fields[key] = int(val)
         except ValueError as exc:
-            raise ValueError(f"bad family field {part!r} in {descriptor!r}") from exc
+            raise ValueError(f"bad family field {clipped(part)!r} in {clipped(descriptor)!r}") from exc
     missing = {"q", "k", "m"} - fields.keys()
     if missing:
-        raise ValueError(f"family descriptor {descriptor!r} missing {sorted(missing)}")
+        raise ValueError(f"family descriptor {clipped(descriptor)!r} missing {sorted(missing)}")
     return make_family(kind, fields["q"], fields["k"], fields["m"])

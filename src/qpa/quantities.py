@@ -104,30 +104,33 @@ def _check_order_keys(orders) -> None:
 
 
 def _normalised_terms(offs: np.ndarray, slopes: np.ndarray, log_mass: float = 0.0):
-    """``(w, g, log_mass)`` with ``w_k = exp(off_k) / sum_j exp(off_j)``, for ``_renyi_moments``."""
+    """``(w, g, log_mass)`` with ``w_k = exp(off_k) / sum_j exp(off_j)``, for ``_renyi_psi``."""
     weights = np.exp(offs - offs.max())
     return weights / weights.sum(), slopes, log_mass
 
 
-def _renyi_moments(terms, s: float) -> tuple[float, float]:
-    """``(psi, psi')`` at one order s of ``psi(s) = log(sum_k exp(off_k + s g_k))``, which is ``-s H_{1+s}``.
+def _renyi_psi(terms, s: float) -> tuple[np.ndarray, float, float]:
+    """``(grow, total, psi)`` at one order s of ``psi(s) = log(sum_k exp(off_k + s g_k))``, which is ``-s H_{1+s}``.
 
-    Evaluated as ``log_mass + log1p(sum_k w_k expm1(s g_k))`` over the cached
-    ``_normalised_terms``, which stays accurate as ``s -> 0``: the sum is
-    ``O(s)`` and holds no rounding error of ``sum_k exp(off_k)``, which
-    ``-psi / s`` would amplify by ``1/s``. That sum is the mass of the state,
-    one up to rounding (within 2.6e-15 over the states that
-    ``verify --suite full`` decomposes), so taking it as exactly one changes
-    values only at rounding level; a genuine shortfall enters as ``log_mass``.
-    ``psi'`` is the mean of the slopes ``g_k`` under the tilted weights
-    ``w_k exp(s g_k) / exp(psi)``, and ``psi''`` their variance, so ``psi``
-    is convex. Every ``H_{1+s}``, ``Hbar*_{1+s}`` and ``psi'`` of a decomposition comes from here.
+    ``psi = log_mass + log1p(total)`` for ``total = sum_k w_k grow_k`` and ``grow_k = expm1(s g_k)`` over the
+    cached ``_normalised_terms``, which stays accurate as ``s -> 0``: the sum is ``O(s)`` and holds no rounding
+    error of ``sum_k exp(off_k)``, which ``-psi / s`` would amplify by ``1/s``. That sum is the mass of the state,
+    one up to rounding (within 2.6e-15 over the states that ``verify --suite full`` decomposes), so taking it as
+    exactly one changes values only at rounding level; a genuine shortfall enters as ``log_mass``. Every
+    ``H_{1+s}`` and ``Hbar*_{1+s}`` of a decomposition comes from here, and every ``psi'`` from ``_renyi_moments``.
     """
     weights, slopes, log_mass = terms
     grow = np.expm1(s * slopes)
     total = float(grow @ weights)
-    tilted = weights * (1.0 + grow) / (1.0 + total)
-    return log_mass + float(np.log1p(total)), float(tilted @ slopes)
+    return grow, total, log_mass + float(np.log1p(total))
+
+
+def _renyi_moments(terms, s: float) -> tuple[float, float]:
+    """``(psi, psi')`` at one order s: ``psi'`` is the mean of the slopes ``g_k`` under the tilted weights
+    ``w_k exp(s g_k) / exp(psi)``, and ``psi''`` their variance, so ``psi`` is convex."""
+    weights, slopes, _ = terms
+    grow, total, psi = _renyi_psi(terms, s)
+    return psi, float(weights * (1.0 + grow) / (1.0 + total) @ slopes)
 
 
 class DecompositionStack:
@@ -165,6 +168,12 @@ class DecompositionStack:
         self.xi_weight = np.maximum(np.real(np.sum(w.conj() * (rhos @ w), axis=-2)), 0.0)
         self.xi_support = xi > SUPPORT_RTOL * xi[..., -1:]
 
+    @classmethod
+    def of_states(cls, states) -> "DecompositionStack":
+        """The stack of states of one ``(|A|, d)`` shape, one row each, from their validation eigensystems."""
+        lam, basis = (np.stack(arrays) for arrays in zip(*(state.eve_eigh for state in states)))
+        return cls(np.stack([state.probs for state in states]), np.stack([state.rhos for state in states]), lam, basis)
+
     def mutual_info_variants(self) -> list[dict[str, float]]:
         """:meth:`StateDecomposition.mutual_info_variants` of every row.
 
@@ -201,6 +210,8 @@ class DecompositionStack:
             out.append({"I": i_val, "I_prime": i_prime, "I_bar": i_bar, "I_bar_prime": i_bar_prime})
         return out
 
+    _mutual_info = functools.cached_property(mutual_info_variants)  # for StateDecomposition, once per stack
+
 
 class StateDecomposition:
     """Spectral data of one state, shared by every blockwise formula.
@@ -208,21 +219,21 @@ class StateDecomposition:
     Holds the eigensystems of each ``rho_a`` and of the E marginal, the
     squared overlaps between them, and the eigensystem of each sandwiched
     block ``(rho^E)^{-1/2} rho_a (rho^E)^{-1/2}``, all as arrays with one
-    row per symbol: the one-row case of :class:`DecompositionStack`. Each
-    state builds one on first use (``CQState.decomposition``), and every
+    row per symbol: row ``row`` of a :class:`DecompositionStack`, by default
+    of the state's own one-row stack. Each state gets one on first use
+    (``CQState.decomposition``) or from :func:`decompose`, and every
     quantity, check and exponent on the state reads it.
     """
 
-    def __init__(self, state: CQState):
+    def __init__(self, state: CQState, stack: DecompositionStack | None = None, row: int = 0):
         self.rhos = state.rhos  # not the state itself, which holds this decomposition
         self.alphabet_size = state.alphabet_size
         self.probs = state.probs
-        lam, u = state.eve_eigh  # from the state's validation
-        self._stack = rows = DecompositionStack(state.probs[None], state.rhos[None], lam[None], u[None])
+        self._stack, self._row = stack or DecompositionStack.of_states([state]), row
         for name in ("eve_mat", "eve_vectors", "mu", "eve_support", "lam", "overlap", "xi", "xi_weight", "xi_support"):
-            setattr(self, name, getattr(rows, name)[0])
-        self._basis = rows.basis[0]
-        self.eve_clusters = cluster_ranges(rows.eve_values[0])
+            setattr(self, name, getattr(self._stack, name)[row])
+        self._basis = self._stack.basis[row]
+        self.eve_clusters = cluster_ranges(self._stack.eve_values[row])
         self.v_count = len(self.eve_clusters)
 
     # positive terms exp(off + s * g) of the two Renyi traces, flattened in
@@ -294,7 +305,7 @@ class StateDecomposition:
         """``H_{1+s}(A|E) = -psi(s) / s`` over an array of orders in ``[0, S_MAX]``; s = 0
         entries take the von Neumann limit."""
         orders = _check_order(_grid(s_values), allow_zero=True)
-        return np.array([-_renyi_moments(self._renyi_terms, s)[0] / s if s else self.cond_entropy() for s in orders])
+        return np.array([-_renyi_psi(self._renyi_terms, s)[2] / s if s else self.cond_entropy() for s in orders])
 
     def renyi_cond_moments(self, s: float) -> tuple[float, float]:
         """``(psi, psi')`` of the convex ``psi(s) = -s H_{1+s}(A|E)`` at one order s."""
@@ -304,7 +315,7 @@ class StateDecomposition:
     def renyi_cond_bar_star_grid(self, s_values) -> np.ndarray:
         """``Hbar*_{1+s}(A|E)`` over an array of orders in ``(0, S_MAX]``."""
         orders = _check_order(_grid(s_values), allow_zero=False)
-        return np.array([-_renyi_moments(self._bar_terms, s)[0] / s for s in orders])
+        return np.array([-_renyi_psi(self._bar_terms, s)[2] / s for s in orders])
 
     def min_entropy(self) -> float:
         return -math.log(float(np.max(self.probs * self.xi[:, -1])))
@@ -312,7 +323,7 @@ class StateDecomposition:
     # -- mutual information layer -------------------------------------------
 
     def mutual_info_variants(self) -> dict[str, float]:
-        return self._stack.mutual_info_variants()[0]
+        return dict(self._stack._mutual_info[self._row])
 
     # -- distances and the phi functional ------------------------------------
 
@@ -368,6 +379,18 @@ class StateDecomposition:
             mean_log_w = np.abs(vh[:, :rank]) ** 2 @ log_w
             slope[i : i + step] = np.sum(powers * (alpha * mean_log_w - _log_positive(eta)), axis=1) / trace
         return phi, slope
+
+
+def decompose(states) -> None:
+    """Give each state that has no decomposition yet one, as a row of one stack per ``(|A|, d)`` shape."""
+    groups = {}
+    for state in states:
+        if state._decomposition is None:
+            groups.setdefault((state.alphabet_size, state.eve_dim), {})[state] = None  # a dict: repeats once
+    for group in groups.values():
+        stack = DecompositionStack.of_states(list(group))
+        for row, state in enumerate(group):
+            state._decomposition = StateDecomposition(state, stack, row)
 
 
 # -- public operation surface ------------------------------------------------

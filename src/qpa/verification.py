@@ -19,10 +19,18 @@ import math
 import numpy as np
 
 from .cqstate import AlphabetMismatchError, CQState, checked_states, hashed_blocks, preset, random_cq, tensor_power
-from .hashing import HashFamily, make_family, member_tables
+from .hashing import HashFamily, clipped, make_family, member_tables
 from .hermitian import SUPPORT_RTOL, eigh_batch, hermitian_entries
 from .optimize import increasing_root
-from .quantities import _STACK_ENTRIES, S_MIN, DecompositionStack, StateDecomposition, _check_order, _check_order_keys
+from .quantities import (
+    _STACK_ENTRIES,
+    S_MIN,
+    DecompositionStack,
+    StateDecomposition,
+    _check_order,
+    _check_order_keys,
+    decompose,
+)
 
 SLACK_TOL = 1e-9
 
@@ -59,7 +67,7 @@ class BoundReport:
 def check_s_grid(s_grid) -> tuple[float, ...]:
     grid = tuple(float(s) for s in s_grid)
     if not grid or any(not (0.0 < s <= 1.0) for s in grid):
-        raise ValueError(f"the hashing bounds hold for s in (0, 1]; got grid {s_grid}")
+        raise ValueError(f"the hashing bounds hold for s in (0, 1]; got grid {clipped(s_grid)}")
     _check_order(grid, allow_zero=False)  # rejects a subnormal order
     _check_order_keys(grid)
     return grid
@@ -294,8 +302,8 @@ def stacked_matrix_lemma_checks(seeds, dim: int, s_grid=DEFAULT_S_GRID) -> list[
     a grid that is empty or leaves ``(0, 1]``.
     """
     grid = check_s_grid(s_grid)
-    gs = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for rng in map(np.random.default_rng, seeds)]
-    xs = hermitian_entries([g @ g.conj().T for g in gs], 3, atol=None)
+    zs = [rng.normal(size=(2, dim, dim)) for rng in map(np.random.default_rng, seeds)]  # one draw: real, imaginary
+    xs = hermitian_entries([g @ g.conj().T for g in (z[0] + 1j * z[1] for z in zs)], 3, atol=None)
     power_gap, log_gap = _lemma_gaps(eigh_batch(xs)[0], grid)
     return [
         LemmaReport(p, q, p >= -SLACK_TOL and q >= -SLACK_TOL)
@@ -377,6 +385,7 @@ def families_for(alphabet_size: int) -> list[HashFamily]:
 def run_full_suite() -> list[BoundReport]:
     """Both hashing bounds over the whole corpus, plus lemma and pinching checks."""
     corpus = default_corpus()
+    decompose(state for _, state in corpus)  # one stack per (|A|, d) shape
     pairs = [(name, state, family) for name, state in corpus for family in families_for(state.alphabet_size)]
     reports = [rep for both in _hashing_reports(pairs, DEFAULT_S_GRID) for rep in both]
 

@@ -856,6 +856,9 @@ def cli_dir(tmp_path_factory):
 @given(invocation=_invocations())
 @example(invocation=(["rates", "--state={dir}/state.json"], _OVERFLOWING_SUM))
 @example(invocation=(["quantities", "--state={dir}/state.json"], _TWO_DIMENSIONS))
+# echoed inputs are cut: a 40-order grid, and a 300-digit m
+@example(invocation=(["verify", "--preset=copy", "--family=toeplitz:q=2,k=1,m=1", "--s=" + ",".join(["2"] * 40)], ""))
+@example(invocation=(["verify", "--preset=copy", "--family=toeplitz:q=2,k=1,m=" + "9" * 300], ""))
 def test_every_invocation_exits_with_a_documented_code(cli_dir, invocation):
     argv, text = invocation
     (cli_dir / "state.json").write_text(text, encoding="utf-8")

@@ -21,7 +21,7 @@ from qpa.cli import main
 from qpa.cqstate import CQState, random_cq, tensor_power
 from qpa.hashing import make_explicit_family, make_family
 from qpa.hermitian import EigenConvergenceError, eigh_batch
-from qpa.quantities import DecompositionStack
+from qpa.quantities import DecompositionStack, StateDecomposition, decompose
 import qpa.verification as vmod
 from qpa.verification import (
     DEFAULT_S_GRID,
@@ -216,6 +216,54 @@ def test_stacked_sandwich_weights_equal_the_one_row_stacks(specs, n_sym, eve_dim
         alone = _decomposition_stack([state])
         assert np.array_equal(stack.xi_weight[row], alone.xi_weight[0])
         assert np.array_equal(stack.xi[row], alone.xi[0])
+
+
+_PRESETS = ["copy", "product", "tilted-qubit", "bb84(0.39269908169872414)", "depolarized(0.3)"]
+_STATES = st.one_of(
+    st.builds(random_cq, st.integers(0, 2**16), st.sampled_from([2, 3, 4]), st.sampled_from([2, 3])),
+    st.sampled_from(_PRESETS).map(cqstate.preset),  # copy: a rank-deficient rho^E in each row
+    st.builds(pure_eve_state),  # a rank-one rho^E
+)
+
+
+@st.composite
+def _mixed_states(draw):
+    """States of mixed ``(|A|, d)`` shapes, some of them tensor squares, then some of them again."""
+    squares = _STATES.map(lambda state: tensor_power(state, 2))
+    states = draw(st.lists(st.one_of(_STATES, squares), min_size=1, max_size=8))
+    return states + draw(st.lists(st.sampled_from(states), max_size=3))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40)
+@given(states=_mixed_states())
+def test_decompose_rows_equal_the_one_state_decompositions(states):
+    decompose(states)
+    first = [state.decomposition for state in states]
+    decompose(states)  # a state that has its decomposition keeps it
+    assert all(state.decomposition is dec for state, dec in zip(states, first))
+    orders, t_values = [0.0, 1e-9, 0.1, 0.5, 1.0, 4.0], [0.0, 0.25, 0.5, 0.9]
+    for state in states:
+        row, alone = state.decomposition, StateDecomposition(state)
+        arrays = {name: value for name, value in vars(alone).items() if isinstance(value, np.ndarray)}
+        assert {"rhos", "probs", "eve_mat", "lam", "overlap", "xi", "xi_weight", "_basis"} <= arrays.keys()
+        for name, value in arrays.items():
+            assert _same_bits(getattr(row, name), value), name
+        assert (row.eve_clusters, row.v_count) == (alone.eve_clusters, alone.v_count)
+        assert _same_bits(row.renyi_cond_grid(orders), alone.renyi_cond_grid(orders))
+        assert _same_bits(row.renyi_cond_bar_star_grid(orders[1:]), alone.renyi_cond_bar_star_grid(orders[1:]))
+        for s in orders:
+            assert _same_bits(row.renyi_cond_moments(s), alone.renyi_cond_moments(s))
+        for t in t_values:
+            assert _same_bits(row.phi_and_slope(t), alone.phi_and_slope(t))
+        info = row.mutual_info_variants()
+        assert info == alone.mutual_info_variants()
+        info["I"] = math.nan  # each call returns its own dict
+        assert row.mutual_info_variants() == alone.mutual_info_variants()
 
 
 @pytest.mark.parametrize(

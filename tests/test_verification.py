@@ -576,9 +576,9 @@ def test_full_suite_decomposes_each_state_once(monkeypatch):
     decomposed = []
     original = StateDecomposition.__init__
 
-    def counted(self, state):
+    def counted(self, state, *args):
         decomposed.append(state)
-        original(self, state)
+        original(self, state, *args)
 
     monkeypatch.setattr(StateDecomposition, "__init__", counted)
     reports = run_full_suite()
@@ -588,9 +588,9 @@ def test_full_suite_decomposes_each_state_once(monkeypatch):
 
 def test_full_suite_eigenproblem_count(monkeypatch):
     # 30 validations building the corpus (depolarized(0.3) validates its tilted
-    # base too), 2 per corpus decomposition, and 3 per stack of the family pass
+    # base too), 2 per corpus shape (|A|, d) (4), and 3 per stack of the family pass
     # (one per (M, d): 6) and of the pinching checks (one per (|A|, d): 4), plus
-    # one per lemma dimension (5): 30 + 58 + 18 + 12 + 5
+    # one per lemma dimension (5): 30 + 8 + 18 + 12 + 5
     shapes = []
     original = np.linalg.eigh
 
@@ -601,7 +601,7 @@ def test_full_suite_eigenproblem_count(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
-    assert len(shapes) == 123
+    assert len(shapes) == 73
 
 
 def _rebuilt(state: CQState) -> CQState:
