@@ -27,6 +27,7 @@ from .cqstate import (
     AlphabetMismatchError,
     StateFormatError,
     StateValidationError,
+    clipped,
     joint_density,
     load_state_json,
     make_cq_state,
@@ -59,14 +60,19 @@ def _load_state(args):
 
 
 def _parse_floats(text: str) -> list[float]:
-    # + 0.0 turns a parsed -0 into 0, which every output then prints and keys as 0
-    return [float(part) + 0.0 for part in text.split(",") if part.strip()]
+    values = []
+    for part in filter(str.strip, text.split(",")):
+        try:  # + 0.0 turns a parsed -0 into 0, which every output then prints and keys as 0
+            values.append(float(part) + 0.0)
+        except ValueError:
+            raise ValueError(f"could not convert string to float: {clipped(part)!r}") from None
+    return values
 
 
 def _parse_rates(text: str) -> list[float]:
     rates = _parse_floats(text)
     if not rates:
-        raise ValueError(f"--r needs at least one key rate, got {text!r}")
+        raise ValueError(f"--r needs at least one key rate, got {clipped(text)!r}")
     return rates
 
 

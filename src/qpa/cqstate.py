@@ -27,6 +27,11 @@ from .hermitian import (
 PROB_ATOL = 1e-10
 
 
+def clipped(value, limit: int = 60) -> str:
+    """``str(value)`` cut to ``limit`` characters, ending in ``...`` when cut, for an error that echoes an input."""
+    return text if len(text := str(value)) <= limit else text[: limit - 3] + "..."
+
+
 class StateValidationError(ValueError):
     """A classical-quantum state violates one of its invariants."""
 
@@ -354,9 +359,9 @@ def preset(name: str) -> CQState:
         try:
             param = float(rest[:-1])
         except ValueError as exc:
-            raise ValueError(f"bad preset parameter in {name!r}") from exc
+            raise ValueError(f"bad preset parameter in {clipped(name)!r}") from exc
     if base not in _PRESETS:
-        raise ValueError(f"unknown preset {base!r}; known: {sorted(_PRESETS)}")
+        raise ValueError(f"unknown preset {clipped(base)!r}; known: {sorted(_PRESETS)}")
     builder, parameter = _PRESETS[base]
     if parameter is None:
         if param is not None:

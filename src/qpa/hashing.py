@@ -6,23 +6,17 @@ only ``k - 1`` field elements of randomness for input length ``k``. Domain
 symbols are identified with ``{0 .. q^k - 1}`` through little-endian base-q
 digits (digit 0 is least significant), and output digit vectors combine the
 same way; classical alphabets must use the same indexing.
-``member_tables`` enumerates members by parameter index as one ``(members, |A|)``
-array over the family's uint8 digit table; ``member_function`` is its one-member case.
 
-Collision probabilities are certified with exact integer counting; the
-universal_2 property is a combinatorial claim, so no floating tolerance is
-acceptable there; for the matrix kinds each nonzero input difference is one
-linear system over F_q, whose row i holds the difference's reversed Toeplitz
-digits (from the same digit table) as one contiguous block from column i on,
-and all of a family's differences are row-reduced mod q in one stack. The
-elimination walks the m rows, not the parameter columns, since a system has far
-fewer rows: each row, scaled to a leading 1 at its first nonzero left entry,
-clears that column from the rows below it, unless no later row of any system is
-nonzero there (as in every difference system: row i pivots at its highest
-nonzero digit, one column right of row i - 1), and a row left zero on the left
-with a nonzero rhs makes its system inconsistent. Pivots come from one weighted
-max, the later rows' pivot entries from one flat-index gather, and each
-reduction mod q is a multiply-high.
+A matrix member is linear in its parameter vector, so one band encodes the
+whole family: ``_difference_systems`` writes, for each input ``a``, the
+linear system over F_q whose solutions are the members sending ``a`` to
+zero. ``member_tables`` reads every member's outputs off that band, taken
+over the whole domain, and ``member_function`` is its one-member case.
+``collision_stats`` row-reduces the same band over the nonzero input
+differences in one stack and counts each system's solutions exactly, since
+``f(a1) = f(a2)`` iff ``f(a1 - a2) = 0``; the universal_2 property is a
+combinatorial claim, so no floating tolerance is acceptable there. The
+certificate thus covers the very members that are hashed.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cqstate import ClassicalFunction
+from .cqstate import ClassicalFunction, clipped
 from .hermitian import SizeCapError
 
 SUPPORTED_PRIMES = (2, 3, 5)
@@ -71,9 +65,8 @@ class HashFamily:
 
 
 def _digits(x, q: int, width: int) -> np.ndarray:
-    """Little-endian base-q digits of an int or an int array, on a new last axis."""
-    x = np.asarray(x, dtype=np.int64)
-    return np.stack([(x // q**i) % q for i in range(width)], axis=-1)
+    """Little-endian base-q digits of an int or an int array, on a new last axis (of length 0 for width 0)."""
+    return (np.asarray(x, dtype=np.int64)[..., None] // q ** np.arange(width, dtype=np.int64)) % q
 
 
 def _digit_table(q: int, width: int) -> np.ndarray:
@@ -86,18 +79,6 @@ def _mod_q(x: np.ndarray, q: int) -> np.ndarray:
     """``x % q`` for uint8 entries up to (q - 1) + (q - 1)**2, where ``(x * ceil(256 / q)) >> 8`` is ``x // q``."""
     quotient = (x.astype(_REDUCTION_DTYPE) * _REDUCTION_DTYPE(-(-256 // q))) >> _REDUCTION_DTYPE(8)
     return x - quotient.astype(_KERNEL_DTYPE) * _KERNEL_DTYPE(q)
-
-
-def _toeplitz_index_grid(rows: int, cols: int) -> np.ndarray:
-    """Map (i, j) to the diagonal-parameter index ``i - j + cols - 1``."""
-    i = np.arange(rows)[:, None]
-    j = np.arange(cols)[None, :]
-    return i - j + cols - 1
-
-
-def clipped(value, limit: int = 60) -> str:
-    """``str(value)`` cut to ``limit`` characters, ending in ``...`` when cut, for an error that echoes an input."""
-    return text if len(text := str(value)) <= limit else text[: limit - 3] + "..."
 
 
 def make_family(kind: str, q: int, k: int, m: int) -> HashFamily:
@@ -142,33 +123,26 @@ def _toeplitz_block(family: HashFamily) -> tuple[int, int]:
     return width, family.m + width - 1
 
 
-def _member_matrices(family: HashFamily, indices: np.ndarray) -> np.ndarray:
-    """Members' m x k matrices over F_q, one per index: the Toeplitz block, then the identity block if any."""
-    m = family.m
-    width, n_params = _toeplitz_block(family)
-    mats = np.zeros((len(indices), m, family.k), dtype=np.int64)
-    if width:  # a Toeplitz-identity family with k = m has no Toeplitz block
-        mats[:, :, :width] = _digits(indices, family.q, n_params)[:, _toeplitz_index_grid(m, width)]
-    if family.kind == KIND_MODIFIED:
-        mats[:, :, width:] = np.eye(m, dtype=np.int64)
-    return mats
-
-
 def member_tables(family: HashFamily, start: int, stop: int) -> np.ndarray:
     """Input-to-output tables of members ``start .. stop - 1`` at once, as a (members, |A|) array.
 
-    For the matrix kinds, row ``x`` holds the output indices of ``dom @ mat_x.T % q``
-    over the base-q digits of every input; explicit lists give their tables.
+    For the matrix kinds, member ``x`` reads its output digits off the band
+    that ``collision_stats`` solves, taken over every input ``a``: digit i is
+    ``(sum_p x_p B[p, i, a] - B[-1, i, a]) mod q``, zero exactly when ``x``
+    solves ``a``'s system. Explicit lists give their tables.
     """
     if not (0 <= start < stop <= family.member_count):
         raise ValueError(f"member range {start}..{stop - 1} outside 0..{family.member_count - 1}")
     if family.kind == KIND_EXPLICIT:
         return np.array(family.tables[start:stop], dtype=np.int64)
-    q, k, m = family.q, family.k, family.m
-    mats = _member_matrices(family, np.arange(start, stop))
-    dom = _digit_table(q, k)  # (|A|, k)
-    out_digits = (dom @ mats.transpose(0, 2, 1)) % q  # (members, |A|, m)
-    return out_digits @ q ** np.arange(m, dtype=np.int64)
+    q, m = family.q, family.m
+    band = _difference_systems(family, _digit_table(q, family.k))  # (n_params + 1, m, |A|)
+    params = _digits(np.arange(start, stop), q, len(band) - 1)
+    # weight q - 1 on the rhs subtracts it mod q; the float64 sums are exact (each at most
+    # (n_params + 1) (q - 1)^2) and nonnegative, so fmod reduces them
+    coefficients = np.hstack([params, np.full((len(params), 1), q - 1)]).astype(np.float64)
+    out_digits = np.fmod(coefficients @ band.reshape(len(band), -1), q).reshape(len(params), m, -1)
+    return (q ** np.arange(m, dtype=np.float64) @ out_digits).astype(np.int64)
 
 
 def member_function(family: HashFamily, index: int) -> ClassicalFunction:

@@ -18,8 +18,10 @@ import math
 
 import numpy as np
 
-from .cqstate import AlphabetMismatchError, CQState, checked_states, hashed_blocks, preset, random_cq, tensor_power
-from .hashing import HashFamily, clipped, make_family, member_tables
+from .cqstate import (
+    AlphabetMismatchError, CQState, checked_states, clipped, hashed_blocks, preset, random_cq, tensor_power
+)
+from .hashing import HashFamily, make_family, member_tables
 from .hermitian import SUPPORT_RTOL, eigh_batch, hermitian_entries
 from .optimize import increasing_root
 from .quantities import (
@@ -118,11 +120,6 @@ def grouped_member_mutual_info(pairs) -> list[list[dict[str, float]]]:
             for (state, t), row in zip(chunk, stack.mutual_info_variants()):
                 found[state, big_m, t] = row
     return [[dict(found[state, family.range_size, t]) for t in tables[family]] for state, family in pairs]
-
-
-def member_mutual_info(state: CQState, family: HashFamily) -> list[dict[str, float]]:
-    """The one-pair case of :func:`grouped_member_mutual_info`."""
-    return grouped_member_mutual_info([(state, family)])[0]
 
 
 def _avg_leak_rhs(v: int, big_m: int, s: float, h: float) -> float:

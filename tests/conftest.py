@@ -56,6 +56,16 @@ def pure_eve_state():
     return make_cq_state([0.3, 0.7], [np.outer(psi, psi.conj())] * 2)
 
 
+def padded(state, extra):
+    """The same state in a larger E: ``extra`` zero rows and columns on every eve state."""
+    return make_cq_state(state.probs, [np.pad(rho, (0, extra)) for rho in state.rhos])
+
+
+def half_diagonal_state():
+    """Both symbols equally likely with the same eve state ``diag(1, 0)``: ``H_{1+s} = Hbar*_{1+s} = log 2``."""
+    return make_cq_state([0.5, 0.5], [np.diag([1.0, 0.0])] * 2)
+
+
 def run_cli(*argv, env_extra=None, timeout=330):
     """``python -m qpa.cli`` in a child process, with the checkout's ``src`` first on its ``PYTHONPATH`` and no ``QPA_THREADS``."""
     env = dict(os.environ)

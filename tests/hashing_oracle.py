@@ -1,13 +1,40 @@
-"""Scalar reference for the exact collision counting of the matrix families.
+"""Scalar references for the matrix families of ``qpa.hashing``.
 
 One pure-Python Gaussian elimination over F_q per input difference, with
 no array code; the independent oracle for the batched row reduction in
-``qpa.hashing``.
+``qpa.hashing``. ``member_table`` builds one member's matrix from the
+textbook definition and applies it to every input, the oracle for
+``member_tables``.
 """
 
 from fractions import Fraction
 
 from qpa.hashing import KIND_MODIFIED, CollisionReport, _toeplitz_block
+
+
+def _base_q(x, q, width):
+    """Little-endian base-q digits of ``x``."""
+    return [(x // q**i) % q for i in range(width)]
+
+
+def member_table(family, index):
+    """Output index of every input under member ``index``: its m x k matrix applied to the input's digits.
+
+    The matrix is the m x width Toeplitz block ``T[i][c] = x[i - c + width - 1]`` over the base-q digits
+    ``x`` of the index, followed for ``modified_toeplitz`` by the m x m identity.
+    """
+    q, k, m = family.q, family.k, family.m
+    width = k - m if family.kind == KIND_MODIFIED else k
+    x = _base_q(index, q, m + width - 1)
+    matrix = [[x[i - c + width - 1] for c in range(width)] for i in range(m)]
+    if family.kind == KIND_MODIFIED:
+        matrix = [row + [int(i == j) for j in range(m)] for i, row in enumerate(matrix)]
+    table = []
+    for a in range(family.domain_size):
+        digits = _base_q(a, q, k)
+        out = [sum(row[c] * digits[c] for c in range(k)) % q for row in matrix]
+        table.append(sum(d * q**i for i, d in enumerate(out)))
+    return table
 
 
 def solution_count_mod_prime(rows, rhs, q, n_params):
@@ -59,8 +86,7 @@ def colliding_member_count(family, diff):
 
 def nonzero_differences(family):
     """Base-q digits, least significant first, of the difference indices 1 .. |A| - 1."""
-    q, k = family.q, family.k
-    return [[(x // q**i) % q for i in range(k)] for x in range(1, family.domain_size)]
+    return [_base_q(x, family.q, family.k) for x in range(1, family.domain_size)]
 
 
 def colliding_member_counts(family):

@@ -3,8 +3,8 @@
 ``member_mutual_info_reference`` takes one member at a time: its table from
 ``member_function``, its hashed state from ``apply_function`` as a full
 ``CQState``, and its mutual information from that state's own
-``StateDecomposition``; the oracle for ``member_mutual_info``, which must
-equal it exactly.
+``StateDecomposition``; the oracle for ``grouped_member_mutual_info``,
+which must equal it exactly.
 
 ``member_references`` gives the same four mutual informations to 50 digits.
 It takes the float64 entries of a state exactly, as ``renyi_oracle`` does,
@@ -20,7 +20,8 @@ with ``mpmath.eighe`` eigensystems, matrix products and traces, the log of
 member's probabilities and blocks are the exact sums ``sum_{f(a) = b} P(a)``
 and ``sum_{f(a) = b} P(a) rho_a`` over the state's entries. Hashing keeps
 the E marginal, so one eigensystem of it serves the state and every member.
-The references need a full-rank E marginal and raise otherwise.
+``log rho^E`` and ``(rho^E)^{-1/2}`` are taken on the support of ``rho^E``,
+which holds every ``rho_a``, as ``renyi_oracle.support`` gives it.
 """
 
 import functools
@@ -29,7 +30,7 @@ import mpmath
 
 from qpa.cqstate import apply_function
 from qpa.hashing import member_function
-from renyi_oracle import DPS, SUPPORT_RTOL, _function, _matrix
+from renyi_oracle import DPS, SUPPORT_RTOL, _function, _matrix, support
 
 
 def member_mutual_info_reference(state, family):
@@ -75,9 +76,7 @@ def _state_reference(state):
     with mpmath.workdps(DPS):
         probs = [mpmath.mpf(float(p)) for p in state.probs]
         blocks = [(p, p * _matrix(rho)) for p, rho in zip(probs, state.rhos)]
-        mu, v = mpmath.eighe(sum((block for _, block in blocks), mpmath.zeros(state.eve_dim)))
-        if min(mu) <= SUPPORT_RTOL * max(mu):
-            raise ValueError("the reference needs a full-rank E marginal")
+        mu, v = support(sum((block for _, block in blocks), mpmath.zeros(state.eve_dim)))
         log_eve = _function(mu, v, mpmath.log)
         inv_sqrt = _function(mu, v, lambda x: x ** mpmath.mpf(-0.5))
         return blocks, log_eve, inv_sqrt, _mutual_infos(blocks, log_eve, inv_sqrt)

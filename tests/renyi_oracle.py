@@ -13,9 +13,11 @@ reference belongs to the state the float64 entries describe, normalised.
 ``psi_reference`` exposes the log-trace ``psi(s) = -s H_{1+s}(A|E)`` as an
 mpmath callable, from which the tests take the exponents' arguments, and
 ``phi_reference`` does the same for the smoothing-method functional
-``phi(t)``. The Renyi references cover states with a full-rank E marginal
-whose symbol states lie in the support of their sandwiches (up to 1e-10 of
-mass); they raise otherwise.
+``phi(t)``. Every ``rho_a`` lies in the support of ``rho^E``, so the Renyi
+references form ``(rho^E)^{-s}`` and the sandwich on that support only: the
+eigenvalues of ``rho^E`` above ``SUPPORT_RTOL`` of the largest (``support``,
+which ``member_oracle`` shares). They cover states whose symbol states lie in
+the support of their sandwiches (up to 1e-10 of mass), and raise otherwise.
 """
 
 import mpmath
@@ -38,14 +40,21 @@ def _trace(m):
     return mpmath.re(sum(m[i, i] for i in range(m.rows)))
 
 
+def support(eve):
+    """``(mu, v)``: the eigenvalues of ``eve`` above ``SUPPORT_RTOL`` of the largest, and their eigenvectors as columns.
+
+    ``_function(mu, v, f)`` is then ``f`` of ``eve`` on its support and zero off it.
+    """
+    mu, v = mpmath.eighe(eve)
+    keep = [j for j, x in enumerate(mu) if x > SUPPORT_RTOL * max(mu)]
+    return [mu[j] for j in keep], mpmath.matrix([[v[i, j] for j in keep] for i in range(v.rows)])
+
+
 def _traces(state):
     """``(h_trace, h_mass, bar_trace, bar_mass)``: the two traces as callables of s, and their masses."""
     probs = [mpmath.mpf(float(p)) for p in state.probs]
     rhos = [_matrix(rho) for rho in state.rhos]
-    eve = sum((p * rho for p, rho in zip(probs, rhos)), mpmath.zeros(state.eve_dim))
-    mu, v = mpmath.eighe(eve)
-    if min(mu) <= SUPPORT_RTOL * max(mu):
-        raise ValueError("the reference needs a full-rank E marginal")
+    mu, v = support(sum((p * rho for p, rho in zip(probs, rhos)), mpmath.zeros(state.eve_dim)))
     inv_sqrt = _function(mu, v, lambda x: x ** mpmath.mpf(-0.5))
     blocks = []  # per symbol: eigensystems of P(a) rho_a and of X_a
     for p, rho in zip(probs, rhos):
@@ -69,7 +78,7 @@ def _traces(state):
             total += p ** (1 + s) * _trace(rho * _function(xi, w, lambda x: x**s if x > cut else mpmath.mpf(0)))
         return total
 
-    h_mass = sum(sum(x for x in lam if x > 0) for _, _, lam, _, _, _ in blocks)
+    h_mass = h_trace(mpmath.mpf(0))  # the mass on the support of rho^E
     bar_mass = bar_trace(mpmath.mpf(0))
     state_mass = sum(p * _trace(rho) for p, rho, _, _, _, _ in blocks)
     if abs(bar_mass / state_mass - 1) > mpmath.mpf("1e-10"):

@@ -780,11 +780,14 @@ _FAMILIES = [
 _GOOD_PRESETS = ["copy", "product", "tilted-qubit", "bb84(0.3)", "depolarized(0.3)", "depolarized(1.3333333333333333)"]
 _BAD_PRESETS = ["bb84(nan)", "bb84(inf)", "depolarized(1e400)", "depolarized(-1)", "bb84(5e-324)", "bb84()"]
 _BAD_PRESETS += ["product(1)", "nope", ""]
-_presets = hst.one_of(hst.sampled_from(_GOOD_PRESETS), hst.sampled_from(_BAD_PRESETS))
+# tokens of 200 to 300 characters: an echo of one that is not cut overruns the 200-byte line
+_long_tokens = hst.text(alphabet="abcxyz0123456789.+-e(),", min_size=200, max_size=300)
+_long_presets = hst.one_of(_long_tokens, hst.builds("{}({})".format, hst.sampled_from(["bb84", "copy"]), _long_tokens))
+_presets = hst.one_of(hst.sampled_from(_GOOD_PRESETS), hst.sampled_from(_BAD_PRESETS), _long_presets)
 _STEPS = ["-1", "0", "1", "2", "3", "65537", "1000000000"]  # a valid count stays small: each row costs time
 
 _floats = hst.one_of(hst.sampled_from(["0.1", "0.5", "1"]), hst.sampled_from(_EDGE_FLOATS))  # half of them valid
-_float_lists = hst.lists(_floats, max_size=3).map(",".join)
+_float_lists = hst.one_of(hst.lists(_floats, max_size=3).map(",".join), _long_tokens)
 _cells = hst.one_of(hst.lists(hst.sampled_from(_EDGE_NUMBERS), max_size=3), hst.sampled_from(_EDGE_NUMBERS))
 _matrices = hst.lists(hst.lists(_cells, max_size=2), max_size=2)
 
@@ -859,6 +862,12 @@ def cli_dir(tmp_path_factory):
 # echoed inputs are cut: a 40-order grid, and a 300-digit m
 @example(invocation=(["verify", "--preset=copy", "--family=toeplitz:q=2,k=1,m=1", "--s=" + ",".join(["2"] * 40)], ""))
 @example(invocation=(["verify", "--preset=copy", "--family=toeplitz:q=2,k=1,m=" + "9" * 300], ""))
+# ... and 300-character orders, rates, presets and preset parameters
+@example(invocation=(["quantities", "--preset=copy", "--s=" + "x" * 300], ""))
+@example(invocation=(["rates", "--preset=copy", "--r=" + "x" * 300], ""))
+@example(invocation=(["rates", "--preset=copy", "--r=" + "," * 300], ""))
+@example(invocation=(["verify", "--preset=" + "x" * 300, "--family=toeplitz:q=2,k=1,m=1"], ""))
+@example(invocation=(["quantities", "--preset=bb84(" + "x" * 300 + ")"], ""))
 def test_every_invocation_exits_with_a_documented_code(cli_dir, invocation):
     argv, text = invocation
     (cli_dir / "state.json").write_text(text, encoding="utf-8")

@@ -1,4 +1,4 @@
-"""The stacked family pass of ``member_mutual_info`` against the per-member reference, exactly."""
+"""The stacked family pass of ``grouped_member_mutual_info`` against the per-member reference, exactly."""
 
 import importlib
 import json
@@ -18,7 +18,7 @@ from qpa.cqstate import load_state_json, make_cq_state, preset, random_cq, tenso
 from qpa.hashing import collision_stats, make_explicit_family, make_family, parse_family
 from qpa.hermitian import EigenConvergenceError, eigh_batch
 import qpa.verification as vmod
-from qpa.verification import default_corpus, families_for, member_mutual_info
+from qpa.verification import default_corpus, families_for, grouped_member_mutual_info
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,7 +27,8 @@ def test_family_pass_equals_the_reference_on_the_suite():
     pairs = [(name, state, f) for name, state in default_corpus() for f in families_for(state.alphabet_size)]
     assert len(pairs) == 108
     for name, state, family in pairs:
-        assert member_mutual_info(state, family) == member_mutual_info_reference(state, family), (name, family)
+        got = grouped_member_mutual_info([(state, family)])[0]
+        assert got == member_mutual_info_reference(state, family), (name, family)
 
 
 @pytest.mark.parametrize("seed", [0, 1])  # 1 is perfbench/run.py's default seed
@@ -38,7 +39,7 @@ def test_family_pass_equals_the_reference_on_the_lifted_benchmark_state(monkeypa
     workloads = importlib.import_module("workloads")
     state = tensor_power(load_state_json(json.dumps(workloads.random_state_doc(seed, 2, 2))), 5)
     family = parse_family(workloads.LIFTED_FAMILY)
-    assert member_mutual_info(state, family) == member_mutual_info_reference(state, family)
+    assert grouped_member_mutual_info([(state, family)])[0] == member_mutual_info_reference(state, family)
 
 
 def test_explicit_families_equal_the_reference():
@@ -49,10 +50,10 @@ def test_explicit_families_equal_the_reference():
     # output 1 is never hit: probability 0 and the maximally mixed placeholder
     empty_output = make_explicit_family([(0, 2, 0, 2), (2, 2, 2, 2), (0, 1, 2, 0)], 3)
     for family in (repeated, not_universal, empty_output):
-        got = member_mutual_info(state, family)
+        got = grouped_member_mutual_info([(state, family)])[0]
         assert got == member_mutual_info_reference(state, family), family
         assert all(math.isfinite(v) for row in got for v in row.values())
-    rows = member_mutual_info(state, repeated)
+    rows = grouped_member_mutual_info([(state, repeated)])[0]
     assert rows[0] == rows[2] == rows[3] and rows[0] is not rows[2]  # equal, but not one shared dict
 
 
@@ -60,7 +61,7 @@ def test_pure_eve_state_equals_the_reference():
     # rho^E has rank one, so every sandwich acts on a one-dimensional support
     for state in (pure_eve_state(), tensor_power(pure_eve_state(), 2)):
         for family in families_for(state.alphabet_size):
-            assert member_mutual_info(state, family) == member_mutual_info_reference(state, family)
+            assert grouped_member_mutual_info([(state, family)])[0] == member_mutual_info_reference(state, family)
 
 
 def test_weight_outside_the_eve_support_gives_inf():
@@ -68,7 +69,7 @@ def test_weight_outside_the_eve_support_gives_inf():
     # the support cut, so the identity member leaks outside supp(rho^E)
     state = make_cq_state([1 - 1e-14, 1e-14], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     family = make_family("toeplitz", 2, 1, 1)  # the zero map and the identity
-    got = member_mutual_info(state, family)
+    got = grouped_member_mutual_info([(state, family)])[0]
     assert got == member_mutual_info_reference(state, family)
     assert all(math.isfinite(v) for v in got[0].values())
     assert got[1] == dict.fromkeys(("I", "I_prime", "I_bar", "I_bar_prime"), math.inf)
@@ -85,7 +86,7 @@ def test_random_explicit_families_equal_the_reference(seed, eve_dim, range_size,
     tables = data.draw(st.lists(table, min_size=1, max_size=6))
     state = random_cq(seed, 4, eve_dim)
     family = make_explicit_family(tables, range_size)
-    assert member_mutual_info(state, family) == member_mutual_info_reference(state, family)
+    assert grouped_member_mutual_info([(state, family)])[0] == member_mutual_info_reference(state, family)
 
 
 def _residual_breaking_eigh(monkeypatch, min_stack):
@@ -104,7 +105,7 @@ def test_family_pass_keeps_the_eigen_residual_check(monkeypatch, capsys):
     family = make_family("toeplitz", 2, 2, 2)  # 8 members: 32 hashed blocks in one stack
     _residual_breaking_eigh(monkeypatch, 5)
     with pytest.raises(EigenConvergenceError):
-        member_mutual_info(state, family)
+        grouped_member_mutual_info([(state, family)])[0]
     code = main(["verify", "--preset", "tilted-qubit", "--family", "toeplitz:q=2,k=2,m=2"])
     assert code == 7
     assert capsys.readouterr().err.startswith("error: internal numeric failure: eigendecomposition residual")
@@ -126,7 +127,7 @@ def test_family_pass_runs_in_bounded_chunks(monkeypatch):
 
     for module in (cqstate, quantities):
         monkeypatch.setattr(module, "eigh_batch", recorded)
-    assert member_mutual_info(state, family) == reference
+    assert grouped_member_mutual_info([(state, family)])[0] == reference
     # per chunk: the blocks' validation, the 16 marginals and the sandwiches;
     # the state's own decomposition is never built
     assert stacks == [(64, 16, 16), (16, 16, 16), (16, 4, 16, 16)] * 2
@@ -144,5 +145,5 @@ def test_member_results_beyond_the_bound_equal_the_reference():
     family = make_explicit_family(tables + tables[:50], 4)
     state = random_cq(9, 8, 2)
     reference = member_mutual_info_reference(state, family)
-    assert member_mutual_info(state, family) == reference
-    assert member_mutual_info(state, family) == reference
+    assert grouped_member_mutual_info([(state, family)])[0] == reference
+    assert grouped_member_mutual_info([(state, family)])[0] == reference

@@ -154,6 +154,24 @@ def test_enumeration_is_parameter_bijection():
     assert len(set(tables)) == family.member_count
 
 
+_SMALL_MATRIX_FAMILIES = [
+    (kind, q, k, m)
+    for q in SUPPORTED_PRIMES
+    for k in range(1, 8)
+    if q**k <= 125
+    for m in range(1, k + 1)
+    for kind in ("toeplitz", "modified_toeplitz")
+]
+
+
+@pytest.mark.parametrize("kind,q,k,m", _SMALL_MATRIX_FAMILIES)
+def test_member_tables_match_the_textbook_matrices(kind, q, k, m):
+    # every member, read off the certifier's band, against its matrix applied digit by digit
+    family = make_family(kind, q, k, m)
+    tables = member_tables(family, 0, family.member_count).tolist()
+    assert tables == [hashing_oracle.member_table(family, i) for i in range(family.member_count)]
+
+
 def test_parse_family():
     fam = parse_family("toeplitz:q=2,k=4,m=2")
     assert (fam.kind, fam.q, fam.k, fam.m) == ("toeplitz", 2, 4, 2)

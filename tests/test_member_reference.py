@@ -18,8 +18,9 @@ import mpmath
 import pytest
 
 from make_member_reference import FAMILY, POWER, REFERENCE, STATE_FILE, tables_sha256
+from conftest import half_diagonal_state, padded, pure_eve_state
 from member_oracle import member_references
-from qpa import preset
+from qpa import preset, random_cq
 from qpa.cqstate import load_state_json, tensor_power
 from qpa.hashing import parse_family
 from qpa.verification import (
@@ -27,7 +28,6 @@ from qpa.verification import (
     default_corpus,
     families_for,
     grouped_member_mutual_info,
-    member_mutual_info,
 )
 from renyi_oracle import DPS, renyi_references
 
@@ -86,6 +86,35 @@ def test_bar_star_matches_the_50_digit_reference_on_the_corpus():
             assert _close(state.decomposition.renyi_cond_bar_star(s), ref), (name, s)
 
 
+@pytest.mark.parametrize(
+    "name,build",
+    [
+        ("half-diagonal", half_diagonal_state),
+        ("7:2,2+1", lambda: padded(random_cq(7, 2, 2), 1)),
+        ("11:4,3+2", lambda: padded(random_cq(11, 4, 3), 2)),
+        ("pure-eve", pure_eve_state),
+    ],
+)
+def test_family_pass_matches_the_50_digit_references_on_singular_marginals(name, build):
+    # the references take log rho^E and (rho^E)^{-1/2} on the support of rho^E, as qpa does
+    state = build()
+    families = families_for(state.alphabet_size)
+    for family, members in zip(families, grouped_member_mutual_info([(state, f) for f in families])):
+        parent, refs = member_references(state, family)
+        _assert_quantities(state.decomposition.mutual_info_variants(), parent, name)
+        for index, (got, ref) in enumerate(zip(members, refs, strict=True)):
+            _assert_quantities(got, ref, (name, family.describe(), index))
+
+
+def test_padding_leaves_the_50_digit_member_references():
+    state, family = random_cq(11, 4, 3), families_for(4)[0]
+    full_parent, full = member_references(state, family)
+    cut_parent, cut = member_references(padded(state, 2), family)
+    with mpmath.workdps(DPS):
+        for a, b in zip([full_parent, *full], [cut_parent, *cut], strict=True):
+            assert max(abs(a[key] - b[key]) for key in KEYS) <= mpmath.mpf("1e-40")
+
+
 def test_quantities_golden_matches_the_50_digit_reference():
     parent, _ = member_references(preset("tilted-qubit"), families_for(2)[0])
     values = json.loads((DATA / "tilted_quantities_golden.json").read_text(encoding="utf-8"))["values"]
@@ -97,7 +126,7 @@ def test_tilted_lifted_family_matches_the_50_digit_references():
     family = parse_family("toeplitz:q=2,k=2,m=1")
     parent, refs = member_references(state, family)
     _assert_quantities(state.decomposition.mutual_info_variants(), parent, "tilted-qubit^2")
-    for index, (got, ref) in enumerate(zip(member_mutual_info(state, family), refs, strict=True)):
+    for index, (got, ref) in enumerate(zip(grouped_member_mutual_info([(state, family)])[0], refs, strict=True)):
         _assert_quantities(got, ref, index)
     _, bar_refs = renyi_references(state, DEFAULT_S_GRID)
     reports = json.loads((DATA / "tilted_lifted_verify_golden.json").read_text(encoding="utf-8"))
@@ -133,7 +162,7 @@ def test_complex_lifted_family_matches_the_stored_50_digit_reference(complex_ref
     family = parse_family(FAMILY)
     _assert_quantities(state.decomposition.mutual_info_variants(), complex_reference["parent"], "parent")
     refs = complex_reference["members"]
-    for index, (got, ref) in enumerate(zip(member_mutual_info(state, family), refs, strict=True)):
+    for index, (got, ref) in enumerate(zip(grouped_member_mutual_info([(state, family)])[0], refs, strict=True)):
         _assert_quantities(got, ref, index)
     # Hbar* is additive over the tensor power, so the one-copy reference gives the d_E = 32 one
     _, bar_refs = renyi_references(one_copy, DEFAULT_S_GRID)

@@ -42,7 +42,7 @@ from qpa.quantities import (
 from qpa.verification import default_corpus, verify_hashing_bounds
 
 from classical_oracle import classical_quantities
-from conftest import PRESET_NAMES, pure_eve_state, random_kraus, random_psd
+from conftest import PRESET_NAMES, half_diagonal_state, padded, pure_eve_state, random_kraus, random_psd
 from renyi_oracle import DPS, phi_reference, psi_reference, renyi_references
 
 LOG2 = math.log(2.0)
@@ -185,6 +185,52 @@ def test_renyi_matches_50_digit_reference(name):
             assert abs(value - h) <= 1e-13 * max(1.0, abs(h)), (name, s)
         for value in (dec.renyi_cond_bar_star(s), bar_grid[k]):
             assert abs(value - hbar) <= 1e-13 * max(1.0, abs(hbar)), (name, s)
+
+
+SINGULAR_MARGINALS = {
+    "half-diagonal": half_diagonal_state,
+    "half-diagonal^2": lambda: tensor_power(half_diagonal_state(), 2),
+    "7:2,2+1": lambda: padded(random_cq(7, 2, 2), 1),
+    "11:4,3+2": lambda: padded(random_cq(11, 4, 3), 2),
+    "13:3,2+2": lambda: padded(random_cq(13, 3, 2), 2),
+    "7:2,2+1^2": lambda: tensor_power(padded(random_cq(7, 2, 2), 1), 2),
+    "pure-eve": pure_eve_state,
+    "rank-deficient": lambda: _rank_deficient_state(),  # defined further down
+}
+
+
+@pytest.mark.parametrize("name", list(SINGULAR_MARGINALS))
+def test_renyi_matches_50_digit_reference_on_singular_marginals(name):
+    # E marginals of rank below d_E: the reference keeps only the support of rho^E, as qpa does
+    st = SINGULAR_MARGINALS[name]()
+    marginal = np.linalg.eigvalsh(np.einsum("a,aij->ij", st.probs, st.rhos))
+    assert marginal[0] <= 1e-12 * marginal[-1], name
+    dec = st.decomposition
+    h_ref, bar_ref = renyi_references(st, REFERENCE_ORDERS)
+    h_grid, bar_grid = dec.renyi_cond_grid(REFERENCE_ORDERS), dec.renyi_cond_bar_star_grid(REFERENCE_ORDERS)
+    for k, s in enumerate(REFERENCE_ORDERS):
+        h, hbar = float(h_ref[k]), float(bar_ref[k])
+        for value in (dec.renyi_cond(s), h_grid[k]):
+            assert abs(value - h) <= 1e-13 * max(1.0, abs(h)), (name, s)
+        for value in (dec.renyi_cond_bar_star(s), bar_grid[k]):
+            assert abs(value - hbar) <= 1e-13 * max(1.0, abs(hbar)), (name, s)
+
+
+def test_renyi_references_of_the_half_diagonal_state_are_log_2():
+    h_ref, bar_ref = renyi_references(half_diagonal_state(), REFERENCE_ORDERS)
+    with mpmath.workdps(DPS):
+        assert max(abs(x - mpmath.log(2)) for x in h_ref + bar_ref) <= mpmath.mpf("1e-40")
+
+
+@pytest.mark.parametrize("seed,shape,extra", [(7, (2, 2), 1), (11, (4, 3), 2), (17, (2, 3), 3)])
+def test_padding_leaves_the_50_digit_renyi_references(seed, shape, extra):
+    # the kernel of rho^E carries no mass, so restricting to the support loses nothing
+    st = random_cq(seed, *shape)
+    orders = [1e-3, 0.1, 0.5, 1.0, 4.0]
+    full, cut = renyi_references(st, orders), renyi_references(padded(st, extra), orders)
+    with mpmath.workdps(DPS):
+        for a, b in zip(full[0] + full[1], cut[0] + cut[1], strict=True):
+            assert abs(a - b) <= mpmath.mpf("1e-40"), (seed, extra)
 
 
 @pytest.mark.parametrize("name", ["tilted-qubit", "7:2,2", "11:4,3"])

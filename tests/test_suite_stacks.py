@@ -85,7 +85,7 @@ def test_grouped_pass_equals_the_reference_on_mixed_pairs():
 def test_grouped_pass_equals_the_one_pair_passes_on_the_suite():
     # two corpora, so that no state is shared between the grouped and the one-pair passes
     grouped = grouped_member_mutual_info(_suite_pairs())
-    assert grouped == [vmod.member_mutual_info(state, f) for state, f in _suite_pairs()]
+    assert grouped == [vmod.grouped_member_mutual_info([(state, f)])[0] for state, f in _suite_pairs()]
 
 
 def test_full_suite_enumerates_each_family_once(monkeypatch):
