@@ -28,8 +28,13 @@ PROB_ATOL = 1e-10
 
 
 def clipped(value, limit: int = 60) -> str:
-    """``str(value)`` cut to ``limit`` characters, ending in ``...`` when cut, for an error that echoes an input."""
-    return text if len(text := str(value)) <= limit else text[: limit - 3] + "..."
+    """``str(value)`` for an error that echoes an input, cut to end in ``...`` where its ``!r`` echo, quotes aside,
+    takes over ``limit`` UTF-8 bytes (at least ``str``'s); printable ASCII is cut to ``limit`` characters."""
+    text = out = str(value)
+    cut = limit - 3
+    while len(repr(out).encode()) > limit + 2:
+        out, cut = text[:cut] + "...", cut - 1
+    return out
 
 
 class StateValidationError(ValueError):

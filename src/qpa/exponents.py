@@ -16,9 +16,11 @@ import dataclasses
 import math
 from collections.abc import Sequence
 
+import numpy as np
+
 from .cqstate import CQState
 from .hermitian import SizeCapError
-from .optimize import increasing_root
+from .optimize import increasing_roots
 
 LEMMA_TOL = 1e-9
 STEPS_CAP = 2**16  # rates on one curve, about 30 s of rows
@@ -38,26 +40,27 @@ def fmt(x: float) -> str:
     return format(x + 0.0, ".12g")
 
 
-def _stationary_max(objective, numerator, hi: float) -> tuple[float, float]:
-    """``(value, arg)`` of the maximum of ``objective`` on ``[0, hi]``, where ``objective(0) = 0``
+def _stationary_max(evaluate, ends, rates: np.ndarray, hi: float, *, numerator, objective):
+    """``(values, args)``: per rate, the maximum on ``[0, hi]`` of ``objective``, where ``objective(0) = 0``
     and its derivative is a negative multiple of the nondecreasing ``numerator``.
 
-    The maximum sits at the numerator's root clamped to ``[0, hi]``; ``hi``
-    also wins when its value is within 1e-15 of the interior one, so a flat
-    objective resolves to the exact endpoint rather than a point inside it.
-    The anchor ``objective(0)`` is identically zero, so a maximum below the
-    double-precision noise floor of the objective is zero, not decay.
+    Both read ``(x, f, f', rate)``: ``evaluate`` gives ``(f, f')`` at a 1-d array of orders, ``ends`` at 0 and ``hi``
+    as floats. The maximum sits at the numerator's root clamped to ``[0, hi]``, one ``increasing_roots`` row per
+    rate; ``hi`` also wins when its value is within 1e-15 of the interior one, so a flat objective resolves to the
+    exact endpoint rather than a point inside it. The anchor ``objective(0)`` is identically zero, so a maximum
+    below the double-precision noise floor of the objective is zero, not decay.
     """
-    x = increasing_root(numerator, 0.0, hi)
-    f_x = objective(x) if x > 0.0 else 0.0
-    if 0.0 < x < hi:
-        f_hi = objective(hi)
-        if f_hi >= f_x - 1e-15:
-            x, f_x = hi, f_hi
-    return (f_x, x) if f_x > 1e-15 else (0.0, 0.0)
+    f_lo, f_hi = (numerator(x, *ends[x], rates) for x in (0.0, hi))
+    x = increasing_roots(lambda x, rows: numerator(x, *evaluate(x), rates[rows]), f_lo, f_hi, 0.0, hi)
+    at_hi = objective(hi, *ends[hi], rates)
+    f_x = np.where(x > 0.0, at_hi, 0.0)  # the clamped rows; the interior ones follow
+    if (inside := (0.0 < x) & (x < hi)).any():
+        f_x[inside] = objective(x[inside], *evaluate(x[inside]), rates[inside])
+    x, f_x = np.where(better := inside & (at_hi >= f_x - 1e-15), hi, x), np.where(better, at_hi, f_x)
+    return np.where(f_x > 1e-15, f_x, 0.0), np.where(f_x > 1e-15, x, 0.0)
 
 
-def _e_H(rate: float, moments) -> tuple[float, float]:
+def _e_H(rates, moments, ends):
     """``max_{0<=s<=1} s (H_{1+s}(A|E) - R)`` at the root of its derivative.
 
     With ``psi(s) = -s H_{1+s}(A|E)`` convex, the objective ``-psi(s) - s R``
@@ -65,17 +68,14 @@ def _e_H(rate: float, moments) -> tuple[float, float]:
     of the nondecreasing ``psi'(s) + R`` clamped to ``[0, 1]``; a vanishing
     optimum clamps to zero (no decay guaranteed).
     """
-
-    def objective(s: float) -> float:
-        return s * (-moments(s)[0] / s - rate)
-
-    def numerator(s: float) -> float:
-        return moments(s)[1] + rate
-
-    return _stationary_max(objective, numerator, 1.0)
+    return _stationary_max(
+        moments, ends, rates, 1.0,
+        numerator=lambda s, psi, d1, r: d1 + r,
+        objective=lambda s, psi, d1, r: s * (-psi / s - r),
+    )
 
 
-def _e_H_q(rate: float, moments) -> tuple[float, float]:
+def _e_H_q(rates, moments, ends):
     """Smoothing-method exponent ``max_{0<=s<=1} s/(2-s) (H_{1+s}(A|E) - R)``.
 
     The objective is ``-(psi(s) + s R) / (2-s)`` with ``psi(s) = -s H_{1+s}``,
@@ -84,18 +84,14 @@ def _e_H_q(rate: float, moments) -> tuple[float, float]:
     is nonnegative, so the objective is unimodal and peaks at the root of
     ``N`` clamped to ``[0, 1]``.
     """
-
-    def objective(s: float) -> float:
-        return s / (2.0 - s) * (-moments(s)[0] / s - rate)
-
-    def numerator(s: float) -> float:
-        psi, d1 = moments(s)
-        return (2.0 - s) * d1 + psi + 2.0 * rate
-
-    return _stationary_max(objective, numerator, 1.0)
+    return _stationary_max(
+        moments, ends, rates, 1.0,
+        numerator=lambda s, psi, d1, r: (2.0 - s) * d1 + psi + 2.0 * r,
+        objective=lambda s, psi, d1, r: s / (2.0 - s) * (-psi / s - r),
+    )
 
 
-def _e_phi_q(rate: float, phi_and_slope) -> tuple[float, float]:
+def _e_phi_q(rates, phi_and_slopes, ends):
     """Smoothing-method exponent ``max_{0<=t<=1/2} -(phi(t) + t R) / (2(1-t))``.
 
     The objective's derivative is ``-N(t) / (2(1-t)^2)`` with the
@@ -104,15 +100,11 @@ def _e_phi_q(rate: float, phi_and_slope) -> tuple[float, float]:
     objective is unimodal and peaks at the root of ``N`` clamped to
     ``[0, 1/2]``.
     """
-
-    def objective(t: float) -> float:
-        return -(phi_and_slope(t)[0] + t * rate) / (2.0 * (1.0 - t))
-
-    def numerator(t: float) -> float:
-        phi, d1 = phi_and_slope(t)
-        return (1.0 - t) * (d1 + rate) + phi + t * rate
-
-    return _stationary_max(objective, numerator, 0.5)
+    return _stationary_max(
+        phi_and_slopes, ends, rates, 0.5,
+        numerator=lambda t, phi, d1, r: (1.0 - t) * (d1 + r) + phi + t * r,
+        objective=lambda t, phi, d1, r: -(phi + t * r) / (2.0 * (1.0 - t)),
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,35 +132,35 @@ class ExponentCurve:
         return "\n".join(lines) + "\n"
 
 
-def _with_ends(evaluate, ends):
-    """``evaluate``, with its values at the orders ``ends`` computed once, now."""
-    values = {x: evaluate(x) for x in ends}
-    return lambda x: values[x] if x in values else evaluate(x)
-
-
 def exponent_rows(state: CQState, rates: Sequence[float]) -> list[CurveRow]:
     """All exponents at each key rate, with the comparison inequalities enforced.
 
     Every rate is checked before anything is evaluated. The roots of all rates share their
     bracket ends, evaluated once here: ``(psi, psi')`` at s = 0 and 1, and ``(phi, phi')``
-    at t = 0 and 1/2. Interior orders are evaluated as the roots ask.
+    at t = 0 and 1/2. Each exponent's roots then step together: a step takes ``(psi, psi')`` from
+    one moment grid and ``phi`` one order at a time. The first rate that breaks an inequality is named.
     """
     for rate in rates:
         _check_rate(rate)
     dec = state.decomposition
-    moments = _with_ends(dec.renyi_cond_moments, (0.0, 1.0))
-    phi_and_slope = _with_ends(dec.phi_and_slope, (0.0, 0.5))
-    rows = []
-    for rate in rates:
-        e_h, s_h = _e_H(rate, moments)
-        row = CurveRow(rate, e_h, s_h, *_e_H_q(rate, moments), *_e_phi_q(rate, phi_and_slope), e_h / 2.0)
+    moment_ends = {s: dec.renyi_cond_moments(s) for s in (0.0, 1.0)}
+    phi_ends = {t: dec.phi_and_slope(t) for t in (0.0, 0.5)}
+
+    def phi_and_slopes(t):  # dec._phi_and_slopes would take a step's orders in one SVD stack
+        return np.reshape([dec.phi_and_slope(x) for x in t.tolist()], (-1, 2)).T
+
+    r = np.array(rates, dtype=float)
+    e_h, s_h = _e_H(r, dec.renyi_cond_moments_grid, moment_ends)
+    columns = (r, e_h, s_h, *_e_H_q(r, dec.renyi_cond_moments_grid, moment_ends))
+    columns += (*_e_phi_q(r, phi_and_slopes, phi_ends), e_h / 2.0)
+    rows = [CurveRow(*values) for values in np.column_stack(np.broadcast_arrays(*columns)).tolist()]
+    for row in rows:
         if not (
             row.e_H >= row.e_H_q - LEMMA_TOL
             and row.e_H >= row.e_phi_q - LEMMA_TOL
             and row.e_phi_q >= row.e_H / 2.0 - LEMMA_TOL
         ):
-            raise ExponentComparisonError(f"exponent comparison inequalities violated at R={rate}: {row}")
-        rows.append(row)
+            raise ExponentComparisonError(f"exponent comparison inequalities violated at R={row.R}: {row}")
     return rows
 
 

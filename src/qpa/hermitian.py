@@ -103,6 +103,12 @@ def cluster_ranges(w: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a square stack: the root of one dot of its real and imaginary parts."""
+    flat = np.ascontiguousarray(stack).reshape(*stack.shape[:-2], stack.shape[-1] ** 2).view(stack.real.dtype)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 def eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of a ``(n, d, d)`` Hermitian stack.
 
@@ -118,9 +124,9 @@ def eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    rebuilt = (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    residuals = np.linalg.norm(rebuilt - mats, axis=(-2, -1))
-    scales = np.maximum(np.linalg.norm(mats, axis=(-2, -1)), 1.0)
+    rebuilt = ((v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))).astype(np.result_type(v, mats), copy=False)
+    rebuilt -= mats  # in place: the residuals
+    residuals, scales = _frobenius(rebuilt), np.maximum(_frobenius(mats), 1.0)
     bad = np.flatnonzero(residuals > 1e-10 * scales)
     if bad.size:
         residual = float(residuals[bad[0]])

@@ -1,11 +1,13 @@
-"""Scalar optimisers. ``increasing_root``, the root of a nondecreasing function by
-regula falsi safeguarded by bisection, serves every qpa search, each a stationarity
-condition. ``golden_max`` has no qpa caller; the benchmark harness wraps it by name.
+"""``increasing_root``, the root of a nondecreasing function by regula falsi safeguarded by bisection, serves every
+qpa search, each a stationarity condition; ``increasing_roots`` steps many such roots at once. ``golden_max``, a
+maximiser, has no qpa caller; the benchmark harness wraps it by name.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = 2.0**-52
@@ -74,3 +76,28 @@ def increasing_root(fn, lo: float, hi: float) -> float:
         if abs(x1 - x0) <= 2.0 * _EPS * max(abs(x0), abs(x1)):
             break
     return 0.5 * (x0 + x1)
+
+
+def increasing_roots(fn, f_lo, f_hi, lo: float, hi: float) -> np.ndarray:
+    """``increasing_root`` of many nondecreasing functions on one ``[lo, hi]``, stepped in lockstep.
+
+    ``f_lo`` and ``f_hi`` hold each row's values at the ends, and ``fn(x, rows)`` the values at ``x`` of the rows
+    ``rows`` still searching. Every row takes the steps of ``increasing_root``, with its arithmetic, stop rule and
+    cap, so each root equals the scalar one bit for bit.
+    """
+    f_lo, f_hi = np.asarray(f_lo, dtype=float), np.asarray(f_hi, dtype=float)
+    roots = np.where(f_lo >= 0.0, float(lo), float(hi))
+    rows = np.flatnonzero(~(f_lo >= 0.0) & ~(f_hi <= 0.0))
+    x0, f0, x1, f1 = np.full(rows.size, float(lo)), f_lo[rows], np.full(rows.size, float(hi)), f_hi[rows]
+    for _ in range(_ROOT_STEPS):
+        if not rows.size:
+            break
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        x = np.where((np.minimum(x0, x1) < x) & (x < np.maximum(x0, x1)), x, 0.5 * (x0 + x1))
+        h = fn(x, rows)
+        same = (h > 0.0) == (f1 > 0.0)
+        x0, f0, x1, f1 = np.where(same, x0, x1), np.where(same, 0.5 * f0, f1), x, h
+        roots[rows] = np.where(h == 0.0, x, 0.5 * (x0 + x1))  # each row's root, were it to stop here
+        keep = (h != 0.0) & (np.abs(x1 - x0) > 2.0 * _EPS * np.maximum(np.abs(x0), np.abs(x1)))
+        rows, x0, f0, x1, f1 = rows[keep], x0[keep], f0[keep], x1[keep], f1[keep]
+    return roots

@@ -43,8 +43,8 @@ S_MIN = sys.float_info.min
 # random states, and 2.7e-10 at t = 0.75 with eigenvalues 1e-8 in each rho_a
 PHI_T_MAX = 0.9375
 
-# entries of the largest array a stacked evaluation holds: a chunk of phi's stacked
-# factors (orders × factor entries), or of the family pass in qpa.verification
+# entries of the largest array a stacked evaluation holds: a chunk of orders of phi's stacked factors or
+# of a Renyi grid (orders × entries per order), or of the family pass in qpa.verification
 _STACK_ENTRIES = 2**14
 
 # map from report keys to conventional symbols, used by the CLI
@@ -104,33 +104,37 @@ def _check_order_keys(orders) -> None:
 
 
 def _normalised_terms(offs: np.ndarray, slopes: np.ndarray, log_mass: float = 0.0):
-    """``(w, g, log_mass)`` with ``w_k = exp(off_k) / sum_j exp(off_j)``, for ``_renyi_psi``."""
+    """``(w, g, log_mass)`` with ``w_k = exp(off_k) / sum_j exp(off_j)``, for ``_renyi_moments``."""
     weights = np.exp(offs - offs.max())
     return weights / weights.sum(), slopes, log_mass
 
 
-def _renyi_psi(terms, s: float) -> tuple[np.ndarray, float, float]:
-    """``(grow, total, psi)`` at one order s of ``psi(s) = log(sum_k exp(off_k + s g_k))``, which is ``-s H_{1+s}``.
+def _renyi_moments(terms, s, slope: bool = True) -> tuple:
+    """``(psi, psi')``, or ``(psi,)`` without ``slope``, of ``psi(s) = log(sum_k exp(off_k + s g_k)) = -s H_{1+s}``
+    at an order s (a float) or at each order of a 1-d array, which gets the float case's values bit for bit:
+    ``np.vecdot`` rounds each row as the 1-d ``@`` does, where a stacked ``@`` does not.
 
     ``psi = log_mass + log1p(total)`` for ``total = sum_k w_k grow_k`` and ``grow_k = expm1(s g_k)`` over the
     cached ``_normalised_terms``, which stays accurate as ``s -> 0``: the sum is ``O(s)`` and holds no rounding
     error of ``sum_k exp(off_k)``, which ``-psi / s`` would amplify by ``1/s``. That sum is the mass of the state,
     one up to rounding (within 2.6e-15 over the states that ``verify --suite full`` decomposes), so taking it as
-    exactly one changes values only at rounding level; a genuine shortfall enters as ``log_mass``. Every
-    ``H_{1+s}`` and ``Hbar*_{1+s}`` of a decomposition comes from here, and every ``psi'`` from ``_renyi_moments``.
+    exactly one changes values only at rounding level; a genuine shortfall enters as ``log_mass``. ``psi'`` is the
+    mean of the slopes under the tilted weights ``w_k exp(s g_k) / exp(psi)``, and ``psi''`` their variance.
     """
     weights, slopes, log_mass = terms
-    grow = np.expm1(s * slopes)
-    total = float(grow @ weights)
-    return grow, total, log_mass + float(np.log1p(total))
+    grow = np.expm1(np.multiply.outer(s, slopes))
+    total = np.vecdot(grow, weights)
+    psi = log_mass + np.log1p(total)
+    if not slope:
+        return (psi,)
+    return psi, np.vecdot(weights * (1.0 + grow) / (1.0 + total)[..., None], slopes)
 
 
-def _renyi_moments(terms, s: float) -> tuple[float, float]:
-    """``(psi, psi')`` at one order s: ``psi'`` is the mean of the slopes ``g_k`` under the tilted weights
-    ``w_k exp(s g_k) / exp(psi)``, and ``psi''`` their variance, so ``psi`` is convex."""
-    weights, slopes, _ = terms
-    grow, total, psi = _renyi_psi(terms, s)
-    return psi, float(weights * (1.0 + grow) / (1.0 + total) @ slopes)
+def _renyi_grid(terms, orders: np.ndarray, slope: bool) -> tuple:
+    """``_renyi_moments`` of a 1-d array of orders, in chunks of at most ``_STACK_ENTRIES`` orders × terms."""
+    step = max(1, _STACK_ENTRIES // terms[1].size)
+    parts = [_renyi_moments(terms, orders[i : i + step], slope) for i in range(0, max(orders.size, 1), step)]
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 class DecompositionStack:
@@ -233,8 +237,8 @@ class StateDecomposition:
         for name in ("eve_mat", "eve_vectors", "mu", "eve_support", "lam", "overlap", "xi", "xi_weight", "xi_support"):
             setattr(self, name, getattr(self._stack, name)[row])
         self._basis = self._stack.basis[row]
-        self.eve_clusters = cluster_ranges(self._stack.eve_values[row])
-        self.v_count = len(self.eve_clusters)
+        self.eve_clusters = cluster_ranges(self._stack.eve_values[row])  # all of E, for the pinching projectors
+        self.v_count = sum(bool(self.eve_support[start]) for start, _ in self.eve_clusters)  # those on the support
 
     # positive terms exp(off + s * g) of the two Renyi traces, flattened in
     # (a, i, j) order and normalised by _normalised_terms
@@ -304,18 +308,24 @@ class StateDecomposition:
     def renyi_cond_grid(self, s_values) -> np.ndarray:
         """``H_{1+s}(A|E) = -psi(s) / s`` over an array of orders in ``[0, S_MAX]``; s = 0
         entries take the von Neumann limit."""
-        orders = _check_order(_grid(s_values), allow_zero=True)
-        return np.array([-_renyi_psi(self._renyi_terms, s)[2] / s if s else self.cond_entropy() for s in orders])
+        _check_order(orders := _grid(s_values), allow_zero=True)
+        values = -_renyi_grid(self._renyi_terms, orders, slope=False)[0] / np.where(orders == 0.0, 1.0, orders)
+        return np.where(orders == 0.0, self.cond_entropy(), values) if 0.0 in orders else values
 
     def renyi_cond_moments(self, s: float) -> tuple[float, float]:
         """``(psi, psi')`` of the convex ``psi(s) = -s H_{1+s}(A|E)`` at one order s."""
         (s,) = _check_order(s, allow_zero=True)
-        return _renyi_moments(self._renyi_terms, s)
+        return tuple(map(float, _renyi_moments(self._renyi_terms, s)))
+
+    def renyi_cond_moments_grid(self, s_values) -> tuple[np.ndarray, np.ndarray]:
+        """``(psi, psi')`` at each order of a 1-d array in ``[0, S_MAX]``, each equal to ``renyi_cond_moments``'s."""
+        _check_order(orders := _grid(s_values), allow_zero=True)
+        return _renyi_grid(self._renyi_terms, orders, slope=True)
 
     def renyi_cond_bar_star_grid(self, s_values) -> np.ndarray:
         """``Hbar*_{1+s}(A|E)`` over an array of orders in ``(0, S_MAX]``."""
-        orders = _check_order(_grid(s_values), allow_zero=False)
-        return np.array([-_renyi_psi(self._bar_terms, s)[2] / s for s in orders])
+        _check_order(orders := _grid(s_values), allow_zero=False)
+        return -_renyi_grid(self._bar_terms, orders, slope=False)[0] / orders
 
     def min_entropy(self) -> float:
         return -math.log(float(np.max(self.probs * self.xi[:, -1])))

@@ -780,8 +780,12 @@ _FAMILIES = [
 _GOOD_PRESETS = ["copy", "product", "tilted-qubit", "bb84(0.3)", "depolarized(0.3)", "depolarized(1.3333333333333333)"]
 _BAD_PRESETS = ["bb84(nan)", "bb84(inf)", "depolarized(1e400)", "depolarized(-1)", "bb84(5e-324)", "bb84()"]
 _BAD_PRESETS += ["product(1)", "nope", ""]
-# tokens of 200 to 300 characters: an echo of one that is not cut overruns the 200-byte line
-_long_tokens = hst.text(alphabet="abcxyz0123456789.+-e(),", min_size=200, max_size=300)
+# tokens of 200 to 300 characters, or of 60 to 120 that print longer: control characters print as
+# escapes under !r and the others as several UTF-8 bytes; an echo that is not cut overruns the 200-byte line
+_long_tokens = hst.one_of(
+    hst.text(alphabet="abcxyz0123456789.+-e(),", min_size=200, max_size=300),
+    hst.text(alphabet="ax.\x01\x1b\x7f\\'\"\u00e9\u200b\U0001f600", min_size=60, max_size=120),
+)
 _long_presets = hst.one_of(_long_tokens, hst.builds("{}({})".format, hst.sampled_from(["bb84", "copy"]), _long_tokens))
 _presets = hst.one_of(hst.sampled_from(_GOOD_PRESETS), hst.sampled_from(_BAD_PRESETS), _long_presets)
 _STEPS = ["-1", "0", "1", "2", "3", "65537", "1000000000"]  # a valid count stays small: each row costs time
@@ -868,6 +872,9 @@ def cli_dir(tmp_path_factory):
 @example(invocation=(["rates", "--preset=copy", "--r=" + "," * 300], ""))
 @example(invocation=(["verify", "--preset=" + "x" * 300, "--family=toeplitz:q=2,k=1,m=1"], ""))
 @example(invocation=(["quantities", "--preset=bb84(" + "x" * 300 + ")"], ""))
+# ... and 100 control characters or emoji, cut by the bytes they print
+@example(invocation=(["quantities", "--preset=copy", "--s=" + "\x01" * 100], ""))
+@example(invocation=(["quantities", "--preset=copy", "--s=" + "\U0001f600" * 100], ""))
 def test_every_invocation_exits_with_a_documented_code(cli_dir, invocation):
     argv, text = invocation
     (cli_dir / "state.json").write_text(text, encoding="utf-8")

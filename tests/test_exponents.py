@@ -200,7 +200,8 @@ def test_curve_evaluates_each_search_grid_once(monkeypatch):
 def _count_kernel_calls(monkeypatch) -> collections.Counter:
     """Counts of the Renyi moment, Renyi grid and phi evaluations from now on, by kind and order.
 
-    Counted through the public methods: the scalar ``renyi_cond`` and ``phi`` go through the grids.
+    Counted through the public methods, one per order of an array call: the scalar ``renyi_cond``
+    and ``phi`` go through the grids, and the moments of many orders through ``renyi_cond_moments_grid``.
     """
     calls = collections.Counter()
     for attr, kind in (("renyi_cond_moments", "moments"), ("phi_and_slope", "phi")):
@@ -211,7 +212,12 @@ def _count_kernel_calls(monkeypatch) -> collections.Counter:
             return _original(self, x)
 
         monkeypatch.setattr(StateDecomposition, attr, counted_one)
-    grids = (("renyi_cond_grid", "renyi"), ("renyi_cond_bar_star_grid", "renyi_bar_star"), ("phi_grid", "phi"))
+    grids = (
+        ("renyi_cond_moments_grid", "moments"),
+        ("renyi_cond_grid", "renyi"),
+        ("renyi_cond_bar_star_grid", "renyi_bar_star"),
+        ("phi_grid", "phi"),
+    )
     for attr, kind in grids:
         original = getattr(StateDecomposition, attr)
 
@@ -233,6 +239,18 @@ def test_curve_evaluates_each_bracket_end_once(monkeypatch):
     assert [calls[end] for end in ends] == [1] * len(ends)
     assert {kind for kind, _ in calls} == {"moments", "phi"}
     assert calls.total() > 200  # the interior orders, evaluated as the roots ask
+
+
+def test_lockstep_curve_evaluates_no_more_orders_than_one_rate_at_a_time(monkeypatch):
+    # the roots of all 201 rates step together, but each row asks for the orders its scalar root
+    # would: 1,005 moments and 537 phi evaluations when the curve was solved one rate at a time
+    state = random_cq(1, 4, 3)
+    calls = _count_kernel_calls(monkeypatch)
+    exponent_curve(state, 0.0, math.log(4), 201)
+    per_kind = collections.Counter()
+    for (kind, _), n in calls.items():
+        per_kind[kind] += n
+    assert per_kind["moments"] <= 1005 and per_kind["phi"] <= 537
 
 
 def test_bad_rate_fails_before_any_evaluation(monkeypatch, capsys):

@@ -678,6 +678,20 @@ def test_renyi_values_and_moments_share_one_kernel(corpus_states, source, orders
     assert bar == [dec.renyi_cond_bar_star(s).hex() for s in orders]
 
 
+@given(
+    name=hst.sampled_from(_GRID_STATES),
+    orders=hst.lists(hst.one_of(hst.sampled_from([0.0, S_MIN, 1.0]), hst.floats(S_MIN, S_MAX)), min_size=1, max_size=40),
+)
+@example(name="tilted-qubit", orders=[0.0, S_MIN, 0.5, 1.0, S_MAX])
+def test_moment_grid_rows_equal_the_one_order_moments(corpus_states, lifted_complex_state, name, orders):
+    # the lifted state's 32,768 terms take one order per chunk of the grid
+    state = lifted_complex_state if name not in corpus_states else corpus_states[name]
+    dec = state.decomposition
+    psi, slope = dec.renyi_cond_moments_grid(orders)
+    got = [(a.hex(), b.hex()) for a, b in zip(psi.tolist(), slope.tolist())]
+    assert got == [tuple(v.hex() for v in dec.renyi_cond_moments(s)) for s in orders]
+
+
 def test_pinsker_factor_two_holds_and_unfactored_form_fails(corpus_states):
     for name, st in corpus_states.items():
         info = mutual_info_variants(st)

@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lemma_oracle import SUITE_SEEDS, lemma_min_eigenvalues, seeded_psd
@@ -32,6 +32,7 @@ from qpa.verification import (
     verify_exp_leak_bound,
     verify_hashing_bounds,
 )
+from conftest import padded
 from renyi_oracle import DPS, psi_reference
 
 DATA = Path(__file__).parent / "data"
@@ -456,6 +457,28 @@ def test_pinching_bound_corpus(corpus_states):
         rep = pinching_bound_check(st)
         assert rep.passed, name
         assert rep.i_original <= rep.i_pinched + rep.log_v + 1e-9, name
+
+
+def test_corpus_marginals_have_full_rank(corpus_states):
+    # so counting only the clusters on supp(rho^E) leaves every corpus v, and every golden
+    for name, st in corpus_states.items():
+        assert st.decomposition.eve_support.all(), name
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from([(2, 2), (3, 2), (4, 3), (4, 2)]),
+    extra=st.integers(1, 3),
+    s=st.sampled_from([0.25, 0.5, 1.0]),
+)
+@example(seed=7, shape=(2, 2), extra=1, s=0.5)  # v rose from 2 to 3 when the kernel counted as a cluster
+def test_zero_padding_eve_leaves_v_and_the_bounds(seed, shape, extra, s):
+    state = random_cq(seed, *shape)
+    big = padded(state, extra)
+    assert big.decomposition.v_count == state.decomposition.v_count
+    assert big.decomposition.v_count < len(big.decomposition.eve_clusters)  # the kernel's cluster still pinches
+    assert avg_leak_bound_rhs(big, 2, s) == pytest.approx(avg_leak_bound_rhs(state, 2, s), rel=1e-12)
+    assert finite_size_bound(big, 4, s) == pytest.approx(finite_size_bound(state, 4, s), rel=1e-12)
 
 
 def test_full_suite_hashes_each_member_once(monkeypatch):
