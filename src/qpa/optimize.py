@@ -1,6 +1,6 @@
-"""``increasing_root``, the root of a nondecreasing function by regula falsi safeguarded by bisection, serves every
-qpa search, each a stationarity condition; ``increasing_roots`` steps many such roots at once. ``golden_max``, a
-maximiser, has no qpa caller; the benchmark harness wraps it by name.
+"""``increasing_roots``, the roots of nondecreasing functions by regula falsi safeguarded by bisection, stepped
+in lockstep, serves every qpa search, each a stationarity condition. ``golden_max``, a maximiser, has no qpa caller;
+the benchmark harness wraps it by name.
 """
 
 from __future__ import annotations
@@ -44,46 +44,15 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, floa
     return mid, f_mid
 
 
-def increasing_root(fn, lo: float, hi: float) -> float:
-    """Root of a nondecreasing ``h = fn`` on ``[lo, hi]``, clamped to the interval.
-
-    Returns ``lo`` when ``h(lo) >= 0`` and ``hi`` when ``h(hi) <= 0``.
-    Otherwise regula falsi with the Illinois modification (when a step lands
-    on the same side as the one before, halve the value kept at the other
-    end) shrinks a sign bracket, with a bisection step wherever a step would
-    leave the bracket, until the bracket is two ulps wide; its midpoint is
-    the root.
-    """
-    f_lo = fn(lo)
-    if f_lo >= 0.0:
-        return lo
-    f_hi = fn(hi)
-    if f_hi <= 0.0:
-        return hi
-    x0, f0, x1, f1 = lo, f_lo, hi, f_hi  # a sign bracket; x1 is the latest point
-    for _ in range(_ROOT_STEPS):
-        x = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not min(x0, x1) < x < max(x0, x1):
-            x = 0.5 * (x0 + x1)
-        h = fn(x)
-        if h == 0.0:
-            return x
-        if (h > 0.0) == (f1 > 0.0):
-            f0 *= 0.5
-        else:
-            x0, f0 = x1, f1
-        x1, f1 = x, h
-        if abs(x1 - x0) <= 2.0 * _EPS * max(abs(x0), abs(x1)):
-            break
-    return 0.5 * (x0 + x1)
-
-
 def increasing_roots(fn, f_lo, f_hi, lo: float, hi: float) -> np.ndarray:
-    """``increasing_root`` of many nondecreasing functions on one ``[lo, hi]``, stepped in lockstep.
+    """Roots of many nondecreasing functions ``h`` on one ``[lo, hi]``, each clamped to the interval.
 
     ``f_lo`` and ``f_hi`` hold each row's values at the ends, and ``fn(x, rows)`` the values at ``x`` of the rows
-    ``rows`` still searching. Every row takes the steps of ``increasing_root``, with its arithmetic, stop rule and
-    cap, so each root equals the scalar one bit for bit.
+    ``rows`` still searching. A row is ``lo`` when ``h(lo) >= 0`` and ``hi`` when ``h(hi) <= 0``. Otherwise regula
+    falsi with the Illinois modification (when a step lands on the same side as the one before, halve the value kept
+    at the other end) shrinks a sign bracket, with a bisection step wherever a step would leave the bracket, until
+    the bracket is two ulps wide; its midpoint is the root. The rows step in lockstep, but each takes the steps of
+    its own scalar search (``tests/root_oracle.py``), so a root does not depend on the rows beside it.
     """
     f_lo, f_hi = np.asarray(f_lo, dtype=float), np.asarray(f_hi, dtype=float)
     roots = np.where(f_lo >= 0.0, float(lo), float(hi))

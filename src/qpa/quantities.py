@@ -91,7 +91,7 @@ def _check_order(s, *, allow_zero: bool) -> list[float]:
         if (x := next((x for x in values if 0.0 < x < S_MIN), None)) is not None:
             raise ValueError(f"Renyi order parameter s={x} is subnormal, below {S_MIN}")
         if not allow_zero:
-            raise ValueError("s = 0 is the von Neumann limit; call cond_entropy_bar instead")
+            raise ValueError("s = 0 is the von Neumann limit Hbar(A|E); call StateDecomposition.cond_entropy_bar()")
     return values
 
 

@@ -23,7 +23,7 @@ from .cqstate import (
 )
 from .hashing import HashFamily, make_family, member_tables
 from .hermitian import SUPPORT_RTOL, eigh_batch, hermitian_entries
-from .optimize import increasing_root
+from .optimize import increasing_roots
 from .quantities import (
     _STACK_ENTRIES,
     S_MIN,
@@ -134,17 +134,32 @@ def avg_leak_bound_rhs(state: CQState, big_m: int, s: float) -> float:
     return _avg_leak_rhs(dec.v_count, big_m, s, dec.renyi_cond(s))
 
 
-def _avg_leak_orders(dec: StateDecomposition, s_grid: tuple[float, ...], big_ms) -> tuple[dict, dict]:
-    """``H_{1+s}`` by order, and the order minimising the averaged-leak bound by range size M.
+def _avg_leak_orders(big_ms: dict, s_grid: tuple[float, ...]) -> dict:
+    """Per state of ``big_ms`` (state -> its range sizes M): ``H_{1+s}`` by order, and the order minimising the
+    averaged-leak bound by M.
 
-    ``log rhs(s) = s log(vM) + psi(s) - log s`` is convex, so its minimum over all of ``(0, 1]`` is at
-    the root of ``log(vM) + psi'(s) - 1/s``, clamped to 1: one root per M, whose steps share the
-    state's moment evaluations. ``H_{1+s}`` at the grid and at every root comes from one grid call.
+    ``log rhs(s) = s log(vM) + psi(s) - log s`` is convex, so its minimum over all of ``(0, 1]`` is at the root of
+    ``log(vM) + psi'(s) - 1/s``, clamped to 1. Every ``(state, M)`` is one row of one ``increasing_roots`` call. The
+    numerators are Python floats over one cache of ``psi'`` by ``(decomposition, s)``, so the rows of a state share
+    its moment evaluations. ``H_{1+s}`` at the grid and at a state's roots comes from one grid call per state.
     """
-    slope = functools.cache(lambda s: dec.renyi_cond_moments(s)[1])
-    roots = {m: increasing_root(lambda s: math.log(dec.v_count * m) + slope(s) - 1.0 / s, S_MIN, 1.0) for m in big_ms}
-    orders = tuple(dict.fromkeys((*s_grid, *roots.values())))  # a root clamped to 1 is a grid order
-    return dict(zip(orders, dec.renyi_cond_grid(orders).tolist())), roots
+    rows = [(state.decomposition, m) for state, ms in big_ms.items() for m in ms]
+    slope = functools.cache(lambda dec, s: dec.renyi_cond_moments(s)[1])
+    log_vm = [math.log(dec.v_count * m) for dec, m in rows]
+
+    def numerator(s, r):
+        return log_vm[r] + slope(rows[r][0], s) - 1.0 / s
+
+    f_lo, f_hi = ([numerator(end, r) for r in range(len(rows))] for end in (S_MIN, 1.0))
+    fn = lambda x, active: np.array([numerator(s, r) for s, r in zip(x.tolist(), active.tolist())])
+    found = dict(zip(rows, increasing_roots(fn, f_lo, f_hi, S_MIN, 1.0).tolist()))
+    out = {}
+    for state, ms in big_ms.items():
+        dec = state.decomposition
+        roots = {m: found[dec, m] for m in ms}
+        orders = tuple(dict.fromkeys((*s_grid, *roots.values())))  # a root clamped to 1 is a grid order
+        out[state] = dict(zip(orders, dec.renyi_cond_grid(orders).tolist())), roots
+    return out
 
 
 def verify_avg_leak_bound(state: CQState, family: HashFamily, s_grid=DEFAULT_S_GRID, *, name: str = "") -> BoundReport:
@@ -248,7 +263,7 @@ def _hashing_reports(named_pairs, s_grid: tuple[float, ...]) -> list[list[BoundR
     big_ms = {}
     for _, state, family in named_pairs:
         big_ms.setdefault(state, set()).add(family.range_size)
-    h_roots = {state: _avg_leak_orders(state.decomposition, s_grid, ms) for state, ms in big_ms.items()}
+    h_roots = _avg_leak_orders(big_ms, s_grid)
     hbar = {state: state.decomposition.renyi_cond_bar_star_grid(s_grid) for state in big_ms}
     reports = []
     for (name, state, family), rows in zip(named_pairs, members):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from qpa.verification import (
 )
 from conftest import padded
 from renyi_oracle import DPS, psi_reference
+from root_oracle import increasing_root
 
 DATA = Path(__file__).parent / "data"
 LOG2 = math.log(2.0)
@@ -530,18 +532,18 @@ def test_full_suite_evaluates_each_order_once(monkeypatch):
             return _original(self, s_values)
 
         monkeypatch.setattr(StateDecomposition, attr, counted)
-    original_moments, original_root = StateDecomposition.renyi_cond_moments, vmod.increasing_root
+    original_moments, original_roots = StateDecomposition.renyi_cond_moments, vmod.increasing_roots
 
     def counted_moments(self, s):
         moments.append((self, s))
         return original_moments(self, s)
 
-    def counted_root(fn, lo, hi):
-        roots.append((lo, hi))
-        return original_root(fn, lo, hi)
+    def counted_roots(fn, f_lo, f_hi, lo, hi):
+        roots.append((len(f_lo), lo, hi))
+        return original_roots(fn, f_lo, f_hi, lo, hi)
 
     monkeypatch.setattr(StateDecomposition, "renyi_cond_moments", counted_moments)
-    monkeypatch.setattr(vmod, "increasing_root", counted_root)
+    monkeypatch.setattr(vmod, "increasing_roots", counted_roots)
     reports = run_full_suite()
     assert all(rep.passed for rep in reports)
     # at most one grid call per (state, kind)
@@ -551,9 +553,42 @@ def test_full_suite_evaluates_each_order_once(monkeypatch):
     # clamped to 1 reads the grid's order 1
     evaluated = [(id(dec), kind, s) for (dec, kind), orders in grids for s in orders]
     assert len(evaluated) == len(set(evaluated)) == 619
-    # one root per (state, M) over (S_MIN, 1], whose steps evaluate each order of a state once
-    assert roots == [(qmod.S_MIN, 1.0)] * 54
+    # one lockstep call, one row per (state, M) over (S_MIN, 1], whose steps evaluate each order of a state once
+    assert roots == [(54, qmod.S_MIN, 1.0)]
     assert len(moments) == len({(id(dec), s) for dec, s in moments}) == 420
+
+
+def _scalar_avg_leak_root(state, big_m):
+    """The averaged-leak minimiser of one ``(state, M)`` alone, by the scalar root oracle."""
+    dec = state.decomposition
+    return increasing_root(
+        lambda s: math.log(dec.v_count * big_m) + dec.renyi_cond_moments(s)[1] - 1.0 / s, qmod.S_MIN, 1.0
+    )
+
+
+def test_batching_does_not_change_an_avg_leak_root(corpus_states):
+    # every (state, M) of one _hashing_reports call is a row of one lockstep root call;
+    # each row's root must be the one its (state, M) gets alone
+    extra = {f"random_cq({seed}, {a}, {d})": random_cq(seed, a, d) for seed, a, d in
+             [(0, 2, 2), (1, 2, 3), (2, 4, 4), (3, 8, 2), (4, 8, 3), (5, 8, 2), (6, 8, 3)]}
+    pairs = []
+    for i, (name, state) in enumerate([*corpus_states.items(), *extra.items()]):
+        k = state.alphabet_size.bit_length() - 1
+        subsets = [ms for n in range(1, k + 1) for ms in itertools.combinations(range(1, k + 1), n)]  # of log2 M
+        pairs += [(name, state, make_family("toeplitz", 2, k, m)) for m in subsets[i % len(subsets)]]
+    assert {(state.alphabet_size, family.range_size) for _, state, family in pairs} == {
+        (2, 2), (4, 2), (4, 4), (8, 2), (8, 4), (8, 8)
+    }
+    batched = [avg.best_s for avg, _ in vmod._hashing_reports(pairs, DEFAULT_S_GRID)]
+    assert {s == 1.0 for s in batched} == {True, False}  # rows clamped to 1 beside interior roots
+    alone = [_scalar_avg_leak_root(state, family.range_size) for _, state, family in pairs]
+    assert [s.hex() for s in batched] == [s.hex() for s in alone]
+
+
+def test_one_row_avg_leak_root_equals_the_scalar_root(lifted_complex_state):
+    state, family = lifted_complex_state, make_family("modified_toeplitz", 2, 5, 3)
+    avg, _ = verify_hashing_bounds(state, family)
+    assert avg.best_s.hex() == _scalar_avg_leak_root(state, 8).hex()
 
 
 def test_clamped_root_reads_the_same_bits_from_the_grid_and_the_root():
