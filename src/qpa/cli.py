@@ -28,7 +28,6 @@ from .cqstate import (
     StateFormatError,
     StateValidationError,
     clipped,
-    joint_density,
     load_state_json,
     make_cq_state,
     preset,
@@ -36,7 +35,7 @@ from .cqstate import (
 )
 from .exponents import fmt
 from .hashing import collision_stats, make_family, member_function, parse_family
-from .hermitian import EigenConvergenceError, SizeCapError, eig_hermitian, matrix_log, matrix_power, pinch, tensor
+from .hermitian import EigenConvergenceError, SizeCapError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -136,8 +135,6 @@ def cmd_quantities(args) -> int:
 
 def _lift_to_domain(state, domain: int):
     """Tensor-power a state so its alphabet matches a family domain."""
-    if domain == state.alphabet_size:
-        return state
     size = state.alphabet_size
     power = 1
     while 1 < size < domain:
@@ -218,25 +215,9 @@ def _selftest_checks():
     def close(x, y, t=tol):
         return abs(x - y) <= t
 
-    # spectral layer
-    yield "eig of diag(3,1)", np.allclose(eig_hermitian(np.diag([3.0, 1.0]))[0], [3.0, 1.0])
-    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    yield "eig of Pauli X", np.allclose(eig_hermitian(pauli_x)[0], [1.0, -1.0])
-    inv_sqrt = matrix_power(np.diag([4.0, 0.0]), -0.5)
-    yield "pseudo inverse sqrt of diag(4,0)", np.allclose(inv_sqrt, np.diag([0.5, 0.0]))
-    yield "log of identity", np.allclose(matrix_log(np.eye(3)), 0.0)
-    yield "I2 (x) I2 = I4", np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-    kron = tensor(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    yield "diag(1,2) (x) diag(3,4)", np.allclose(kron, np.diag([3.0, 4.0, 6.0, 8.0]))
-    rho = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
-    yield "pinch by identity is identity map", np.allclose(pinch(np.eye(2), rho), rho)
-    yield "pinch kills off-diagonals", np.allclose(pinch(np.diag([1 / 3, 2 / 3]), pauli_x), 0.0)
-
     # state layer
     copy = preset("copy")
     product = preset("product")
-    yield "copy joint density", np.allclose(joint_density(copy), np.diag([0.5, 0.0, 0.0, 0.5]))
-    yield "product joint density", np.allclose(joint_density(product), np.eye(4) / 4)
     try:
         make_cq_state([0.7, 0.4], [np.eye(2) / 2, np.eye(2) / 2])
         yield "bad distribution rejected", False

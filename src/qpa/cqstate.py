@@ -25,14 +25,15 @@ from .hermitian import (
 )
 
 PROB_ATOL = 1e-10
+ECHO_BYTES = 60  # the most UTF-8 bytes an echoed input takes in an error message, quotes aside
 
 
-def clipped(value, limit: int = 60) -> str:
+def clipped(value) -> str:
     """``str(value)`` for an error that echoes an input, cut to end in ``...`` where its ``!r`` echo, quotes aside,
-    takes over ``limit`` UTF-8 bytes (at least ``str``'s); printable ASCII is cut to ``limit`` characters."""
+    takes over ``ECHO_BYTES`` UTF-8 bytes (at least ``str``'s); printable ASCII is cut to that many characters."""
     text = out = str(value)
-    cut = limit - 3
-    while len(repr(out).encode()) > limit + 2:
+    cut = ECHO_BYTES - 3
+    while len(repr(out).encode()) > ECHO_BYTES + 2:
         out, cut = text[:cut] + "...", cut - 1
     return out
 

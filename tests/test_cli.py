@@ -478,27 +478,46 @@ def test_complex_lifted_verify_matches_golden(monkeypatch, capsys):
 
 
 def test_commands_take_one_spectral_path(monkeypatch, capsys):
-    # every command below reads the arrays of StateDecomposition; eig_hermitian serves
-    # only the joint oracles and selftest, and HermitianMatrix only CQState.eve_states
-    from qpa import hermitian
+    # every command, selftest included, reads the arrays of StateDecomposition: the reference
+    # helpers serve only the joint oracles and the tests, and HermitianMatrix only
+    # CQState.eve_states. Each helper is rebound in every qpa module that binds it, so a call
+    # through another module's binding is counted too
+    from qpa import cqstate, hermitian
 
-    counts = {"HermitianMatrix": 0, "eig_hermitian": 0}
-    init, eig = hermitian.HermitianMatrix.__init__, hermitian.eig_hermitian
+    helpers = ("eig_hermitian", "matrix_power", "matrix_log", "tensor", "pinch", "joint_density", "eve_marginal")
+    originals = {getattr(hermitian, name, None) or getattr(cqstate, name): name for name in helpers}
+    counts = dict.fromkeys(("HermitianMatrix", *helpers), 0)
+    init = hermitian.HermitianMatrix.__init__
 
     def counted_init(self, *args, **kwargs):
         counts["HermitianMatrix"] += 1
         init(self, *args, **kwargs)
 
-    def counted_eig(*args, **kwargs):
-        counts["eig_hermitian"] += 1
-        return eig(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
 
     monkeypatch.setattr(hermitian.HermitianMatrix, "__init__", counted_init)
-    monkeypatch.setattr(hermitian, "eig_hermitian", counted_eig)
-    lifted = ["--state", str(DATA / "complex_qubit_state.json"), "--family", "modified_toeplitz:q=2,k=5,m=3"]
-    for argv in (["verify", "--suite", "full"], ["verify", *lifted], ["quantities", "--preset", "tilted-qubit"]):
+    wrappers = {id(fn): counted(name, fn) for fn, name in originals.items()}
+    for module in [m for n, m in sorted(sys.modules.items()) if n == "qpa" or n.startswith("qpa.")]:
+        for key, value in list(vars(module).items()):
+            if id(value) in wrappers:
+                monkeypatch.setattr(module, key, wrappers[id(value)])
+    state = ["--state", str(DATA / "complex_qubit_state.json")]
+    for argv in (
+        ["quantities", "--preset", "tilted-qubit", "--s", "0,0.5,2"],
+        ["verify", "--suite", "full"],
+        ["verify", *state, "--family", "modified_toeplitz:q=2,k=5,m=3"],
+        ["exponents", *state, "--r", "0.1,0.4"],
+        ["sweep", *state, "--steps", "5"],
+        ["rates", *state, "--r", "0.1,0.4"],
+        ["selftest"],
+    ):
         assert main(argv) == 0, argv
-        assert counts == {"HermitianMatrix": 0, "eig_hermitian": 0}, argv
+        assert counts == dict.fromkeys(counts, 0), argv
     capsys.readouterr()
 
 

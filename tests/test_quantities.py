@@ -216,6 +216,36 @@ def test_renyi_matches_50_digit_reference_on_singular_marginals(name):
             assert abs(value - hbar) <= 1e-13 * max(1.0, abs(hbar)), (name, s)
 
 
+def _near_singular_state(seed, alphabet_size, eps):
+    """``random_cq(seed, |A|, 2)`` embedded in d_E = 3 as ``(1 - eps) rho_a (+) eps``, then turned by a seeded unitary."""
+    st = random_cq(seed, alphabet_size, 2)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    rare = eps * np.outer(q[:, 2], q[:, 2].conj())
+    return make_cq_state(st.probs, [q @ np.pad((1 - eps) * rho, (0, 1)) @ q.conj().T + rare for rho in st.rhos])
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-11])
+def test_renyi_matches_50_digit_reference_on_near_singular_marginals(eps):
+    # the smallest eigenvalue of rho^E is eps, above the support cut, so both sides keep it:
+    # H_{1+s} holds at every eps for s <= 1, Hbar*_{1+s} only at eps = 1e-3 (ROADMAP item 4)
+    orders = [s for s in REFERENCE_ORDERS if s <= 1.0]
+    for seed, alphabet_size in [(seed, a) for seed in range(6) for a in (2, 3)]:
+        st = _near_singular_state(seed, alphabet_size, eps)
+        marginal = np.linalg.eigvalsh(np.einsum("a,aij->ij", st.probs, st.rhos))
+        assert marginal[0] == pytest.approx(eps, rel=1e-4), (seed, alphabet_size)
+        dec = st.decomposition
+        h_ref, bar_ref = renyi_references(st, orders)
+        h_grid, bar_grid = dec.renyi_cond_grid(orders), dec.renyi_cond_bar_star_grid(orders)
+        for k, s in enumerate(orders):
+            h, hbar = float(h_ref[k]), float(bar_ref[k])
+            for value in (dec.renyi_cond(s), h_grid[k]):
+                assert abs(value - h) <= 1e-13 * max(1.0, abs(h)), (seed, alphabet_size, s)
+            if eps >= 1e-3:
+                for value in (dec.renyi_cond_bar_star(s), bar_grid[k]):
+                    assert abs(value - hbar) <= 1e-13 * max(1.0, abs(hbar)), (seed, alphabet_size, s)
+
+
 def test_renyi_references_of_the_half_diagonal_state_are_log_2():
     h_ref, bar_ref = renyi_references(half_diagonal_state(), REFERENCE_ORDERS)
     with mpmath.workdps(DPS):
