@@ -353,15 +353,16 @@ class StateDecomposition:
 
         Each value equals ``phi_and_slope``'s bit for bit; ``PHI_T_MAX`` records the error above t = 1/2.
         """
-        return self._phi_and_slopes(t_values)[0]
+        return self.phi_and_slope_grid(t_values)[0]
 
     def phi_and_slope(self, t: float) -> tuple[float, float]:
         """``(phi(t), phi'(t))`` at one t in ``[0, PHI_T_MAX]``, from one SVD of the stacked factor."""
-        phi, slope = self._phi_and_slopes([t])
+        phi, slope = self.phi_and_slope_grid([t])
         return float(phi[0]), float(slope[0])
 
-    def _phi_and_slopes(self, t_values) -> tuple[np.ndarray, np.ndarray]:
-        """``(phi, phi')`` at each t of a 1-d array, in chunks of at most ``_STACK_ENTRIES`` factor entries.
+    def phi_and_slope_grid(self, t_values) -> tuple[np.ndarray, np.ndarray]:
+        """``(phi, phi')`` at each t of a 1-d array, in chunks of at most ``_STACK_ENTRIES`` factor entries;
+        each pair equals ``phi_and_slope``'s bit for bit.
 
         ``X(t) / exp(alpha top) = Y = F F^H`` for ``alpha = 1/(1-t)`` and the stacked factor
         ``F = [U_a diag(w_a^{alpha/2})]_a``, with ``w_a``, ``U_a`` the eigensystem of

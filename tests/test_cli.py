@@ -521,9 +521,9 @@ def test_commands_take_one_spectral_path(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_selftest_and_joint_oracles_build_no_hermitian_matrix(monkeypatch, capsys, corpus_states):
-    # selftest, the joint oracles and relative_entropies compute on plain arrays;
-    # HermitianMatrix is left to CQState.eve_states
+def test_joint_oracles_build_no_hermitian_matrix(monkeypatch, corpus_states):
+    # the joint oracles and relative_entropies compute on plain arrays; HermitianMatrix is left to
+    # CQState.eve_states (test_commands_take_one_spectral_path makes this count over every command)
     from qpa import hermitian
     from qpa import quantities as qmod
     from qpa.cqstate import CQState, eve_marginal, joint_density
@@ -536,9 +536,6 @@ def test_selftest_and_joint_oracles_build_no_hermitian_matrix(monkeypatch, capsy
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(hermitian.HermitianMatrix, "__init__", counted_init)
-    assert main(["selftest"]) == 0
-    capsys.readouterr()
-    assert built == [], "selftest"
     for name, st in corpus_states.items():
         st = CQState(st.probs, st.rhos)  # a fresh state, whose eve_states nothing has built
         for s in (0.0, 0.5):

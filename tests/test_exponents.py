@@ -15,6 +15,7 @@ from qpa.exponents import (
     CSV_HEADER,
     exponent_curve,
     exponent_row,
+    exponent_rows,
     fmt,
     rates,
 )
@@ -201,22 +202,22 @@ def _count_kernel_calls(monkeypatch) -> collections.Counter:
     """Counts of the Renyi moment, Renyi grid and phi evaluations from now on, by kind and order.
 
     Counted through the public methods, one per order of an array call: the scalar ``renyi_cond``
-    and ``phi`` go through the grids, and the moments of many orders through ``renyi_cond_moments_grid``.
+    goes through its grid, the moments of many orders through ``renyi_cond_moments_grid``, and
+    ``phi``, ``phi_grid`` and ``phi_and_slope`` through ``phi_and_slope_grid``, counted there alone.
     """
     calls = collections.Counter()
-    for attr, kind in (("renyi_cond_moments", "moments"), ("phi_and_slope", "phi")):
-        original = getattr(StateDecomposition, attr)
+    original_moments = StateDecomposition.renyi_cond_moments
 
-        def counted_one(self, x, _original=original, _kind=kind):
-            calls[_kind, float(x)] += 1
-            return _original(self, x)
+    def counted_moments(self, s):
+        calls["moments", float(s)] += 1
+        return original_moments(self, s)
 
-        monkeypatch.setattr(StateDecomposition, attr, counted_one)
+    monkeypatch.setattr(StateDecomposition, "renyi_cond_moments", counted_moments)
     grids = (
         ("renyi_cond_moments_grid", "moments"),
         ("renyi_cond_grid", "renyi"),
         ("renyi_cond_bar_star_grid", "renyi_bar_star"),
-        ("phi_grid", "phi"),
+        ("phi_and_slope_grid", "phi"),
     )
     for attr, kind in grids:
         original = getattr(StateDecomposition, attr)
@@ -250,7 +251,23 @@ def test_lockstep_curve_evaluates_no_more_orders_than_one_rate_at_a_time(monkeyp
     per_kind = collections.Counter()
     for (kind, _), n in calls.items():
         per_kind[kind] += n
-    assert per_kind["moments"] <= 1005 and per_kind["phi"] <= 537
+    assert per_kind["moments"] == 1005 and per_kind["phi"] == 537
+
+
+@pytest.mark.parametrize(
+    "state",
+    [*(random_cq(0, *shape) for shape in ((2, 5), (5, 2), (3, 8), (8, 3))), tensor_power(random_cq(0, 2, 2), 3)],
+    ids=["2x5", "5x2", "3x8", "8x3", "qubit-cubed"],
+)
+def test_lockstep_rows_equal_one_rate_rows(state):
+    # the stacked steps (one moment grid and one phi SVD stack per step) give each rate the bits
+    # of its own one-rate call, field for field
+    rates_list = np.linspace(0.0, 1.2 * math.log(state.alphabet_size), 201).tolist()
+    lockstep = exponent_rows(state, rates_list)
+    alone = [exponent_row(state, rate) for rate in rates_list]
+    assert [[v.hex() for v in vars(row).values()] for row in lockstep] == [
+        [v.hex() for v in vars(row).values()] for row in alone
+    ]
 
 
 def test_bad_rate_fails_before_any_evaluation(monkeypatch, capsys):

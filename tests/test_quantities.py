@@ -647,15 +647,18 @@ def test_grid_evaluations_match_scalar():
     assert [v.hex() for v in grid_vals.tolist()] == [dec.renyi_cond(float(s)).hex() for s in s_grid]
     bar_vals = dec.renyi_cond_bar_star_grid(s_grid[1:])
     assert [v.hex() for v in bar_vals.tolist()] == [dec.renyi_cond_bar_star(float(s)).hex() for s in s_grid[1:]]
-    # each t of phi_grid takes its own SVD, as phi and phi_and_slope do: bit for bit
+    # each t of a stacked phi call takes its own SVD, as phi and phi_and_slope do: bit for bit
     t_grid = np.linspace(0.0, 0.5, 11)
     phi_vals = dec.phi_grid(t_grid)
     assert [v.hex() for v in phi_vals.tolist()] == [dec.phi(float(t)).hex() for t in t_grid]
-    assert [dec.phi_and_slope(float(t))[0].hex() for t in t_grid] == [dec.phi(float(t)).hex() for t in t_grid]
+    alone = [tuple(v.hex() for v in dec.phi_and_slope(float(t))) for t in t_grid]
+    assert [pair[0] for pair in alone] == [dec.phi(float(t)).hex() for t in t_grid]
+    stacked = dec.phi_and_slope_grid(t_grid)
+    assert [(phi.hex(), slope.hex()) for phi, slope in zip(*(a.tolist() for a in stacked))] == alone
 
 
 @pytest.mark.parametrize("values, shape", [([[0.25, 0.5]], "(1, 2)"), (0.25, "()")], ids=["2-d", "scalar"])
-@pytest.mark.parametrize("grid", ["phi_grid", "renyi_cond_grid", "renyi_cond_bar_star_grid"])
+@pytest.mark.parametrize("grid", ["phi_grid", "phi_and_slope_grid", "renyi_cond_grid", "renyi_cond_bar_star_grid"])
 def test_grids_take_a_1d_array(grid, values, shape):
     dec = preset("tilted-qubit").decomposition
     with pytest.raises(ValueError, match=f"1-d array, got shape {re.escape(shape)}"):
