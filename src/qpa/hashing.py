@@ -8,12 +8,14 @@ digits (digit 0 is least significant), and output digit vectors combine the
 same way; classical alphabets must use the same indexing.
 
 A matrix member is linear in its parameter vector, so one band encodes the
-whole family: ``_difference_systems`` writes, for each input ``a``, the
-linear system over F_q whose solutions are the members sending ``a`` to
-zero. ``member_tables`` reads every member's outputs off that band, taken
-over the whole domain, and ``member_function`` is its one-member case.
+whole family: ``_difference_systems`` writes, for each input ``a`` (a column
+of the digit-major table that ``_digit_table`` builds), the linear system
+over F_q whose solutions are the members sending ``a`` to zero.
+``member_tables`` reads every member's outputs off that band, taken over
+the whole domain, and ``member_function`` is its one-member case.
 ``collision_stats`` row-reduces the same band over the nonzero input
-differences in one stack and counts each system's solutions exactly, since
+differences in one stack, skipping each step that the systems' echelon form
+leaves nothing to do, and counts each system's solutions exactly, since
 ``f(a1) = f(a2)`` iff ``f(a1 - a2) = 0``; the universal_2 property is a
 combinatorial claim, so no floating tolerance is acceptable there. The
 certificate thus covers the very members that are hashed.
@@ -70,9 +72,9 @@ def _digits(x, q: int, width: int) -> np.ndarray:
 
 
 def _digit_table(q: int, width: int) -> np.ndarray:
-    """``_digits(np.arange(q**width), q, width)`` as uint8, by repeat and tile instead of division."""
+    """``_digits(np.arange(q**width), q, width).T`` as uint8, digit-major (width, q**width), by repeat and tile."""
     digit = np.arange(q, dtype=_KERNEL_DTYPE)
-    return np.stack([np.tile(np.repeat(digit, q**i), q ** (width - 1 - i)) for i in range(width)], axis=-1)
+    return np.stack([np.tile(np.repeat(digit, q**i), q ** (width - 1 - i)) for i in range(width)])
 
 
 def _mod_q(x: np.ndarray, q: int) -> np.ndarray:
@@ -162,12 +164,11 @@ class CollisionReport:
     worst_input: int
 
 
-def _difference_systems(family: HashFamily, diffs: np.ndarray) -> np.ndarray:
-    """(n_params + 1, m, N) stack of systems over F_q, solved by the members sending each row of ``diffs`` to zero."""
+def _difference_systems(family: HashFamily, digits: np.ndarray) -> np.ndarray:
+    """(n_params + 1, m, N) systems over F_q, solved by the members sending each column of ``digits`` (k, N) to zero."""
     q, m = family.q, family.m
     width, n_params = _toeplitz_block(family)
-    digits = np.ascontiguousarray(diffs.T, dtype=_KERNEL_DTYPE)  # (k, N)
-    aug = np.zeros((n_params + 1, m, len(diffs)), dtype=_KERNEL_DTYPE)
+    aug = np.zeros((n_params + 1, m, digits.shape[1]), dtype=_KERNEL_DTYPE)
     for i in range(m):  # aug[p, i] = diff[i + width - 1 - p]: row i holds the reversed digits from column i on
         aug[i : i + width, i] = digits[:width][::-1]
     if family.kind == KIND_MODIFIED:
@@ -181,25 +182,29 @@ def _solution_dims(aug: np.ndarray, q: int) -> np.ndarray:
     Forward elimination row by row, all N systems at once: a row's pivot is
     its first nonzero left entry, and the row, scaled to a leading 1, clears
     that column from every later row. A row left zero on the left adds no
-    rank; a nonzero rhs there makes its system inconsistent. A step whose
-    multipliers (the later rows' pivot-column entries) are all zero would
-    add only zeros, so it is skipped: every step, on difference systems.
+    rank; a nonzero rhs there makes its system inconsistent. Step r is
+    skipped, with no gather, unless a system with a pivot in row r has a
+    later row whose first nonzero (kept as a score) lies at or left of it:
+    a row is zero left of its first nonzero, and a pivotless row scales to
+    zero. Difference systems are in strict echelon form, so they skip all.
     """
     n_params, rows, n = aug.shape[0] - 1, aug.shape[1], aug.shape[2]
     inverse = np.array([0] + [pow(v, q - 2, q) for v in range(1, q)], dtype=_KERNEL_DTYPE)
-    systems = np.arange(n)
-    scores = np.arange(n_params, 0, -1, dtype=np.min_scalar_type(n_params))[:, None]  # top score: first nonzero
+    weights = np.arange(n_params, 0, -1, dtype=np.min_scalar_type(n_params))[:, None]
+    # (rows, N): n_params minus each row's first nonzero column, 0 if none; scored row by row, since one pass
+    # over the whole stack would fault in temporaries of its size on every call
+    scores = np.stack([((aug[:-1, i] != 0) * weights).max(axis=0, initial=0) for i in range(rows)])
     rank = np.zeros(n, dtype=np.int64)
     inconsistent = np.zeros(n, dtype=bool)
     for r in range(rows):
-        row = aug[:, r]  # (n_params + 1, N)
-        nonzero = row[:-1] != 0
-        has_pivot = nonzero.any(axis=0)
+        score, has_pivot = scores[r], scores[r] != 0
         rank += has_pivot
-        inconsistent |= ~has_pivot & (row[-1] != 0)
-        if r + 1 == rows or not n_params:  # no later row to clear, or no column to clear
+        inconsistent |= ~has_pivot & (aug[-1, r] != 0)
+        if not (has_pivot & (scores[r + 1 :] >= score)).any():  # no later row starts at or left of a pivot
             continue
-        pivot = np.where(has_pivot, n_params - (nonzero * scores).max(axis=0).astype(np.intp), 0)  # 0 if none
+        row = aug[:, r]  # (n_params + 1, N)
+        systems = np.arange(n)
+        pivot = np.where(has_pivot, n_params - score.astype(np.intp), 0)  # 0 if none
         # (rows - r - 1, N): each later row's pivot entry, gathered by flat index (from a copy if aug is strided)
         factor = aug.reshape(-1)[pivot * (rows * n) + systems + (np.arange(r + 1, rows) * n)[:, None]]
         if not factor.any():  # every multiplier zero: the update would add only zeros
@@ -209,6 +214,8 @@ def _solution_dims(aug: np.ndarray, q: int) -> np.ndarray:
         below = aug[:, r + 1 :]  # (n_params + 1, rows - r - 1, N), a view
         below += _mod_q(_KERNEL_DTYPE(q) - factor, q) * pivot_row[:, None]
         below[...] = _mod_q(below, q)
+        for i in range(r + 1, rows):  # the updated rows' new first nonzeros
+            scores[i] = ((aug[:-1, i] != 0) * weights).max(axis=0, initial=0)
     return np.where(inconsistent, -1, n_params - rank)
 
 
@@ -246,7 +253,7 @@ def collision_stats(family: HashFamily) -> CollisionReport:
             f"domain size {family.domain_size} exceeds difference-scan cap {MATRIX_DOMAIN_CAP}"
         )
     table = _digit_table(family.q, family.k)
-    dims = _solution_dims(_difference_systems(family, table[1:]), family.q)  # skip the zero difference
+    dims = _solution_dims(_difference_systems(family, table[:, 1:]), family.q)  # skip the zero difference
     worst_dim, worst_diff = int(dims.max()), 1 + int(dims.argmax())  # argmax: the first, so smallest, worst
     prob = Fraction(family.q**worst_dim if worst_dim >= 0 else 0, family.member_count)
     return CollisionReport(prob, prob <= bound, worst_diff)

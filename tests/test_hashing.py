@@ -198,8 +198,8 @@ def test_collision_stats_domain_cap():
 
 
 def batched_counts(family, diffs):
-    """Member counts of the batched kernel for rows of base-q digits."""
-    dims = _solution_dims(hashing._difference_systems(family, np.array(diffs)), family.q)
+    """Member counts of the batched kernel for rows of base-q digits, passed digit-major as ``collision_stats`` does."""
+    dims = _solution_dims(hashing._difference_systems(family, np.array(diffs).T), family.q)
     return [family.q ** int(d) if d >= 0 else 0 for d in dims]
 
 
@@ -265,7 +265,7 @@ def test_one_stack_stays_small_at_the_caps(spec):
 
 def difference_systems(family):
     """``_difference_systems`` of every nonzero difference, sliced from the digit table as ``collision_stats`` does."""
-    return hashing._difference_systems(family, hashing._digit_table(family.q, family.k)[1:])
+    return hashing._difference_systems(family, hashing._digit_table(family.q, family.k)[:, 1:])
 
 
 def test_difference_systems_match_the_scalar_systems():
@@ -281,17 +281,44 @@ def test_difference_systems_match_the_scalar_systems():
 
 
 def test_difference_systems_need_no_elimination_update():
-    # _solution_dims skips a step whose multipliers are all zero; on difference systems it must skip every step
+    # _solution_dims skips a step unless a later row starts at or left of a pivot; on difference systems it must
+    # skip every step, which strict echelon form guarantees
     for family in ORACLE_FAMILIES + [make_family(*spec) for spec in BENCHMARK_FAMILIES]:
         left = difference_systems(family)[:-1] != 0  # (n_params, m, N): the nonzero coefficients
+        n_params = left.shape[0]
         has_pivot = left.any(axis=0)  # (m, N)
-        systems = np.arange(left.shape[2])
-        for i in range(family.m - 1):  # a one-row system may have no parameter, so no argmax
-            pivot = left[:, i].argmax(axis=0)  # row i's first nonzero left entry
-            later = left[pivot, i + 1 :, systems]  # (N, m - i - 1): the later rows in row i's pivot column
-            assert not later[has_pivot[i]].any(), (family.describe(), i)
+        # (m, N): each row's first nonzero column, n_params for a row zero on the left
+        first = np.where(left, np.arange(n_params)[:, None, None], n_params).min(axis=0, initial=n_params)
+        # strict echelon form: each nonzero row's first nonzero lies strictly right of the row above's
+        assert (first[1:] > first[:-1])[has_pivot[1:]].all(), family.describe()
         # a pivotless row means a zero Toeplitz part: the whole left side is zero
         assert not left[:, :, ~has_pivot.all(axis=0)].any(), family.describe()
+
+
+# systems of 3 rows over 3 parameters, each row [coefficients..., rhs] and taken mod q, on which the echelon
+# pre-test of _solution_dims must not skip every step
+FALL_THROUGH_SYSTEMS = [
+    [[1, 2, 0, 1], [1, 0, 1, 0], [0, 0, 0, 0]],  # row 1 starts in row 0's pivot column
+    [[0, 1, 1, 1], [1, 1, 0, 2], [0, 0, 1, 1]],  # row 1 starts left of it and is nonzero in it
+    [[0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 0, 0]],  # row 1 starts left of it but is zero in it: nothing to clear
+    [[1, 1, 0, 0], [1, 0, 1, 1], [0, 1, 1, 1]],  # clearing row 1 moves its first nonzero onto row 2's
+    [[1, 1, 0, 1], [2, 2, 0, 2], [1, 1, 0, 0]],  # dependent rows, the last one inconsistent
+    [[0, 0, 0, 0], [1, 2, 0, 1], [0, 0, 1, 0]],  # a pivotless row above nonzero ones
+    [[0, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 0]],  # the same, inconsistent
+    [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 2]],  # strict echelon form, beside them in one stack
+]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_PRIMES)
+def test_row_reduction_falls_through_the_echelon_pretest(q):
+    systems = np.array(FALL_THROUGH_SYSTEMS) % q  # (N, rows, n_params + 1)
+    expected = [hashing_oracle.solution_count_mod_prime(s[:, :-1].tolist(), s[:, -1].tolist(), q, 3) for s in systems]
+    # each system alone, so a stack whose every multiplier is zero is among them, and all of them in one stack
+    for batch in [[i] for i in range(len(systems))] + [list(range(len(systems)))]:
+        stack = systems[batch].transpose(2, 1, 0).astype(hashing._KERNEL_DTYPE)
+        for aug in (np.ascontiguousarray(stack), np.asfortranarray(stack)):  # the kernel must not assume C order
+            dims = _solution_dims(aug, q)
+            assert [q ** int(d) if d >= 0 else 0 for d in dims] == [expected[i] for i in batch], (q, batch)
 
 
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (5, 2)])
@@ -371,6 +398,16 @@ def test_row_reduction_matches_scalar_solver_at_benchmark_shapes(q):
 
 
 @pytest.mark.parametrize("kind,q,k,m", BENCHMARK_FAMILIES)
+def test_batched_counts_match_scalar_oracle_at_benchmark_scale(kind, q, k, m):
+    # every nonzero difference, not only the worst one that collision_stats reports: a step skipped wrongly
+    # could hide behind the maximum
+    family = make_family(kind, q, k, m)
+    dims = _solution_dims(difference_systems(family), q)
+    counts = [q ** int(d) if d >= 0 else 0 for d in dims]
+    assert counts == hashing_oracle.colliding_member_counts(family), family.describe()
+
+
+@pytest.mark.parametrize("kind,q,k,m", BENCHMARK_FAMILIES)
 def test_benchmark_families_are_universal2(kind, q, k, m):
     # each worst difference meets the 1 / q**m bound, first at difference 1
     assert collision_stats(make_family(kind, q, k, m)) == hashing.CollisionReport(Fraction(1, q**m), True, 1)
@@ -403,10 +440,10 @@ def test_reduction_matches_remainder_over_its_whole_range(q):
 
 @pytest.mark.parametrize("q,k", [(2, 1), (2, 5), (2, 11), (3, 1), (3, 4), (3, 7), (5, 1), (5, 3), (5, 5)])
 def test_digit_table_matches_digits(q, k):
-    # collision_stats takes every row but the zero difference, also of tables whose size is no power of 2
+    # collision_stats takes every column but the zero difference, also of tables whose size is no power of 2
     table = hashing._digit_table(q, k)
     assert table.dtype == hashing._KERNEL_DTYPE
-    np.testing.assert_array_equal(table, hashing._digits(np.arange(q**k), q, k))
+    np.testing.assert_array_equal(table, hashing._digits(np.arange(q**k), q, k).T)
 
 
 @st.composite
